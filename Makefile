@@ -27,11 +27,16 @@ batch-smoke:
 # The quick mode includes the huge-family rows at p = 1M; the kernel
 # itself fails the run when a certified minmem-approx gap exceeds the
 # pinned threshold, and `timeout` bounds the wall time so a scaling
-# regression fails the gate instead of wedging CI.
+# regression fails the gate instead of wedging CI. The tree/encode rows
+# digest the canonical tree encoding that every job id hashes, so they
+# must be present too.
 perf-smoke: build
 	timeout 600 dune exec bin/treetrav.exe -- perf --quick --out BENCH_CORE.json
 	grep -q '"kernel": "huge/minmem-approx"' BENCH_CORE.json \
 	  || { echo "perf-smoke: huge-family rows missing from BENCH_CORE.json"; exit 1; }
+	grep -q '"kernel": "tree/encode", "instance": "random"' BENCH_CORE.json \
+	  && grep -q '"kernel": "tree/encode", "instance": "corpus/' BENCH_CORE.json \
+	  || { echo "perf-smoke: tree/encode rows missing from BENCH_CORE.json"; exit 1; }
 
 # Scheduling-tier smoke gate. The same par-schedule/pareto manifest
 # must produce bit-identical results digests via direct batch (at two

@@ -422,7 +422,7 @@ let batch manifest jobs timeout telemetry cache_dir faults retries journal
     Array.iteri
       (fun i (r : E.report) ->
         Printf.printf "%4d  %-44s %-10s %s%s\n" i r.E.job.J.label
-          (String.sub (J.id r.E.job) 0 10)
+          (String.sub r.E.id 0 10)
           (J.result_to_string r.E.result)
           (if r.E.resumed then "  [resumed]"
            else if r.E.cache_hit then "  [cached]"

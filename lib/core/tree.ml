@@ -182,13 +182,50 @@ let to_dot ?label t =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
+(* The canonical encoding is the preimage of every content address
+   (Job.id, tree digests), so it runs once per job on the serving and
+   batch hot paths. It is written without Printf: one pass sizes the
+   output exactly, a second writes the decimals right to left into that
+   one buffer. Negative values are written from their (non-positive)
+   remainders, so [min_int] needs no special case. *)
+
+let dec_width v =
+  let rec go v w = if v > -10 then w else go (v / 10) (w + 1) in
+  if v < 0 then go v 2 else go (-v) 1
+
+(* Writes [v] so that its last digit lands at [b.[last]]; returns the
+   position before its first character. *)
+let put_dec b last v =
+  let rec go v pos =
+    Bytes.unsafe_set b pos (Char.unsafe_chr (48 - (v mod 10)));
+    if v > -10 then pos - 1 else go (v / 10) (pos - 1)
+  in
+  let pos = go (if v < 0 then v else -v) last in
+  if v < 0 then begin
+    Bytes.unsafe_set b pos '-';
+    pos - 1
+  end
+  else pos
+
 let to_string t =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf (string_of_int (size t));
-  for i = 0 to size t - 1 do
-    Buffer.add_string buf (Printf.sprintf " %d:%d:%d" t.parent.(i) t.f.(i) t.n.(i))
+  let p = size t in
+  let len = ref (dec_width p) in
+  for i = 0 to p - 1 do
+    len := !len + 3 + dec_width t.parent.(i) + dec_width t.f.(i) + dec_width t.n.(i)
   done;
-  Buffer.contents buf
+  let b = Bytes.create !len in
+  let pos = ref (!len - 1) in
+  for i = p - 1 downto 0 do
+    let at = put_dec b !pos t.n.(i) in
+    Bytes.unsafe_set b at ':';
+    let at = put_dec b (at - 1) t.f.(i) in
+    Bytes.unsafe_set b at ':';
+    let at = put_dec b (at - 1) t.parent.(i) in
+    Bytes.unsafe_set b at ' ';
+    pos := at - 1
+  done;
+  ignore (put_dec b !pos p);
+  Bytes.unsafe_to_string b
 
 let of_string s =
   match String.split_on_char ' ' (String.trim s) with

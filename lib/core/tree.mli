@@ -91,7 +91,11 @@ val to_dot : ?label:(int -> string) -> t -> string
     weights; edges are annotated with the input-file sizes. *)
 
 val to_string : t -> string
-(** Compact single-line textual form, parseable by {!of_string}. *)
+(** Compact single-line textual form, parseable by {!of_string}: the
+    node count, then [" parent:f:n"] for each node in index order. It is
+    the canonical encoding that content addresses (job ids, tree
+    digests) hash, so its bytes are fixed across revisions. Written into
+    one exact-size string, without [Printf]. *)
 
 val of_string : string -> t
 (** Parse the {!to_string} format.

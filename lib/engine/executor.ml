@@ -35,6 +35,7 @@ let cache t = t.cache
 
 type report = {
   job : Job.t;
+  id : string;
   result : Job.result;
   wall : float;
   cache_hit : bool;
@@ -65,33 +66,32 @@ let utilization s =
    run to run), so a faulty-but-retried run hashes identically to a
    fault-free one. *)
 let result_pairs reports =
-  Array.to_list (Array.map (fun r -> (Job.id r.job, r.result)) reports)
+  Array.to_list (Array.map (fun r -> (r.id, r.result)) reports)
 
 let results_digest reports = Job.digest_of_results (result_pairs reports)
 let value_digest reports = Job.value_digest_of_results (result_pairs reports)
 
-(* One job, through the cache. [Min_io] and [Schedule] jobs route their
-   MinMem preprocessing through the cache under the id of the equivalent
-   [Min_memory Minmem] job, so it is shared across every job on the same
-   tree. Returns the outcome and whether the job's own result was a hit. *)
-let compute_cached t ~cancel (job : Job.t) =
-  if Job.needs_minmem job then begin
-    let pre_job = Job.make job.Job.tree (Job.Min_memory Job.Minmem) in
-    let pre, _ =
-      Cache.find_or_compute t.cache ~key:(Job.id pre_job) (fun () ->
-          Job.compute ~cancel pre_job)
-    in
-    let minmem =
-      match pre with
-      | Job.Memory { peak; order } -> (peak, order)
-      | _ -> assert false (* content-addressed: this key is always Memory *)
-    in
-    Cache.find_or_compute t.cache ~key:(Job.id job) (fun () ->
-        Job.compute ~cancel ~minmem job)
-  end
-  else
-    Cache.find_or_compute t.cache ~key:(Job.id job) (fun () ->
-        Job.compute ~cancel job)
+(* One job, through the cache, under its id [id]. [Min_io] and
+   [Schedule] jobs route their MinMem preprocessing through the cache
+   under [pre_id], the id of the equivalent [Min_memory Minmem] job, so
+   it is shared across every job on the same tree. Returns the outcome
+   and whether the job's own result was a hit. *)
+let compute_cached t ~cancel ~id ~pre_id (job : Job.t) =
+  match pre_id with
+  | Some pre_id ->
+      let pre, _ =
+        Cache.find_or_compute t.cache ~key:pre_id (fun () ->
+            Job.compute ~cancel { job with Job.spec = Job.Min_memory Job.Minmem })
+      in
+      let minmem =
+        match pre with
+        | Job.Memory { peak; order } -> (peak, order)
+        | _ -> assert false (* content-addressed: this key is always Memory *)
+      in
+      Cache.find_or_compute t.cache ~key:id (fun () ->
+          Job.compute ~cancel ~minmem job)
+  | None ->
+      Cache.find_or_compute t.cache ~key:id (fun () -> Job.compute ~cancel job)
 
 let emit_job_event t (r : report) =
   match t.telemetry with
@@ -99,7 +99,7 @@ let emit_job_event t (r : report) =
   | Some sink ->
       let module J = Telemetry.Json in
       Telemetry.emit sink ~event:"job"
-        ([ ("id", J.String (Job.id r.job));
+        ([ ("id", J.String r.id);
            ("label", J.String r.job.Job.label);
            ("spec", J.String (Job.spec_to_string r.job.Job.spec));
            ("wall_s", J.Float r.wall);
@@ -127,9 +127,11 @@ let notify t (r : report) =
    budget. Injected faults and genuine crashes consult [Retry.classify_exn]
    and, while backoff delays remain, sleep and re-roll; the re-roll is
    keyed by the attempt number, so an injected crash does not doom the
-   job forever. *)
-let run_one t ~slot (job : Job.t) =
-  let id = Job.id job in
+   job forever. [encoding] is the canonical serialization of the job's
+   tree; the job's id and its preprocessing id are derived from it once
+   each, outside the retry loop. *)
+let run_one t ~slot ~encoding (job : Job.t) =
+  let id = Job.id_of_encoding encoding job.Job.spec in
   let resumed_result =
     match t.completed with
     | Some tbl -> Hashtbl.find_opt tbl id
@@ -138,12 +140,17 @@ let run_one t ~slot (job : Job.t) =
   match resumed_result with
   | Some result ->
       let r =
-        { job; result; wall = 0.; cache_hit = false; domain = slot;
+        { job; id; result; wall = 0.; cache_hit = false; domain = slot;
           attempts = 0; resumed = true }
       in
       notify t r;
       r
   | None ->
+      let pre_id =
+        if Job.needs_minmem job then
+          Some (Job.id_of_encoding encoding (Job.Min_memory Job.Minmem))
+        else None
+      in
       let t0 = Unix.gettimeofday () in
       let delays =
         if t.retry.Retry.retries = 0 then []
@@ -169,7 +176,7 @@ let run_one t ~slot (job : Job.t) =
               | timeout, parent ->
                   Tt_util.Cancel.linked ?parent ?deadline_after:timeout ()
             in
-            let v, hit = compute_cached t ~cancel job in
+            let v, hit = compute_cached t ~cancel ~id ~pre_id job in
             Ok (v, hit)
           with e -> Error e
         in
@@ -196,7 +203,7 @@ let run_one t ~slot (job : Job.t) =
       | None -> ()
       | Some j -> Journal.record j ~id ~label:job.Job.label result);
       let r =
-        { job; result; wall; cache_hit; domain = slot; attempts;
+        { job; id; result; wall; cache_hit; domain = slot; attempts;
           resumed = false }
       in
       notify t r;
@@ -211,10 +218,24 @@ let run_batch t jobs =
   let hits0 = Cache.hits t.cache and misses0 = Cache.misses t.cache in
   let t0 = Unix.gettimeofday () in
   let worker slot =
+    (* A one-entry memo of the last tree this worker encoded: the jobs
+       of one manifest line share their tree, so each such run of jobs
+       encodes it once. Keyed by physical identity and local to this
+       worker and batch, so no encoding outlives [run_batch]. *)
+    let last = ref None in
+    let encode tree =
+      match !last with
+      | Some (tree', encoding) when tree' == tree -> encoding
+      | _ ->
+          let encoding = Tt_core.Tree.to_string tree in
+          last := Some (tree, encoding);
+          encoding
+    in
     let rec loop () =
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
-        let r = run_one t ~slot jobs.(i) in
+        let job = jobs.(i) in
+        let r = run_one t ~slot ~encoding:(encode job.Job.tree) job in
         reports.(i) <- Some r;
         busy.(slot) <- busy.(slot) +. r.wall;
         loop ()

@@ -39,7 +39,11 @@
     ([Min_io], [Schedule]) fetch it through the cache under the id of
     the corresponding [Min_memory Minmem] job, so the six MinIO
     policies on one tree share a single MinMem run — and a later
-    explicit MinMem job on that tree is a hit, too. *)
+    explicit MinMem job on that tree is a hit, too. A worker serializes
+    a tree once for a run of consecutive jobs on it (a one-entry memo
+    keyed by the physical tree, dropped when the batch returns) and
+    derives each job's id and preprocessing id from that encoding with
+    {!Job.id_of_encoding}, once per job. *)
 
 type t
 
@@ -88,6 +92,12 @@ val cache : t -> Job.outcome Cache.t
 
 type report = {
   job : Job.t;
+  id : string;
+      (** {!Job.id} of [job], computed once by the worker that ran it
+          (from one encoding of the tree per run of same-tree jobs).
+          Consumers of reports — {!results_digest}, the telemetry
+          ["job"] event, the server's replies — read it here rather
+          than re-deriving it. *)
   result : Job.result;
   wall : float;  (** Seconds spent computing, incl. retries and backoff
                      (≈0 on a cache hit or resumed job). *)

@@ -55,8 +55,12 @@ let make ?label tree spec =
 
 let tree_digest tree = Digest.to_hex (Digest.string (T.to_string tree))
 
-let id job =
-  Digest.to_hex (Digest.string (T.to_string job.tree ^ "|" ^ spec_to_string job.spec))
+(* The one id formula. Callers that hold a tree's encoding already (the
+   executor encodes each tree once per worker) pass it in directly. *)
+let id_of_encoding encoding spec =
+  Digest.to_hex (Digest.string (encoding ^ "|" ^ spec_to_string spec))
+
+let id job = id_of_encoding (T.to_string job.tree) job.spec
 
 (* ------------------------------------------------------------ outcomes *)
 

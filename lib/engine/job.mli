@@ -87,8 +87,20 @@ val par_algo_of_string : string -> par_algo option
 val tree_digest : Tt_core.Tree.t -> string
 (** Hex digest of the tree's canonical serialization. *)
 
+val id_of_encoding : string -> spec -> string
+(** [id_of_encoding encoding spec] is the content address of a job
+    whose tree has the canonical serialization [encoding]
+    ({!Tt_core.Tree.to_string}): the hex MD5 of
+    [encoding ^ "|" ^ spec_to_string spec]. This is the only id formula;
+    it costs one MD5 over the encoding, so a caller that runs several
+    jobs on one tree encodes the tree once and passes the encoding to
+    each (the {!Executor} does). *)
+
 val id : t -> string
-(** Content address: hex digest of tree + spec (label excluded). *)
+(** Content address: hex digest of tree + spec (label excluded),
+    [id_of_encoding (Tt_core.Tree.to_string job.tree) job.spec]. Ids are
+    stable across revisions — persisted caches, journals and shard
+    routes are keyed by them — and the engine tests pin literal values. *)
 
 (* ----------------------------------------------------------- outcomes *)
 

@@ -176,11 +176,13 @@ let parse_job_spec text =
 (* ---------------------------------------------------------------- lines *)
 
 let split_on_sep ~sep line =
-  (* split on the first occurrence of [sep] *)
+  (* split on the first occurrence of [sep], compared in place: a tree
+     literal before the [::] can be tens of kilobytes *)
   let n = String.length line and m = String.length sep in
+  let rec sep_at i k = k = m || (line.[i + k] = sep.[k] && sep_at i (k + 1)) in
   let rec find i =
     if i + m > n then None
-    else if String.sub line i m = sep then Some i
+    else if sep_at i 0 then Some i
     else find (i + 1)
   in
   match find 0 with

@@ -355,7 +355,7 @@ let job_reports reports =
   Array.to_list
     (Array.map
        (fun (r : Executor.report) ->
-         { P.job_id = Job.id r.job;
+         { P.job_id = r.id;
            label = r.job.Job.label;
            spec = Job.spec_to_string r.job.Job.spec;
            result = r.result;

@@ -44,15 +44,8 @@ type t = {
   hedge : Forward.hedge_state;
   stop : bool Atomic.t;
   idem_seq : int Atomic.t;
-  (* entry -> routing key. Routing parses the manifest entry (to get
-     the first job's content address), which materializes the matrix
-     source — too slow to redo for every request of a repetitive
-     workload. Ring-independent (a content address), so it survives
-     reconfiguration. Bounded: on overflow new entries are routed
-     unmemoized rather than evicting (workloads here have few distinct
-     entries). *)
-  route_mu : Mutex.t;
-  route_memo : (string, (string, string) result) Hashtbl.t;
+  (* entry -> routing key, bounded ({!Route_key.find}). *)
+  route_memo : Route_key.memo;
   (* key -> (epoch, failover sweep order). This one {e does} depend on
      the ring: every entry is stamped with the epoch that computed it
      and ignored — lazily replaced — after any reconfiguration. *)
@@ -64,7 +57,6 @@ type t = {
   mutable conns : unit Domain.t list;
 }
 
-let max_route_memo = 4096
 let max_sweep_memo = 4096
 
 let create ?(config = default_config) ~ring () =
@@ -98,8 +90,7 @@ let create ?(config = default_config) ~ring () =
         ~quantile:config.hedge_quantile ~seed:config.hedge_seed ();
     stop = Atomic.make false;
     idem_seq = Atomic.make 0;
-    route_mu = Mutex.create ();
-    route_memo = Hashtbl.create 64;
+    route_memo = Route_key.create ();
     sweep_mu = Mutex.create ();
     sweep_memo = Hashtbl.create 64;
     accept_domain = None;
@@ -136,25 +127,6 @@ let reconfigure t ring' =
   List.iter (fun name -> Health.forget t.health name) removed
 
 (* ------------------------------------------------------------- routing *)
-
-let compute_route_key entry =
-  match Tt_engine.Manifest.parse entry with
-  | Error e -> Error e
-  | Ok [] -> Error "entry resolves to no jobs"
-  | Ok (job :: _) -> Ok (Tt_engine.Job.id job)
-
-let route_key t entry =
-  let memoized =
-    locked t.route_mu (fun () -> Hashtbl.find_opt t.route_memo entry)
-  in
-  match memoized with
-  | Some r -> r
-  | None ->
-      let r = compute_route_key entry in
-      locked t.route_mu (fun () ->
-          if Hashtbl.length t.route_memo < max_route_memo then
-            Hashtbl.replace t.route_memo entry r);
-      r
 
 (* The failover sweep order for [key] against the {e current} ring —
    the [route] planner every per-connection {!Forward} pool shares.
@@ -305,7 +277,7 @@ let handle_line t fwd fd line =
                      msg = "deadline budget exhausted at router"
                    })
           | _ -> (
-              match route_key t entry with
+              match Route_key.find t.route_memo entry with
               | Error msg ->
                   Metrics.reject t.metrics;
                   reply fd req_id (P.Refused { code = P.Bad_request; msg })
@@ -350,6 +322,17 @@ let serve_conn t fd =
           if line <> "" then alive := handle_line t fwd fd line;
           drain_lines ()
   in
+  (* The server's frame cap: a partial line past it is refused with a
+     typed [bad_frame] and the connection closed, so a client that
+     never sends a newline cannot grow the router without bound. *)
+  let check_frame_cap () =
+    if !alive && String.length !rbuf > P.max_frame_bytes then begin
+      Metrics.reject t.metrics;
+      ignore
+        (reply fd None (P.Refused { code = P.Bad_frame; msg = "frame exceeds 1 MiB" }));
+      alive := false
+    end
+  in
   Fun.protect
     ~finally:(fun () ->
       Forward.close fwd;
@@ -364,7 +347,8 @@ let serve_conn t fd =
             | 0 -> alive := false
             | n ->
                 rbuf := !rbuf ^ Bytes.sub_string buf 0 n;
-                drain_lines ()
+                drain_lines ();
+                check_frame_cap ()
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
             | exception (Unix.Unix_error _ | Sys_error _) -> alive := false)
       done)

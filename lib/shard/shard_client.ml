@@ -6,7 +6,7 @@ type t = {
   fwd : Forward.t;
   tag : string;
   mutable seq : int;
-  memo : (string, (string, string) result) Hashtbl.t;
+  memo : Route_key.memo;
   metrics : Metrics.t;
 }
 
@@ -17,32 +17,15 @@ let create ?connect_timeout_s ?read_timeout_s ?retry ?(tag = "sc") ?metrics
       Forward.create ?connect_timeout_s ?read_timeout_s ?retry ~metrics ring;
     tag;
     seq = 0;
-    memo = Hashtbl.create 64;
+    memo = Route_key.create ();
     metrics
   }
 
 let metrics t = t.metrics
 let close t = Forward.close t.fwd
 
-(* Same key function as the router ({!Router}): first job id of the
-   parsed entry, memoized — agreement is what makes direct routing and
-   routed traffic share shard caches. Not thread-safe: one Shard_client
-   per domain, like a {!Client.session}. *)
-let route_key t entry =
-  match Hashtbl.find_opt t.memo entry with
-  | Some r -> r
-  | None ->
-      let r =
-        match Tt_engine.Manifest.parse entry with
-        | Error e -> Error e
-        | Ok [] -> Error "entry resolves to no jobs"
-        | Ok (job :: _) -> Ok (Tt_engine.Job.id job)
-      in
-      Hashtbl.replace t.memo entry r;
-      r
-
 let solve t ?timeout_s ?idem ?(priority = P.Interactive) entry =
-  match route_key t entry with
+  match Route_key.find t.memo entry with
   | Error msg -> Error (Client.Refused (P.Bad_request, msg))
   | Ok key -> (
       let idem =

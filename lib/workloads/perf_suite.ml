@@ -226,6 +226,9 @@ let specs mode =
   let postorder inst = on inst "postorder" (fun t -> payload_mem_order (Postorder_opt.run t)) in
   let liu inst = on inst "liu" (fun t -> payload_mem_order (Liu_exact.run t)) in
   let minmem inst = on inst "minmem" (fun t -> payload_mem_order (Minmem.run t)) in
+  (* the payload is the encoding itself: its digest pins the bytes every
+     content address (Job.id) is computed from *)
+  let encode inst = on inst "tree/encode" Tree.to_string in
   let minio_family ?order_seed inst =
     (* order/memory setup is deterministic per instance; share it across
        the six policies so their timings are comparable *)
@@ -279,6 +282,7 @@ let specs mode =
       List.map postorder [ chain; binary; star; harpoon; cat; rand ];
       List.map liu ([ chain; binary; star; harpoon ] @ corpus);
       List.map minmem ([ star_mm; harpoon ] @ corpus);
+      List.map encode (rand :: corpus);
       minio_family ~order_seed:13 cat;
       minio_family ~order_seed:11 rand;
       sched_family sched_cat;

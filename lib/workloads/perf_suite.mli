@@ -14,6 +14,10 @@
       quarter of the way between the feasibility floor and the traversal
       peak, so deficit events fire throughout;
     - [divisible-lb] — {!Tt_core.Minio.divisible_lower_bound};
+    - [tree/encode] — {!Tt_core.Tree.to_string} on the random and corpus
+      trees, the canonical encoding every content address is computed
+      from; its payload is the encoding itself, so its digest pins the
+      bytes;
     - [sched/<algo>] — the parallel scheduling tier on dedicated
       caterpillar/random instances at 4 processors: [greedy]
       ({!Tt_core.Parallel.list_schedule} at 1.5× the sequential

@@ -1,6 +1,6 @@
-(* Tests for the batch engine: cache behaviour, executor determinism
-   across domain counts, crash isolation, telemetry JSONL and the batch
-   manifest parser. *)
+(* Tests for the batch engine: golden content addresses, cache
+   behaviour, executor determinism across domain counts, crash
+   isolation, telemetry JSONL and the batch manifest parser. *)
 
 module T = Tt_core.Tree
 module E = Tt_engine.Executor
@@ -50,7 +50,69 @@ let test_job_id_content_addressing () =
     (j (J.Min_memory J.Liu) t1 = j (J.Min_memory J.Liu) bumped);
   Alcotest.(check bool)
     "different spec => different id" false
-    (j (J.Min_memory J.Liu) t1 = j (J.Min_memory J.Minmem) t1)
+    (j (J.Min_memory J.Liu) t1 = j (J.Min_memory J.Minmem) t1);
+  (* Golden content addresses. Persisted caches, journals and shard
+     routes are keyed by these ids, so they must not change across
+     revisions: the literals below were produced by the Printf-based
+     encoder that the exact-size one replaced (the weights assume
+     63-bit ints). *)
+  let golden_trees =
+    [ ( "one node",
+        T.make ~parent:[| -1 |] ~f:[| 0 |] ~n:[| 0 |],
+        "5f4b0e48fb6196e235aec6c3247d61d7",
+        "50631973140a780fde504e9ce1bc5257" );
+      ( "negative n",
+        T.make ~parent:[| -1; 0; 0 |] ~f:[| 3; 1; 2 |] ~n:[| -4; -1; 0 |],
+        "59857336ef07d50ffe869f7a6bfe4374",
+        "71ca4f6057df72205a016cd21090e3c7" );
+      ( "n = min_int",
+        T.make ~parent:[| -1; 0 |] ~f:[| 0; 5 |] ~n:[| min_int; 2 |],
+        "682e56d8e76a51832c6dc9888f166c5d",
+        "7d1b27cf708c3884dc31fb11ba8fd715" );
+      ( "f = max_int",
+        T.make ~parent:[| 1; -1 |] ~f:[| max_int; 0 |] ~n:[| 0; max_int |],
+        "ea2821b18e5866068156b4e009c4fe86",
+        "773cc6d05b98014b8c25606de45248cb" );
+      ( "multi-digit",
+        T.make ~parent:[| -1; 0; 0; 1; 1; 2 |]
+          ~f:[| 10; 1234; 98765; 4096; 100000; 7 |]
+          ~n:[| 12; 345; -6789; 0; 1000000007; -10 |],
+        "bdba46182e7aef81852d2858f99278b3",
+        "ce5d0e8d1d4d6c61ac743a43fd92a6e1" )
+    ]
+  in
+  if Sys.int_size = 63 then
+    List.iter
+      (fun (name, tree, digest, minmem_id) ->
+        Alcotest.(check string) (name ^ ": tree digest") digest (J.tree_digest tree);
+        Alcotest.(check string) (name ^ ": minmem id") minmem_id
+          (j (J.Min_memory J.Minmem) tree))
+      golden_trees;
+  let _, multi, _, _ = List.nth golden_trees 4 in
+  List.iter
+    (fun (spec, id) ->
+      Alcotest.(check string) (J.spec_to_string spec) id (j spec multi);
+      Alcotest.(check string)
+        (J.spec_to_string spec ^ " from the encoding")
+        id
+        (J.id_of_encoding (T.to_string multi) spec))
+    [ (J.Min_memory J.Minmem, "ce5d0e8d1d4d6c61ac743a43fd92a6e1");
+      (J.Min_memory J.Liu, "81dd47750a797d6d0e84d524f85ee092");
+      (J.Min_memory J.Postorder, "c2ffe2763c36530be67f7ff5a2657150");
+      ( J.Min_io { policy = Tt_core.Minio.First_fit; budget = J.Fraction 0.5 },
+        "aafc1c37ec0c160ba87863eeaacea892" );
+      ( J.Min_io { policy = Tt_core.Minio.Best_k 5; budget = J.Words 1234 },
+        "c6d0b738e87c3c8ff599ce119737278d" );
+      (J.Schedule { procs = 4; mem_factor = 1.5 }, "5adc7e2de5b4a793a68228a1b6aeb60b");
+      ( J.Par_schedule { algo = J.Greedy; procs = 4; mem_factor = 1.5 },
+        "c064b2159798e682a473cdb969a97d07" );
+      ( J.Par_schedule { algo = J.Booking; procs = 2; mem_factor = 1.0 },
+        "716c9cf5de7d40f8820300d35a82b72a" );
+      ( J.Par_schedule { algo = J.Split; procs = 8; mem_factor = 2.0 },
+        "3ef0b59fdbb86e8ba295a8fce291d278" );
+      (J.Pareto_sweep { procs = 4; steps = 8 }, "79513c3b37c088d8d68659b16b8bfcc1");
+      (J.Approx_memory { seg_cap = 8; tol = 0.01 }, "b7bcabc71b73538d2a6dc5699ec9af4f")
+    ]
 
 (* -------------------------------------------------------------- cache *)
 
@@ -178,6 +240,28 @@ let test_results_in_submission_order () =
     (fun i job ->
       Alcotest.(check string) "slot i holds job i" (J.id job) (J.id reports.(i).E.job))
     jobs
+
+(* [report.id] comes from each worker's one-entry encoding memo, keyed
+   by the physical tree: interleaved trees, and equal trees that are
+   distinct values, must still get exactly [Job.id]. *)
+let test_report_ids () =
+  let a = some_tree 5 and b = some_tree 6 in
+  let a' = T.of_string (T.to_string a) in
+  let specs =
+    [ J.Min_memory J.Liu;
+      J.Min_io { policy = Tt_core.Minio.Best_fit; budget = J.Fraction 0.5 };
+      J.Par_schedule { algo = J.Booking; procs = 2; mem_factor = 1.0 } ]
+  in
+  let jobs =
+    List.concat_map (fun spec -> List.map (fun t -> J.make t spec) [ a; b; a'; a; b ]) specs
+  in
+  List.iter
+    (fun domains ->
+      let reports, _ = E.run_batch (E.create ~domains ()) jobs in
+      Array.iter
+        (fun (r : E.report) -> Alcotest.(check string) "report id" (J.id r.E.job) r.E.id)
+        reports)
+    [ 1; 3 ]
 
 (* ---------------------------------------------------------- telemetry *)
 
@@ -522,7 +606,8 @@ let () =
       ( "executor",
         [ H.case "determinism 1 vs N domains" test_determinism_across_domains;
           H.case "crash isolation" test_crash_isolated;
-          H.case "submission order" test_results_in_submission_order
+          H.case "submission order" test_results_in_submission_order;
+          H.case "report ids" test_report_ids
         ] );
       ( "telemetry",
         [ H.case "jsonl shape" test_telemetry_jsonl;

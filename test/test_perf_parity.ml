@@ -1,9 +1,10 @@
 (* Differential tests for the hot-path optimizations: the indexed MinIO
    candidate set, the array-backed segment calculus, the postorder
-   child-sort reuse and the Explore cut compaction must be
-   {e behaviour-identical} to the straightforward implementations they
-   replaced — same traversals, same tau vectors, same I/O volumes, same
-   floats — since the benchmark digests in BENCH_CORE.json are compared
+   child-sort reuse, the Explore cut compaction and the exact-size tree
+   encoder must be {e behaviour-identical} to the straightforward
+   implementations they replaced — same traversals, same tau vectors,
+   same I/O volumes, same floats, same bytes — since the benchmark
+   digests in BENCH_CORE.json and the job ids are compared
    across PRs. Each reference below is a verbatim transcription of the
    pre-optimization code. *)
 
@@ -607,6 +608,53 @@ let prop_filter_in_place_stable =
       D.iter (fun x -> got := x :: !got) d;
       List.rev !got = List.filter (fun x -> x mod 3 <> 0) l)
 
+(* --- the canonical tree encoding: exact-size writer vs Printf ----------- *)
+
+(* the pre-optimization [Tree.to_string], verbatim but for the module
+   qualifiers: one Printf per node into a growing Buffer *)
+let ref_tree_to_string (t : T.t) =
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf (string_of_int (T.size t));
+  for i = 0 to T.size t - 1 do
+    Buffer.add_string buf (Printf.sprintf " %d:%d:%d" t.T.parent.(i) t.T.f.(i) t.T.n.(i))
+  done;
+  Buffer.contents buf
+
+(* Weights at the edges of the decimal writer: 0, the extremes of int,
+   powers of ten and their neighbours, and full-range values shifted to
+   every digit count, of both signs. *)
+let extreme_int rng =
+  let pow10 = int_of_float (10. ** float_of_int (Tt_util.Rng.int_incl rng 0 18)) in
+  match Tt_util.Rng.int rng 8 with
+  | 0 -> min_int
+  | 1 -> max_int
+  | 2 -> 0
+  | 3 -> pow10
+  | 4 -> pow10 - 1
+  | 5 -> -pow10
+  | _ -> Int64.to_int (Tt_util.Rng.int64 rng) asr Tt_util.Rng.int rng 63
+
+let prop_tree_encoding_reference =
+  H.qcheck ~count:500 "to_string matches the Printf reference on extreme weights"
+    (H.arb_tree ~size_max:30 ())
+    (fun shape ->
+      let rng = Tt_util.Rng.create (T.size shape) in
+      let f = Array.init (T.size shape) (fun _ -> extreme_int rng land max_int) in
+      let n = Array.init (T.size shape) (fun _ -> extreme_int rng) in
+      let tree = T.make ~parent:shape.T.parent ~f ~n in
+      T.to_string tree = ref_tree_to_string tree
+      && T.to_string shape = ref_tree_to_string shape
+      && T.equal (T.of_string (T.to_string tree)) tree)
+
+let test_tree_encoding_edges () =
+  List.iter
+    (fun (f, n) ->
+      let tree = T.make ~parent:[| -1; 0 |] ~f:[| f; 1 |] ~n:[| n; -1 |] in
+      Alcotest.(check string) (Printf.sprintf "f=%d n=%d" f n)
+        (ref_tree_to_string tree) (T.to_string tree))
+    [ (0, 0); (max_int, min_int); (max_int, max_int); (9, -9); (10, -10);
+      (99, -99); (100, -100); (max_int - 1, min_int + 1) ]
+
 let () =
   H.run "perf_parity"
     [ ( "minio",
@@ -620,6 +668,8 @@ let () =
       ( "postorder",
         [ H.case "family instances" test_postorder_families; prop_postorder_random ] );
       ("minmem", [ H.case "wide cuts" test_minmem_wide ]);
+      ( "encoding",
+        [ H.case "edge weights" test_tree_encoding_edges; prop_tree_encoding_reference ] );
       ( "structures",
         [ prop_ordered_set_model;
           H.case "pred clamp at word-size bounds" test_ordered_set_pred_clamp;

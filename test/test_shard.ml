@@ -3,7 +3,8 @@
    peek over the wire, shard metrics exposition, and end-to-end
    cluster behaviour — digest parity with a single shard, failover
    under a mid-run kill with zero lost admitted requests, and
-   cross-shard cache peering. *)
+   cross-shard cache peering — and the input bounds: the route-key
+   memo cap and the frame cap on server and router. *)
 
 module R = Tt_shard.Ring
 module SM = Tt_shard.Metrics
@@ -411,6 +412,86 @@ let test_router_misc_and_restart () =
           | Ok _ -> ()
           | Error e -> Alcotest.failf "post-restart solve: %s" e))
 
+(* ------------------------------------------------------- input bounds *)
+
+(* The route-key memo holds at most [max_route_memo] entries; past the
+   cap, entries are computed unmemoized, and every key — memoized or
+   not — is still the content address of the entry's first job. *)
+let test_route_memo_bounded () =
+  let module RK = Tt_shard.Route_key in
+  let memo = RK.create () in
+  let entry i = Printf.sprintf "tree \"2 -1:%d:0 0:1:%d\" :: liu; minmem" i (i mod 7) in
+  let first_job_id i =
+    J.id
+      (J.make
+         (Tt_core.Tree.make ~parent:[| -1; 0 |] ~f:[| i; 1 |] ~n:[| 0; i mod 7 |])
+         (J.Min_memory J.Liu))
+  in
+  let total = RK.max_route_memo + 500 in
+  let check i =
+    match RK.find memo (entry i) with
+    | Ok key -> if key <> first_job_id i then Alcotest.failf "entry %d: wrong route key" i
+    | Error e -> Alcotest.failf "entry %d: %s" i e
+  in
+  for i = 0 to total - 1 do
+    check i
+  done;
+  Alcotest.(check int) "memo capped" RK.max_route_memo (RK.length memo);
+  check 0;
+  check (total - 1);
+  Alcotest.(check bool) "bad entry refused" true
+    (Result.is_error (RK.find memo "gen nosuch size=4 :: minmem"))
+
+(* Send [bytes] bytes with no newline, then read replies until the peer
+   closes. A peer that refuses the frame closes mid-send, so a write
+   error ends the send. *)
+let send_unterminated ~port bytes =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+      Unix.setsockopt_float fd Unix.SO_SNDTIMEO 10.;
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      let chunk = Bytes.make 65536 'x' in
+      let rec send left =
+        if left > 0 then
+          match Unix.write fd chunk 0 (min left (Bytes.length chunk)) with
+          | n -> send (left - n)
+          | exception Unix.Unix_error _ -> ()
+      in
+      send bytes;
+      (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+      let got = Buffer.create 256 and b = Bytes.create 4096 in
+      let rec recv () =
+        match Unix.read fd b 0 (Bytes.length b) with
+        | 0 -> ()
+        | n ->
+            Buffer.add_subbytes got b 0 n;
+            recv ()
+        | exception Unix.Unix_error _ -> ()
+      in
+      recv ();
+      String.split_on_char '\n' (Buffer.contents got) |> List.filter (( <> ) ""))
+
+(* 2 MiB without a newline gets exactly one typed [bad_frame] refusal
+   from a shard server and from the router alike. *)
+let test_frame_cap () =
+  let c = Cl.start ~shards:1 ~workers:1 () in
+  Fun.protect
+    ~finally:(fun () -> Cl.stop c)
+    (fun () ->
+      List.iter
+        (fun (who, port) ->
+          match send_unterminated ~port (2 lsl 20) with
+          | [ line ] -> (
+              match P.decode_response line with
+              | Ok { P.body = P.Refused { code = P.Bad_frame; _ }; _ } -> ()
+              | _ -> Alcotest.failf "%s: expected bad_frame, got %s" who line)
+          | lines -> Alcotest.failf "%s: %d replies, expected one" who (List.length lines))
+        [ ("server", Cl.shard_port c 0); ("router", Cl.router_port c) ])
+
 let () =
   H.run "tt_shard"
     [ ( "ring",
@@ -431,5 +512,9 @@ let () =
           H.case "cache peering" test_cluster_cache_peering;
           H.case "shard-aware client" test_shard_client_direct;
           H.case "router misc + restart" test_router_misc_and_restart
+        ] );
+      ( "input bounds",
+        [ H.case "route memo bounded" test_route_memo_bounded;
+          H.case "2 MiB frame cap on server and router" test_frame_cap
         ] )
     ]
