@@ -13,7 +13,7 @@ test:
 # The tier-1 gate plus a smoke run of the engine-backed bench and the
 # batch subcommand. No ocamlformat config in this repo, so no fmt check.
 check: build test batch-smoke serve-smoke
-	dune exec bench/main.exe -- --section fig6 --jobs 2 --no-bechamel
+	dune exec bench/main.exe -- --section fig6 --jobs 2
 
 batch-smoke:
 	printf 'gen grid2d size=12 :: minmem; liu; minio policy=first-fit budget=50%%\n' > _batch_smoke.manifest

@@ -4,7 +4,7 @@
 
      dune exec bench/main.exe -- [--scale N] [--seed N] [--section NAME]*
                                  [--jobs N] [--telemetry FILE] [--cache-dir DIR]
-                                 [--bechamel] [--list]
+                                 [--list]
 
    Sections: theorem1 theorem2 fig5 table1 fig6 fig7 fig8 fig9 table2
              ablation-child-order ablation-bestk rounds all (default).
@@ -28,7 +28,6 @@ module Executor = Tt_engine.Executor
 let scale = ref 1
 let seed = ref 42
 let sections : string list ref = ref []
-let run_bechamel = ref true
 let csv_dir : string option ref = ref None
 let jobs = ref 1
 let telemetry_path : string option ref = ref None
@@ -78,8 +77,6 @@ let spec =
     ( "--perf-reps",
       Arg.Set_int perf_reps,
       "N perf section: timed repetitions per kernel (default 5 full / 3 quick)" );
-    ("--bechamel", Arg.Set run_bechamel, " run the Bechamel micro-benchmarks (default)");
-    ("--no-bechamel", Arg.Clear run_bechamel, " skip the Bechamel micro-benchmarks");
     ( "--csv",
       Arg.String (fun d -> csv_dir := Some d),
       "DIR also write every figure's curves as CSV files into DIR" );
@@ -581,14 +578,13 @@ let ablation_child_order () =
       ( "natural order",
         fun tree ->
           float_of_int
-            (Tt_core.Postorder_opt.peak_with_child_order tree (fun i ->
-                 tree.T.children.(i))) );
+            (Tt_core.Postorder_opt.peak_with_child_order tree (T.children tree)) );
       ( "increasing subtree peak",
         fun tree ->
           let peaks = Tt_core.Postorder_opt.subtree_peaks tree in
           float_of_int
             (Tt_core.Postorder_opt.peak_with_child_order tree (fun i ->
-                 let cs = Array.copy tree.T.children.(i) in
+                 let cs = T.children tree i in
                  Array.sort (fun a b -> compare peaks.(a) peaks.(b)) cs;
                  cs)) )
     ]
@@ -1149,10 +1145,9 @@ let overload_section () =
 (* ----------------------------------------------------------------- perf *)
 
 (* Wall times of the core solvers on the seeded Perf_suite instances,
-   written out as BENCH_CORE.json. Unlike the Bechamel section, the
-   output is machine-readable and digest-carrying, so successive PRs can
-   both diff the timings and prove the kernels still compute the same
-   results. *)
+   written out as BENCH_CORE.json. The output is machine-readable and
+   digest-carrying, so successive revisions can both diff the timings
+   and prove the kernels still compute the same results. *)
 let perf_section () =
   header "Perf" "core-kernel wall times -> BENCH_CORE.json";
   let module MB = Tt_profile.Microbench in
@@ -1221,59 +1216,6 @@ let huge_section () =
         sizes)
     families
 
-(* ------------------------------------------------------------- bechamel *)
-
-let bechamel_suite () =
-  header "Bechamel" "micro-benchmarks, one Test.make per table/figure kernel";
-  let open Bechamel in
-  let tree = (Tt_workloads.Pipeline.assembly_tree (Tt_sparse.Spgen.grid2d (24 * !scale))).Tt_etree.Assembly.tree in
-  let _, order = Tt_core.Minmem.run tree in
-  let memory = T.max_mem_req tree in
-  let tests =
-    [ Test.make ~name:"table1_fig5_postorder" (Staged.stage (fun () ->
-          ignore (Tt_core.Postorder_opt.run tree)));
-      Test.make ~name:"fig6_liu" (Staged.stage (fun () ->
-          ignore (Tt_core.Liu_exact.run tree)));
-      Test.make ~name:"fig6_minmem" (Staged.stage (fun () ->
-          ignore (Tt_core.Minmem.run tree)));
-      Test.make ~name:"fig7_first_fit" (Staged.stage (fun () ->
-          ignore (Tt_core.Minio.io_volume tree ~memory ~order Tt_core.Minio.First_fit)));
-      Test.make ~name:"fig7_best_k" (Staged.stage (fun () ->
-          ignore (Tt_core.Minio.io_volume tree ~memory ~order (Tt_core.Minio.Best_k 5))));
-      Test.make ~name:"fig8_postorder_first_fit" (Staged.stage (fun () ->
-          let order = snd (Tt_core.Postorder_opt.run tree) in
-          ignore (Tt_core.Minio.io_volume tree ~memory ~order Tt_core.Minio.First_fit)));
-      Test.make ~name:"fig9_reweight_postorder" (Staged.stage (fun () ->
-          let rng = Tt_util.Rng.create 1 in
-          let t = Tt_workloads.Random_weights.reweight ~rng tree in
-          ignore (Tt_core.Postorder_opt.best_memory t)));
-      Test.make ~name:"theorem1_harpoon" (Staged.stage (fun () ->
-          ignore (Tt_core.Instances.theorem1_ratio ~branches:3 ~levels:4 ~m:300 ~eps:1)))
-    ]
-  in
-  let benchmark test =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:(Some 100) () in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
-  List.iter
-    (fun test ->
-      let results = benchmark test in
-      let a = analyze results in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "%-28s %12.1f ns/run\n" name est
-          | _ -> Printf.printf "%-28s (no estimate)\n" name)
-        a)
-    (List.map (fun t -> Test.make_grouped ~name:"g" [ t ]) tests)
-
 (* ------------------------------------------------------------------ main *)
 
 let section_runners =
@@ -1298,8 +1240,7 @@ let section_runners =
     ("nemesis", nemesis_section);
     ("overload", overload_section);
     ("perf", perf_section);
-    ("huge", huge_section);
-    ("bechamel", bechamel_suite)
+    ("huge", huge_section)
   ]
 
 let default_order () =
@@ -1308,7 +1249,6 @@ let default_order () =
     "parallel"; "sched"; "minio-gap"; "rounds"; "serve"; "cluster"; "nemesis";
     "overload"
   ]
-  @ (if !run_bechamel then [ "bechamel" ] else [])
 
 let () =
   Arg.parse spec (fun s -> raise (Arg.Bad ("unexpected argument " ^ s))) usage;

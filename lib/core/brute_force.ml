@@ -79,7 +79,7 @@ let feasible_with_evictions t ~memory order ~evicted =
             let kept =
               Array.fold_left
                 (fun acc c -> if is_evicted c then acc else acc + t.Tree.f.(c))
-                0 t.Tree.children.(i)
+                0 (Tree.children t i)
             in
             resident := !resident + kept
           end

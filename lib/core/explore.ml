@@ -62,7 +62,11 @@ let rec explore ?(cancel = Tt_util.Cancel.never) t ~mpeak_tbl ~cache i ~mavail
         decr live;
         sum_cut := !sum_cut - t.Tree.f.(v)
       in
-      if resume then List.iter add linit else Array.iter add t.Tree.children.(i);
+      if resume then List.iter add linit
+      else
+        for k = t.Tree.child_off.(i) to t.Tree.child_off.(i + 1) - 1 do
+          add t.Tree.child.(k)
+        done;
       let trav = ref (if resume then trinit else R.singleton i) in
       (* lines 12-19: improve the cut until no member is explorable *)
       let collect_candidates () =

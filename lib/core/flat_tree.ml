@@ -1,294 +1,7 @@
-type t = {
-  parent : int array;
-  child_off : int array;
-  child : int array;
-  f : int array;
-  n : int array;
-  root : int;
-}
+type t = Tree.t
 
-let size t = Array.length t.parent
-
-(* CSR adjacency from the parent array: counting pass, prefix sum, fill
-   pass in increasing node index — children end up sorted increasingly
-   within each parent, exactly the order [Tree.children_of_parents]
-   produces. *)
-let csr_of_parents parent =
-  let p = Array.length parent in
-  let child_off = Array.make (p + 1) 0 in
-  for i = 0 to p - 1 do
-    let par = parent.(i) in
-    if par >= 0 then child_off.(par + 1) <- child_off.(par + 1) + 1
-  done;
-  for i = 0 to p - 1 do
-    child_off.(i + 1) <- child_off.(i + 1) + child_off.(i)
-  done;
-  let child = Array.make (max (p - 1) 0) 0 in
-  let cursor = Array.sub child_off 0 p in
-  for i = 0 to p - 1 do
-    let par = parent.(i) in
-    if par >= 0 then begin
-      child.(cursor.(par)) <- i;
-      cursor.(par) <- cursor.(par) + 1
-    end
-  done;
-  (child_off, child)
-
-let of_arrays ~parent ~f ~n =
-  let p = Array.length parent in
-  if p = 0 then invalid_arg "Flat_tree.of_arrays: empty tree";
-  if Array.length f <> p || Array.length n <> p then
-    invalid_arg "Flat_tree.of_arrays: array length mismatch";
-  for i = 0 to p - 1 do
-    if f.(i) < 0 then
-      invalid_arg (Printf.sprintf "Flat_tree.of_arrays: f.(%d) < 0" i)
-  done;
-  let root = ref (-1) in
-  for i = 0 to p - 1 do
-    let par = parent.(i) in
-    if par = -1 then begin
-      if !root >= 0 then invalid_arg "Flat_tree.of_arrays: several roots";
-      root := i
-    end
-    else if par < 0 || par >= p then
-      invalid_arg "Flat_tree.of_arrays: parent out of range"
-    else if par = i then invalid_arg "Flat_tree.of_arrays: self-loop"
-  done;
-  if !root < 0 then invalid_arg "Flat_tree.of_arrays: no root";
-  (* acyclicity by iterative stamp climbing: byte states are 0 =
-     unvisited, 1 = on current path, 2 = validated. Each node is climbed
-     through at most twice, so the whole check is O(p) with no recursion
-     and only one byte per node of scratch. *)
-  let state = Bytes.make p '\000' in
-  for i = 0 to p - 1 do
-    if Bytes.get state i = '\000' then begin
-      let j = ref i in
-      let stop = ref false in
-      while not !stop do
-        match Bytes.get state !j with
-        | '\000' ->
-            Bytes.set state !j '\001';
-            let par = parent.(!j) in
-            if par < 0 then stop := true else j := par
-        | '\001' ->
-            invalid_arg "Flat_tree.of_arrays: cycle in parent pointers"
-        | _ -> stop := true
-      done;
-      (* second climb retires the freshly marked path *)
-      let j = ref i in
-      while Bytes.get state !j = '\001' do
-        Bytes.set state !j '\002';
-        let par = parent.(!j) in
-        if par >= 0 then j := par
-      done
-    end
-  done;
-  let child_off, child = csr_of_parents parent in
-  { parent; child_off; child; f; n; root = !root }
-
-let of_tree (t : Tree.t) =
-  (* [Tree.t] is validated on construction and its arrays are never
-     mutated afterwards, so the structure can be rebuilt without a second
-     validation pass; only the CSR adjacency is materialized *)
-  let child_off, child = csr_of_parents t.Tree.parent in
-  {
-    parent = t.Tree.parent;
-    child_off;
-    child;
-    f = t.Tree.f;
-    n = t.Tree.n;
-    root = t.Tree.root;
-  }
-
-let to_tree t = Tree.make ~parent:t.parent ~f:t.f ~n:t.n
-let degree t i = t.child_off.(i + 1) - t.child_off.(i)
-let is_leaf t i = degree t i = 0
-
-let sum_children_f t i =
-  let acc = ref 0 in
-  for k = t.child_off.(i) to t.child_off.(i + 1) - 1 do
-    acc := !acc + t.f.(t.child.(k))
-  done;
-  !acc
-
-let mem_req t i = t.f.(i) + t.n.(i) + sum_children_f t i
-
-let max_mem_req t =
-  let best = ref min_int in
-  for i = 0 to size t - 1 do
-    let r = mem_req t i in
-    if r > !best then best := r
-  done;
-  !best
-
-let total_f t = Array.fold_left ( + ) 0 t.f
-
-let depth t =
-  let p = size t in
-  let d = Array.make p (-1) in
-  (* BFS with a preallocated int ring — every node enters the queue
-     exactly once, so a flat array of size p suffices *)
-  let queue = Array.make p 0 in
-  d.(t.root) <- 0;
-  queue.(0) <- t.root;
-  let head = ref 0 and tail = ref 1 in
-  while !head < !tail do
-    let i = queue.(!head) in
-    incr head;
-    for k = t.child_off.(i) to t.child_off.(i + 1) - 1 do
-      let j = t.child.(k) in
-      d.(j) <- d.(i) + 1;
-      queue.(!tail) <- j;
-      incr tail
-    done
-  done;
-  d
-
-let height t = Array.fold_left max 0 (depth t)
-
-let bottom_up_order t =
-  let p = size t in
-  let d = depth t in
-  (* counting sort on depth, deepest bucket first — the exact code of
-     [Tree.bottom_up_order], so the orders agree entry for entry *)
-  let maxd = Array.fold_left max 0 d in
-  let start = Array.make (maxd + 1) 0 in
-  Array.iter (fun dv -> start.(dv) <- start.(dv) + 1) d;
-  let acc = ref 0 in
-  for dv = maxd downto 0 do
-    let c = start.(dv) in
-    start.(dv) <- !acc;
-    acc := !acc + c
-  done;
-  let order = Array.make p 0 in
-  for i = 0 to p - 1 do
-    let dv = d.(i) in
-    order.(start.(dv)) <- i;
-    start.(dv) <- start.(dv) + 1
-  done;
-  order
-
-(* ------------------------------------------------------------------ *)
-(* Best postorder — transcription of [Postorder_opt] over CSR arrays.
-   The child slice is extracted with [Array.sub] and sorted with the
-   same comparator, so sorted orders (ties included) are identical. *)
-
-let sorted_children t peaks i =
-  let off = t.child_off.(i) in
-  let cs = Array.sub t.child off (t.child_off.(i + 1) - off) in
-  Array.sort
-    (fun a b -> Int.compare (peaks.(a) - t.f.(a)) (peaks.(b) - t.f.(b)))
-    cs;
-  cs
-
-let subtree_peaks_sorted t =
-  let p = size t in
-  let peaks = Array.make p 0 in
-  let sorted = Array.make p [||] in
-  Array.iter
-    (fun i ->
-      let cs = sorted_children t peaks i in
-      sorted.(i) <- cs;
-      let best = ref (mem_req t i) in
-      let pending = ref (Array.fold_left (fun acc c -> acc + t.f.(c)) 0 cs) in
-      Array.iter
-        (fun c ->
-          pending := !pending - t.f.(c);
-          let v = peaks.(c) + !pending in
-          if v > !best then best := v)
-        cs;
-      peaks.(i) <- !best)
-    (bottom_up_order t);
-  (peaks, sorted)
-
-let postorder_run t =
-  let p = size t in
-  let peaks, sorted = subtree_peaks_sorted t in
-  let order = Array.make p (-1) in
-  let k = ref 0 in
-  let stack = ref [ t.root ] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | i :: rest ->
-        stack := rest;
-        order.(!k) <- i;
-        incr k;
-        let cs = sorted.(i) in
-        for j = Array.length cs - 1 downto 0 do
-          stack := cs.(j) :: !stack
-        done
-  done;
-  (peaks.(t.root), order)
-
-let postorder_best_memory t = fst (postorder_run t)
-
-(* ------------------------------------------------------------------ *)
-(* Liu — transcription of [Liu_exact] over CSR arrays. Children profiles
-   are gathered in increasing node index, the order [Tree.t] children
-   arrays are stored in, so every [Segments] call sees identical input. *)
-
-let liu_compute ~release t =
-  let p = size t in
-  let prof : Segments.t array = Array.make p Segments.empty in
-  Array.iter
-    (fun i ->
-      let off = t.child_off.(i) in
-      let deg = t.child_off.(i + 1) - off in
-      let merged =
-        Segments.merge_array (Array.init deg (fun k -> prof.(t.child.(off + k))))
-      in
-      prof.(i) <-
-        Segments.append_parent merged ~hill:(mem_req t i) ~valley:t.f.(i)
-          ~node:i;
-      if release then
-        for k = off to off + deg - 1 do
-          prof.(t.child.(k)) <- Segments.empty
-        done)
-    (bottom_up_order t);
-  prof
-
-let liu_run t =
-  let p = size t in
-  let prof = liu_compute ~release:true t in
-  let root_profile = prof.(t.root) in
-  let order = Array.make p 0 in
-  let k = ref p in
-  Segments.iter_nodes root_profile (fun i ->
-      decr k;
-      order.(!k) <- i);
-  (Segments.peak root_profile, order)
-
-let liu_min_memory t = fst (liu_run t)
-
-(* ------------------------------------------------------------------ *)
-
-let peak t order =
-  let p = size t in
-  if Array.length order <> p then invalid_arg "Flat_tree.peak: wrong length";
-  let ready = Bytes.make p '\000' in
-  let executed = Bytes.make p '\000' in
-  Bytes.set ready t.root '\001';
-  let ready_f = ref t.f.(t.root) in
-  let pk = ref min_int in
-  for k = 0 to p - 1 do
-    let i = order.(k) in
-    if i < 0 || i >= p then invalid_arg "Flat_tree.peak: node out of range";
-    if Bytes.get executed i = '\001' then
-      invalid_arg "Flat_tree.peak: duplicate node";
-    if Bytes.get ready i <> '\001' then
-      invalid_arg "Flat_tree.peak: parent not yet executed";
-    let out = sum_children_f t i in
-    let usage = !ready_f + t.n.(i) + out in
-    if usage > !pk then pk := usage;
-    Bytes.set executed i '\001';
-    Bytes.set ready i '\000';
-    ready_f := !ready_f - t.f.(i) + out;
-    for c = t.child_off.(i) to t.child_off.(i + 1) - 1 do
-      Bytes.set ready t.child.(c) '\001'
-    done
-  done;
-  !pk
+let of_tree t = t
+let peak = Traversal.peak
 
 (* ------------------------------------------------------------------ *)
 (* Chunked digests: ints are folded through MD5 in 64 KiB slices, chained
@@ -321,8 +34,8 @@ let digest_ints a =
 
 let digest t =
   digest_chunked (fun add ->
-      add (size t);
-      add t.root;
-      Array.iter add t.parent;
-      Array.iter add t.f;
-      Array.iter add t.n)
+      add (Tree.size t);
+      add t.Tree.root;
+      Array.iter add t.Tree.parent;
+      Array.iter add t.Tree.f;
+      Array.iter add t.Tree.n)

@@ -1,111 +1,20 @@
-(** Succinct flat tree representation for huge instances (p ≥ 10M).
+(** Huge-tree names kept for benchmark code outside the library.
 
-    {!Tree.t} stores one child array per node — fine up to a few hundred
-    thousand nodes, but at p = 10M the per-node boxing (an array header
-    per node plus pointer indirections) dominates both memory and cache
-    behaviour. A flat tree packs the same information into five
-    preallocated int arrays:
+    {!Tree.t} is itself the CSR tree, so a flat tree {e is} a
+    {!Tree.t}: huge instances are built without copies by
+    {!Tree.of_arrays}, and {!Liu_exact}, {!Postorder_opt} and
+    {!Traversal} run on them directly. What is left here is the alias,
+    the identity conversion and {!peak} that the benchmark still calls,
+    and the chunked digests that summarize multi-million-entry
+    arrays. *)
 
-    - [parent] — as in {!Tree.t};
-    - [child_off]/[child] — CSR adjacency: the children of [i] are
-      [child.(child_off.(i)) .. child.(child_off.(i + 1) - 1)], sorted
-      by increasing index (the same order {!Tree.t} maintains);
-    - [f]/[n] — the paper's weights (Equation (1)).
-
-    Zero per-node records, O(p) construction, and every traversal here is
-    iterative — no OCaml stack frame grows with tree height, so chains of
-    10M nodes are safe.
-
-    The hot kernels ({!postorder_run}, {!liu_run}, {!peak}) are direct
-    transcriptions of {!Postorder_opt.run}, {!Liu_exact.run} and
-    {!Traversal.peak} reading the CSR arrays: they visit children in the
-    identical order, apply the identical comparison sorts and the
-    identical {!Segments} calculus, so their results are bit-identical to
-    the [Tree.t] kernels (pinned by the parity tests). *)
-
-type t = private {
-  parent : int array;  (** [parent.(i)] is [i]'s parent, [-1] for the root. *)
-  child_off : int array;  (** CSR offsets, length [p + 1]. *)
-  child : int array;  (** CSR children, length [p - 1], increasing per node. *)
-  f : int array;  (** Input-file sizes [f_i >= 0]. *)
-  n : int array;  (** Execution-file sizes [n_i], possibly negative. *)
-  root : int;  (** The unique node with [parent = -1]. *)
-}
-(** A validated flat tree. Values are created only through the
-    constructors below, so a [t] is always a well-formed tree. *)
-
-val of_arrays : parent:int array -> f:int array -> n:int array -> t
-(** [of_arrays ~parent ~f ~n] validates in O(p) (single root, in-range
-    acyclic parents, [f >= 0]) and builds the CSR adjacency. The arrays
-    are {e taken over without copying} — at 10M nodes a defensive copy
-    would double the footprint — so the caller must not mutate them
-    afterwards.
-    @raise Invalid_argument on malformed input (same conditions as
-    {!Tree.make}). *)
+type t = Tree.t
 
 val of_tree : Tree.t -> t
-(** Lossless conversion; O(p). *)
-
-val to_tree : t -> Tree.t
-(** Lossless inverse of {!of_tree}; O(p). Intended for parity tests and
-    small trees — it materializes per-node child arrays. *)
-
-val size : t -> int
-(** Number of nodes [p]. *)
-
-val degree : t -> int -> int
-(** Number of children of node [i]. *)
-
-val is_leaf : t -> int -> bool
-(** Whether node [i] has no children. *)
-
-val sum_children_f : t -> int -> int
-(** Total size of the output files of node [i]. *)
-
-val mem_req : t -> int -> int
-(** Equation (1): [f i + n i + sum of f j over children j]. *)
-
-val max_mem_req : t -> int
-(** [max_i mem_req t i] — the trivial lower bound on any traversal. *)
-
-val total_f : t -> int
-(** Sum of all input-file sizes. *)
-
-val depth : t -> int array
-(** Distance from the root (root = 0); iterative BFS with a preallocated
-    ring, O(p). Equal to {!Tree.depth} on the converted tree. *)
-
-val height : t -> int
-(** Longest root-to-leaf path length in edges. *)
-
-val bottom_up_order : t -> int array
-(** Nodes by decreasing depth, ascending index within a level — the same
-    counting sort as {!Tree.bottom_up_order}, so the orders are
-    identical. O(p). *)
-
-val postorder_run : t -> int * int array
-(** Best postorder traversal — flat transcription of
-    {!Postorder_opt.run}: children sorted by increasing [P(c) - f(c)],
-    emission with an explicit stack. Bit-identical to the [Tree.t]
-    kernel. O(p log p). *)
-
-val postorder_best_memory : t -> int
-(** Peak of {!postorder_run}. *)
-
-val liu_run : t -> int * int array
-(** Liu's exact MinMemory — flat transcription of {!Liu_exact.run} over
-    the same {!Segments} calculus, children merged in identical order.
-    Bit-identical to the [Tree.t] kernel. Worst-case O(p²) like the
-    original; prefer {!Minmem_approx} beyond a few hundred thousand
-    nodes. *)
-
-val liu_min_memory : t -> int
-(** Peak of {!liu_run}. *)
+(** The identity. *)
 
 val peak : t -> int array -> int
-(** Iterative simulation of a traversal's peak memory — flat
-    transcription of {!Traversal.peak}.
-    @raise Invalid_argument if the order is not a valid traversal. *)
+(** {!Traversal.peak}. *)
 
 val digest : t -> string
 (** Hex digest of the complete structure and weights, computed over

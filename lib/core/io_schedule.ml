@@ -96,7 +96,9 @@ let check tree ~memory s =
                 executed.(i) <- true;
                 ready.(i) <- false;
                 mavail := !mavail + tree.Tree.f.(i) - Tree.sum_children_f tree i;
-                Array.iter (fun j -> ready.(j) <- true) tree.Tree.children.(i);
+                for c = tree.Tree.child_off.(i) to tree.Tree.child_off.(i + 1) - 1 do
+                  ready.(tree.Tree.child.(c)) <- true
+                done;
                 incr step
               end
             end

@@ -3,11 +3,14 @@
    is combined, keeping live memory proportional to the tree's width. *)
 let compute ~release t =
   let p = Tree.size t in
+  let { Tree.child_off; child; _ } = t in
   let prof : Segments.t array = Array.make p Segments.empty in
   Array.iter
     (fun i ->
+      let off = child_off.(i) in
+      let deg = child_off.(i + 1) - off in
       let merged =
-        Segments.merge_array (Array.map (fun c -> prof.(c)) t.Tree.children.(i))
+        Segments.merge_array (Array.init deg (fun k -> prof.(child.(off + k))))
       in
       (* executing i (in-tree direction): all children files are live, the
          execution and output files are allocated, then the children files
@@ -16,7 +19,9 @@ let compute ~release t =
         Segments.append_parent merged ~hill:(Tree.mem_req t i) ~valley:t.Tree.f.(i)
           ~node:i;
       if release then
-        Array.iter (fun c -> prof.(c) <- Segments.empty) t.Tree.children.(i))
+        for k = off to off + deg - 1 do
+          prof.(child.(k)) <- Segments.empty
+        done)
     (Tree.bottom_up_order t);
   prof
 

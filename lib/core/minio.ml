@@ -335,11 +335,11 @@ let run tree ~memory ~order policy =
       end
       else resident.(j) <- false;
       mavail := !mavail + tree.Tree.f.(j) - Tree.sum_children_f tree j;
-      Array.iter
-        (fun ch ->
-          resident.(ch) <- true;
-          cand_add c ch)
-        tree.Tree.children.(j);
+      for k = tree.Tree.child_off.(j) to tree.Tree.child_off.(j + 1) - 1 do
+        let ch = tree.Tree.child.(k) in
+        resident.(ch) <- true;
+        cand_add c ch
+      done;
       incr step
     end
   done;
@@ -401,12 +401,12 @@ let divisible_lower_bound tree ~memory ~order =
       (* consume j's input, produce the children files *)
       resident_total := !resident_total -. resident.(j);
       resident.(j) <- 0.0;
-      Array.iter
-        (fun ch ->
-          resident.(ch) <- float_of_int tree.Tree.f.(ch);
-          resident_total := !resident_total +. resident.(ch);
-          if resident.(ch) > 0.0 then Os.add os pos.(ch))
-        tree.Tree.children.(j);
+      for k = tree.Tree.child_off.(j) to tree.Tree.child_off.(j + 1) - 1 do
+        let ch = tree.Tree.child.(k) in
+        resident.(ch) <- float_of_int tree.Tree.f.(ch);
+        resident_total := !resident_total +. resident.(ch);
+        if resident.(ch) > 0.0 then Os.add os pos.(ch)
+      done;
       incr step
     end
   done;

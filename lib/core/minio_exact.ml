@@ -75,11 +75,11 @@ let given_order ?(cancel = Tt_util.Cancel.never) ?(node_budget = 2_000_000) t
              end;
              total := !total -. amount.(j);
              amount.(j) <- 0.0;
-             Array.iter
-               (fun c ->
-                 amount.(c) <- float_of_int t.Tree.f.(c);
-                 total := !total +. amount.(c))
-               t.Tree.children.(j)
+             for k = t.Tree.child_off.(j) to t.Tree.child_off.(j + 1) - 1 do
+               let c = t.Tree.child.(k) in
+               amount.(c) <- float_of_int t.Tree.f.(c);
+               total := !total +. amount.(c)
+             done
            done;
            ()
          with Exit -> io := infinity);
@@ -108,7 +108,9 @@ let given_order ?(cancel = Tt_util.Cancel.never) ?(node_budget = 2_000_000) t
               end
               else resident.(j) <- false;
               mavail := !mavail + t.Tree.f.(j) - Tree.sum_children_f t j;
-              Array.iter (fun c -> resident.(c) <- true) t.Tree.children.(j);
+              for c = t.Tree.child_off.(j) to t.Tree.child_off.(j + 1) - 1 do
+                resident.(t.Tree.child.(c)) <- true
+              done;
               incr k
             end
             else stuck := true

@@ -19,7 +19,7 @@ let shuffled_postorder ~rng t =
         stack := rest;
         order.(!k) <- i;
         incr k;
-        let cs = Array.copy t.Tree.children.(i) in
+        let cs = Tree.children t i in
         Tt_util.Rng.shuffle rng cs;
         Array.iter (fun c -> stack := c :: !stack) cs
   done;

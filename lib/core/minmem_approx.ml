@@ -89,10 +89,9 @@ let nmerge_k arr buf =
   !n
 
 (* returns (certified lower bound, whether any truncation happened) *)
-let lower_bound (t : Flat_tree.t) ~cap =
-  let p = Flat_tree.size t in
-  let child_off = t.Flat_tree.child_off and child = t.Flat_tree.child in
-  let f = t.Flat_tree.f in
+let lower_bound t ~cap =
+  let p = Tree.size t in
+  let { Tree.child_off; child; f; _ } = t in
   let prof : int array array = Array.make p [||] in
   let truncated = ref false in
   let peak = ref 0 in
@@ -119,11 +118,11 @@ let lower_bound (t : Flat_tree.t) ~cap =
         | 2 -> nmerge2 prof.(child.(off)) prof.(child.(off + 1)) buf
         | _ -> nmerge_k (Array.init deg (fun k -> prof.(child.(off + k)))) buf
       in
-      let hill = Flat_tree.mem_req t i and valley = f.(i) in
+      let hill = Tree.mem_req t i and valley = f.(i) in
       if hill < valley then
         invalid_arg "Minmem_approx.lower_bound: mem_req < f";
       let n = npush buf n hill valley in
-      if i = t.Flat_tree.root then
+      if i = t.Tree.root then
         (* the relaxed optimum is the root's pre-truncation peak *)
         for j = 0 to n - 1 do
           if buf.(2 * j) > !peak then peak := buf.(2 * j)
@@ -146,7 +145,7 @@ let lower_bound (t : Flat_tree.t) ~cap =
           prof.(child.(k)) <- [||]
         done
       end)
-    (Flat_tree.bottom_up_order t);
+    (Tree.bottom_up_order t);
   (!peak, !truncated)
 
 (* ------------------------------------------------------------------ *)
@@ -157,9 +156,9 @@ let lower_bound (t : Flat_tree.t) ~cap =
    order), and its peak is measured by simulation — the certificate does
    not rest on the truncation argument. *)
 
-let bounded_upper_order (t : Flat_tree.t) ~cap =
-  let p = Flat_tree.size t in
-  let child_off = t.Flat_tree.child_off and child = t.Flat_tree.child in
+let bounded_upper_order t ~cap =
+  let p = Tree.size t in
+  let { Tree.child_off; child; _ } = t in
   let prof : Segments.t array = Array.make p Segments.empty in
   Array.iter
     (fun i ->
@@ -169,18 +168,18 @@ let bounded_upper_order (t : Flat_tree.t) ~cap =
         Segments.merge_array (Array.init deg (fun k -> prof.(child.(off + k))))
       in
       let appended =
-        Segments.append_parent merged ~hill:(Flat_tree.mem_req t i)
-          ~valley:t.Flat_tree.f.(i) ~node:i
+        Segments.append_parent merged ~hill:(Tree.mem_req t i)
+          ~valley:t.Tree.f.(i) ~node:i
       in
       prof.(i) <- Segments.truncate_upper appended ~cap;
-      if i <> t.Flat_tree.root then
+      if i <> t.Tree.root then
         for k = off to off + deg - 1 do
           prof.(child.(k)) <- Segments.empty
         done)
-    (Flat_tree.bottom_up_order t);
+    (Tree.bottom_up_order t);
   let order = Array.make p 0 in
   let k = ref p in
-  Segments.iter_nodes prof.(t.Flat_tree.root) (fun i ->
+  Segments.iter_nodes prof.(t.Tree.root) (fun i ->
       decr k;
       order.(!k) <- i);
   order
@@ -192,9 +191,9 @@ let run ?(seg_cap = 8) ?(tol = 0.01) ?(max_rounds = 3)
   if seg_cap < 2 then invalid_arg "Minmem_approx.run: seg_cap < 2";
   if tol < 0. then invalid_arg "Minmem_approx.run: tol < 0";
   if max_rounds < 0 then invalid_arg "Minmem_approx.run: max_rounds < 0";
-  let p = Flat_tree.size t in
+  let p = Tree.size t in
   if p <= exact_threshold then begin
-    let peak, order = Flat_tree.liu_run t in
+    let peak, order = Liu_exact.run t in
     { lower = peak; upper = peak; order; seg_cap = 0; rounds = 0; exact = true }
   end
   else begin
@@ -203,7 +202,7 @@ let run ?(seg_cap = 8) ?(tol = 0.01) ?(max_rounds = 3)
       let l, tr = lower_bound t ~cap:!cap in
       (ref l, ref tr)
     in
-    let ub, order0 = Flat_tree.postorder_run t in
+    let ub, order0 = Postorder_opt.run t in
     let best_ub = ref ub and best_order = ref order0 in
     let gap_ok () =
       float_of_int (!best_ub - !lb) <= tol *. float_of_int !best_ub
@@ -213,7 +212,7 @@ let run ?(seg_cap = 8) ?(tol = 0.01) ?(max_rounds = 3)
       incr rounds;
       (* try a certified traversal from the majorant pass at this cap *)
       let order' = bounded_upper_order t ~cap:!cap in
-      let pk = Flat_tree.peak t order' in
+      let pk = Traversal.peak t order' in
       if pk < !best_ub then begin
         best_ub := pk;
         best_order := order'
@@ -236,6 +235,3 @@ let run ?(seg_cap = 8) ?(tol = 0.01) ?(max_rounds = 3)
       exact = (not !lb_truncated) && !lb = !best_ub;
     }
   end
-
-let run_tree ?seg_cap ?tol ?max_rounds ?exact_threshold tree =
-  run ?seg_cap ?tol ?max_rounds ?exact_threshold (Flat_tree.of_tree tree)

@@ -17,12 +17,12 @@
       optimum computed bottom-up is a guaranteed lower bound on the true
       optimal peak. When no profile ever exceeds the cap the relaxation
       is vacuous and the bound {e is} the exact Liu optimum.
-    - {b upper}: the best-postorder traversal ({!Postorder_opt} on the
-      flat representation, O(p log p)) gives a first upper bound; if the
-      gap is still above [tol], majorant truncation
-      ({!Segments.truncate_upper}) produces a concrete traversal whose
-      simulated peak — measured by {!Flat_tree.peak}, so certified
-      independently of any theory — refines it.
+    - {b upper}: the best-postorder traversal ({!Postorder_opt},
+      O(p log p)) gives a first upper bound; if the gap is still above
+      [tol], majorant truncation ({!Segments.truncate_upper}) produces a
+      concrete traversal whose simulated peak — measured by
+      {!Traversal.peak}, so certified independently of any theory —
+      refines it.
 
     Refinement multiplies [seg_cap] and repeats, up to [max_rounds]
     times or until the relative gap drops below [tol]. Trees with at
@@ -52,20 +52,11 @@ val run :
   ?tol:float ->
   ?max_rounds:int ->
   ?exact_threshold:int ->
-  Flat_tree.t ->
-  bounds
-(** [run t] computes certified bounds. Defaults: [seg_cap = 8]
-    (quadrupled each refinement round), [tol = 0.01], [max_rounds = 3],
-    [exact_threshold = 20_000].
-    @raise Invalid_argument if [seg_cap < 2], [tol < 0.] or
-    [max_rounds < 0]. *)
-
-val run_tree :
-  ?seg_cap:int ->
-  ?tol:float ->
-  ?max_rounds:int ->
-  ?exact_threshold:int ->
   Tree.t ->
   bounds
-(** {!run} after {!Flat_tree.of_tree} — convenience for engine jobs that
-    hold a {!Tree.t}. *)
+(** [run t] computes certified bounds on any {!Tree.t} — a small engine
+    job's tree or a 10M-node {!Tree.of_arrays} instance alike. Defaults:
+    [seg_cap = 8] (quadrupled each refinement round), [tol = 0.01],
+    [max_rounds = 3], [exact_threshold = 20_000].
+    @raise Invalid_argument if [seg_cap < 2], [tol < 0.] or
+    [max_rounds < 0]. *)

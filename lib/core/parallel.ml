@@ -5,14 +5,11 @@ let levels t ~work =
   (* bottom level: work i + max over children levels *)
   let p = Tree.size t in
   let lvl = Array.make p 0 in
-  let d = Tree.depth t in
-  let order = Array.init p (fun i -> i) in
-  Array.sort (fun a b -> compare d.(b) d.(a)) order;
   Array.iter
     (fun i ->
-      let below = Array.fold_left (fun acc c -> max acc lvl.(c)) 0 t.Tree.children.(i) in
+      let below = Array.fold_left (fun acc c -> max acc lvl.(c)) 0 (Tree.children t i) in
       lvl.(i) <- work i + below)
-    order;
+    (Tree.bottom_up_order t);
   lvl
 
 let critical_path t ~work = (levels t ~work).(t.Tree.root)
@@ -176,7 +173,7 @@ let list_schedule ?priority t ~procs ~memory ~work =
           free_procs := proc_of.(j) :: !free_procs;
           (* extras and the consumed input die; children files are born *)
           usage := !usage - extra j - t.Tree.f.(j) + Tree.sum_children_f t j;
-          ready := Array.to_list t.Tree.children.(j) @ !ready)
+          ready := Array.to_list (Tree.children t j) @ !ready)
         !completed;
       try_start ()
     end
@@ -193,68 +190,3 @@ let list_schedule ?priority t ~procs ~memory ~work =
     let makespan = Array.fold_left (fun acc e -> max acc e.finish) 0 evs in
     Some { events = evs; makespan; peak_memory = !peak }
   end
-
-let validate t ~memory ~work s =
-  let p = Tree.size t in
-  Array.length s.events = p
-  &&
-  let finish_of = Array.make p (-1) in
-  let ok = ref true in
-  Array.iter
-    (fun e ->
-      if e.node < 0 || e.node >= p || finish_of.(e.node) >= 0 then ok := false
-      else begin
-        if e.finish - e.start <> work e.node then ok := false;
-        finish_of.(e.node) <- e.finish
-      end)
-    s.events;
-  (* precedence *)
-  Array.iter
-    (fun e ->
-      let par = t.Tree.parent.(e.node) in
-      if par >= 0 then begin
-        let pf =
-          Array.fold_left
-            (fun acc e' -> if e'.node = par then e'.finish else acc)
-            (-1) s.events
-        in
-        if e.start < pf then ok := false
-      end)
-    s.events;
-  (* processor exclusivity *)
-  Array.iter
-    (fun e ->
-      Array.iter
-        (fun e' ->
-          if e.node <> e'.node && e.proc = e'.proc && e.start < e'.finish
-             && e'.start < e.finish
-          then ok := false)
-        s.events)
-    s.events;
-  (* memory at every start instant (usage is piecewise constant and only
-     increases at task starts) *)
-  let usage_at time =
-    let u = ref 0 in
-    (* running extras *)
-    Array.iter
-      (fun e ->
-        if e.start <= time && time < e.finish then
-          u := !u + t.Tree.n.(e.node) + Tree.sum_children_f t e.node)
-      s.events;
-    (* alive files: parent finished, node not finished *)
-    for i = 0 to p - 1 do
-      let born =
-        if i = t.Tree.root then 0
-        else
-          Array.fold_left
-            (fun acc e -> if e.node = t.Tree.parent.(i) then e.finish else acc)
-            max_int s.events
-      in
-      if born <= time && finish_of.(i) > time then u := !u + t.Tree.f.(i)
-    done;
-    !u
-  in
-  Array.iter (fun e -> if usage_at e.start > memory then ok := false) s.events;
-  if s.makespan <> Array.fold_left (fun acc e -> max acc e.finish) 0 s.events then
-    ok := false;
-  !ok

@@ -13,9 +13,10 @@
     {!list_schedule} is a greedy event-driven list scheduler: at every
     completion time it starts ready tasks in priority order (longest
     critical path first by default) as long as a processor and the memory
-    both allow. The result is validated step by step; the bench's
-    [parallel] section sweeps processors × memory over the corpus and
-    shows the memory-bound speedup saturation.
+    both allow. The serving path re-checks the result with
+    [Tt_sched.Validate]; the bench's [parallel] section sweeps
+    processors × memory over the corpus and shows the memory-bound
+    speedup saturation.
 
     {!booking_schedule} is the deadlock-free variant from the
     successor papers (Marchal–Sinnen–Vivien 2012): tasks start strictly
@@ -88,8 +89,3 @@ val critical_path : Tree.t -> work:(int -> int) -> int
 
 val sequential_makespan : Tree.t -> work:(int -> int) -> int
 (** Sum of all durations — the single-processor makespan. *)
-
-val validate : Tree.t -> memory:int -> work:(int -> int) -> schedule -> bool
-(** Independent re-check of a schedule: precedence (a task starts after
-    its parent finishes), processor exclusivity, and the memory bound at
-    every time instant. Used by the tests. *)

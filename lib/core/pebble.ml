@@ -1,21 +1,15 @@
 (* Labels are computed bottom-up over the shape; weights are ignored. *)
 
-let bottom_up_order t =
-  let d = Tree.depth t in
-  let order = Array.init (Tree.size t) (fun i -> i) in
-  Array.sort (fun a b -> compare d.(b) d.(a)) order;
-  order
-
 let labels_with combine t =
   let lab = Array.make (Tree.size t) 1 in
   Array.iter
     (fun i ->
-      let cs = Array.map (fun c -> lab.(c)) t.Tree.children.(i) in
+      let cs = Array.map (fun c -> lab.(c)) (Tree.children t i) in
       if Array.length cs > 0 then begin
         Array.sort (fun a b -> compare b a) cs;
         lab.(i) <- combine cs
       end)
-    (bottom_up_order t);
+    (Tree.bottom_up_order t);
   lab
 
 let sethi_ullman t =

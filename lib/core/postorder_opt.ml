@@ -3,7 +3,7 @@
    whose peak exceeds its own file the least. (This is the reversal of
    Liu's decreasing rule for bottom-up in-trees.) *)
 let sorted_children t peaks i =
-  let cs = Array.copy t.Tree.children.(i) in
+  let cs = Tree.children t i in
   Array.sort
     (fun a b -> Int.compare (peaks.(a) - t.Tree.f.(a)) (peaks.(b) - t.Tree.f.(b)))
     cs;
@@ -15,9 +15,10 @@ let peaks_with t order_of =
   Array.iter
     (fun i ->
       let cs = order_of i in
-      let best = ref (Tree.mem_req t i) in
-      (* pending = sum of f over children not yet processed *)
+      (* pending = sum of f over children not yet processed; [cs] is a
+         permutation of the children, so the initial best is MemReq i *)
       let pending = ref (Array.fold_left (fun acc c -> acc + t.Tree.f.(c)) 0 cs) in
+      let best = ref (t.Tree.f.(i) + t.Tree.n.(i) + !pending) in
       Array.iter
         (fun c ->
           pending := !pending - t.Tree.f.(c);
@@ -41,8 +42,8 @@ let subtree_peaks_sorted t =
     (fun i ->
       let cs = sorted_children t peaks i in
       sorted.(i) <- cs;
-      let best = ref (Tree.mem_req t i) in
       let pending = ref (Array.fold_left (fun acc c -> acc + t.Tree.f.(c)) 0 cs) in
+      let best = ref (t.Tree.f.(i) + t.Tree.n.(i) + !pending) in
       Array.iter
         (fun c ->
           pending := !pending - t.Tree.f.(c);
@@ -97,7 +98,7 @@ let all_postorders t =
   in
   (* all traversals of the subtree rooted at i, each as a node list *)
   let rec subtree i =
-    let cs = Array.to_list t.Tree.children.(i) in
+    let cs = Array.to_list (Tree.children t i) in
     let child_seqs = List.map subtree cs in
     (* for each permutation of children, all combinations of their
        sub-traversals *)

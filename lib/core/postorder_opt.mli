@@ -28,7 +28,7 @@ val best_memory : Tree.t -> int
 val peak_with_child_order : Tree.t -> (int -> int array) -> int
 (** [peak_with_child_order t order_of] is the postorder peak when the
     children of each node [i] are processed in the order given by
-    [order_of i] (a permutation of [t.children.(i)]). Used by the
+    [order_of i] (a permutation of [Tree.children t i]). Used by the
     child-ordering ablation bench and by the exhaustive oracle. *)
 
 val all_postorders : Tree.t -> int array list

@@ -19,12 +19,9 @@ let in_tree_simulate t order usage =
   Array.iter
     (fun i ->
       if i < 0 || i >= p || done_.(i) then invalid_arg "Transform: invalid order";
-      Array.iter
-        (fun c -> if not done_.(c) then invalid_arg "Transform: child after parent")
-        t.Tree.children.(i);
-      let children_contribution =
-        Array.fold_left (fun acc c -> acc + t.Tree.f.(c)) 0 t.Tree.children.(i)
-      in
+      Tree.iter_children t i (fun c ->
+          if not done_.(c) then invalid_arg "Transform: child after parent");
+      let children_contribution = Tree.sum_children_f t i in
       let u = usage i (!pending - children_contribution) in
       if u > !peak then peak := u;
       done_.(i) <- true;
@@ -64,7 +61,7 @@ let replacement_peak ~parent ~f ~order =
       if u > !peak then peak := u;
       ready.(i) <- false;
       ready_f := !ready_f - f.(i) + out;
-      Array.iter (fun c -> ready.(c) <- true) t.Tree.children.(i))
+      Tree.iter_children t i (fun c -> ready.(c) <- true))
     order;
   !peak
 

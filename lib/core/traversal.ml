@@ -3,82 +3,69 @@ type check_result =
   | Infeasible_at of { step : int; needed : int; available : int }
   | Invalid_order of { step : int; node : int; reason : string }
 
-(* Shared simulation: runs the traversal and calls [on_step step node usage];
-   returns an error constructor result via [Invalid_order] when the order is
-   broken. The "usage" reported for a step is the total memory in use while
-   that node executes. *)
-let simulate t order on_step =
+(* Algorithm 1 over the CSR arrays, the one simulator behind [check],
+   [peak] and [profile]. Each node has one state byte: 0 = not yet
+   produced, 1 = ready (its input file is live), 2 = executed. Stops at
+   the first step that is invalid or needs more than [memory]; when
+   [record] is given, the usage of every step is written into it. *)
+let simulate t ~memory ~record order =
   let p = Tree.size t in
   if Array.length order <> p then
     Invalid_order { step = -1; node = -1; reason = "wrong length" }
   else begin
-    let ready = Array.make p false in
-    let executed = Array.make p false in
-    ready.(t.Tree.root) <- true;
+    let { Tree.child_off; child; f; n; root; _ } = t in
+    let state = Bytes.make p '\000' in
+    Bytes.set state root '\001';
     (* ready_f = sum of f over ready nodes *)
-    let ready_f = ref t.Tree.f.(t.Tree.root) in
-    let result = ref None in
-    let step = ref 0 in
-    while !result = None && !step < p do
-      let k = !step in
-      let i = order.(k) in
-      if i < 0 || i >= p then
-        result := Some (Invalid_order { step = k; node = i; reason = "node out of range" })
-      else if executed.(i) then
-        result := Some (Invalid_order { step = k; node = i; reason = "duplicate node" })
-      else if not ready.(i) then
-        result :=
-          Some (Invalid_order { step = k; node = i; reason = "parent not yet executed" })
+    let rec go k ready_f peak =
+      if k = p then Feasible peak
       else begin
-        let out = Tree.sum_children_f t i in
-        let usage = !ready_f + t.Tree.n.(i) + out in
-        (match on_step k i usage with
-        | Some err -> result := Some err
-        | None ->
-            executed.(i) <- true;
-            ready.(i) <- false;
-            ready_f := !ready_f - t.Tree.f.(i) + out;
-            Array.iter (fun j -> ready.(j) <- true) t.Tree.children.(i);
-            incr step)
+        let i = order.(k) in
+        if i < 0 || i >= p then
+          Invalid_order { step = k; node = i; reason = "node out of range" }
+        else if Bytes.get state i = '\002' then
+          Invalid_order { step = k; node = i; reason = "duplicate node" }
+        else if Bytes.get state i = '\000' then
+          Invalid_order { step = k; node = i; reason = "parent not yet executed" }
+        else begin
+          let lo = child_off.(i) and hi = child_off.(i + 1) - 1 in
+          let out = ref 0 in
+          for c = lo to hi do
+            out := !out + f.(child.(c))
+          done;
+          let usage = ready_f + n.(i) + !out in
+          if usage > memory then
+            Infeasible_at { step = k; needed = usage; available = memory }
+          else begin
+            (match record with Some prof -> prof.(k) <- usage | None -> ());
+            Bytes.set state i '\002';
+            for c = lo to hi do
+              Bytes.set state child.(c) '\001'
+            done;
+            go (k + 1) (ready_f - f.(i) + !out) (if usage > peak then usage else peak)
+          end
+        end
       end
-    done;
-    match !result with Some r -> r | None -> Feasible 0
+    in
+    go 0 f.(root) min_int
   end
 
-let check t ~memory order =
-  let peak = ref min_int in
-  let r =
-    simulate t order (fun step _i usage ->
-        if usage > memory then
-          Some (Infeasible_at { step; needed = usage; available = memory })
-        else begin
-          if usage > !peak then peak := usage;
-          None
-        end)
-  in
-  match r with Feasible _ -> Feasible !peak | other -> other
+let check t ~memory order = simulate t ~memory ~record:None order
 
 let is_valid_order t order =
-  match simulate t order (fun _ _ _ -> None) with Feasible _ -> true | _ -> false
+  match simulate t ~memory:max_int ~record:None order with
+  | Feasible _ -> true
+  | _ -> false
 
 let peak t order =
-  let peak = ref min_int in
-  match
-    simulate t order (fun _ _ usage ->
-        if usage > !peak then peak := usage;
-        None)
-  with
-  | Feasible _ -> !peak
+  match simulate t ~memory:max_int ~record:None order with
+  | Feasible pk -> pk
   | Infeasible_at _ -> assert false
   | Invalid_order { reason; _ } -> invalid_arg ("Traversal.peak: " ^ reason)
 
 let profile t order =
   let prof = Array.make (Tree.size t) 0 in
-  match
-    simulate t order (fun step _ usage ->
-        prof.(step) <- usage;
-        None)
-  with
+  match simulate t ~memory:max_int ~record:(Some prof) order with
   | Feasible _ -> prof
   | Infeasible_at _ -> assert false
   | Invalid_order { reason; _ } -> invalid_arg ("Traversal.profile: " ^ reason)
@@ -93,7 +80,7 @@ let top_down_order t =
     let i = Queue.pop queue in
     order.(!k) <- i;
     incr k;
-    Array.iter (fun j -> Queue.add j queue) t.Tree.children.(i)
+    Tree.iter_children t i (fun j -> Queue.add j queue)
   done;
   order
 
@@ -110,7 +97,7 @@ let all_orders t =
           order.(step) <- i;
           let ready' =
             List.filter (fun j -> j <> i) ready
-            @ Array.to_list t.Tree.children.(i)
+            @ Array.to_list (Tree.children t i)
           in
           go (step + 1) ready')
         ready
@@ -130,6 +117,6 @@ let random_order ~rng t =
     Tt_util.Dynarray_compat.set ready pos (Tt_util.Dynarray_compat.last ready);
     ignore (Tt_util.Dynarray_compat.pop_last ready);
     order.(step) <- i;
-    Array.iter (Tt_util.Dynarray_compat.add_last ready) t.Tree.children.(i)
+    Tree.iter_children t i (Tt_util.Dynarray_compat.add_last ready)
   done;
   order

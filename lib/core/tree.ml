@@ -1,67 +1,91 @@
 type t = {
   parent : int array;
-  children : int array array;
+  child_off : int array;
+  child : int array;
   f : int array;
   n : int array;
   root : int;
 }
 
-let children_of_parents parent =
+(* CSR adjacency from the parent array: counting pass, prefix sum, fill
+   pass in increasing node index, so children end up sorted increasingly
+   within each parent. *)
+let csr_of_parents parent =
   let p = Array.length parent in
-  let counts = Array.make p 0 in
-  Array.iter (fun par -> if par >= 0 then counts.(par) <- counts.(par) + 1) parent;
-  let children = Array.map (fun c -> Array.make c (-1)) counts in
-  let fill = Array.make p 0 in
-  (* iterate in index order so children arrays are sorted increasingly *)
+  let child_off = Array.make (p + 1) 0 in
+  for i = 0 to p - 1 do
+    let par = parent.(i) in
+    if par >= 0 then child_off.(par + 1) <- child_off.(par + 1) + 1
+  done;
+  for i = 0 to p - 1 do
+    child_off.(i + 1) <- child_off.(i + 1) + child_off.(i)
+  done;
+  let child = Array.make (max (p - 1) 0) 0 in
+  let cursor = Array.sub child_off 0 p in
   for i = 0 to p - 1 do
     let par = parent.(i) in
     if par >= 0 then begin
-      children.(par).(fill.(par)) <- i;
-      fill.(par) <- fill.(par) + 1
+      child.(cursor.(par)) <- i;
+      cursor.(par) <- cursor.(par) + 1
     end
   done;
-  children
+  (child_off, child)
+
+(* The one validator: single root, in-range acyclic parents, [f >= 0].
+   [who] prefixes the error messages. Takes the arrays over as they are. *)
+let build who ~parent ~f ~n =
+  let fail msg = invalid_arg (who ^ ": " ^ msg) in
+  let p = Array.length parent in
+  if p = 0 then fail "empty tree";
+  if Array.length f <> p || Array.length n <> p then fail "array length mismatch";
+  for i = 0 to p - 1 do
+    if f.(i) < 0 then fail (Printf.sprintf "f.(%d) < 0" i)
+  done;
+  let root = ref (-1) in
+  for i = 0 to p - 1 do
+    let par = parent.(i) in
+    if par = -1 then begin
+      if !root >= 0 then fail "several roots";
+      root := i
+    end
+    else if par < 0 || par >= p then fail "parent out of range"
+    else if par = i then fail "self-loop"
+  done;
+  if !root < 0 then fail "no root";
+  (* acyclicity by iterative stamp climbing: byte states are 0 =
+     unvisited, 1 = on current path, 2 = validated. Each node is climbed
+     through at most twice, so the whole check is O(p) with no recursion
+     and only one byte per node of scratch. *)
+  let state = Bytes.make p '\000' in
+  for i = 0 to p - 1 do
+    if Bytes.get state i = '\000' then begin
+      let j = ref i in
+      let stop = ref false in
+      while not !stop do
+        match Bytes.get state !j with
+        | '\000' ->
+            Bytes.set state !j '\001';
+            let par = parent.(!j) in
+            if par < 0 then stop := true else j := par
+        | '\001' -> fail "cycle in parent pointers"
+        | _ -> stop := true
+      done;
+      (* second climb retires the freshly marked path *)
+      let j = ref i in
+      while Bytes.get state !j = '\001' do
+        Bytes.set state !j '\002';
+        let par = parent.(!j) in
+        if par >= 0 then j := par
+      done
+    end
+  done;
+  let child_off, child = csr_of_parents parent in
+  { parent; child_off; child; f; n; root = !root }
 
 let make ~parent ~f ~n =
-  let p = Array.length parent in
-  if p = 0 then invalid_arg "Tree.make: empty tree";
-  if Array.length f <> p || Array.length n <> p then
-    invalid_arg "Tree.make: array length mismatch";
-  Array.iteri
-    (fun i fi -> if fi < 0 then invalid_arg (Printf.sprintf "Tree.make: f.(%d) < 0" i))
-    f;
-  let root = ref (-1) in
-  Array.iteri
-    (fun i par ->
-      if par = -1 then begin
-        if !root >= 0 then invalid_arg "Tree.make: several roots";
-        root := i
-      end
-      else if par < 0 || par >= p then invalid_arg "Tree.make: parent out of range"
-      else if par = i then invalid_arg "Tree.make: self-loop")
-    parent;
-  if !root < 0 then invalid_arg "Tree.make: no root";
-  (* acyclicity: walk up from each node with a visitation stamp *)
-  let state = Array.make p 0 in
-  (* 0 = unvisited, 1 = on current path, 2 = validated *)
-  for i = 0 to p - 1 do
-    let rec climb j path =
-      if state.(j) = 1 then invalid_arg "Tree.make: cycle in parent pointers"
-      else if state.(j) = 0 then begin
-        state.(j) <- 1;
-        let path = j :: path in
-        if parent.(j) >= 0 then climb parent.(j) path
-        else List.iter (fun k -> state.(k) <- 2) path
-      end
-      else List.iter (fun k -> state.(k) <- 2) path
-    in
-    if state.(i) = 0 then climb i []
-  done;
-  { parent = Array.copy parent;
-    children = children_of_parents parent;
-    f = Array.copy f;
-    n = Array.copy n;
-    root = !root }
+  build "Tree.make" ~parent:(Array.copy parent) ~f:(Array.copy f) ~n:(Array.copy n)
+
+let of_arrays ~parent ~f ~n = build "Tree.of_arrays" ~parent ~f ~n
 
 let of_parents parent =
   let p = Array.length parent in
@@ -69,8 +93,20 @@ let of_parents parent =
 
 let size t = Array.length t.parent
 
+let degree t i = t.child_off.(i + 1) - t.child_off.(i)
+let children t i = Array.sub t.child t.child_off.(i) (degree t i)
+
+let iter_children t i g =
+  for k = t.child_off.(i) to t.child_off.(i + 1) - 1 do
+    g t.child.(k)
+  done
+
 let sum_children_f t i =
-  Array.fold_left (fun acc j -> acc + t.f.(j)) 0 t.children.(i)
+  let acc = ref 0 in
+  for k = t.child_off.(i) to t.child_off.(i + 1) - 1 do
+    acc := !acc + t.f.(t.child.(k))
+  done;
+  !acc
 
 let mem_req t i = t.f.(i) + t.n.(i) + sum_children_f t i
 
@@ -83,22 +119,27 @@ let max_mem_req t =
   !best
 
 let total_f t = Array.fold_left ( + ) 0 t.f
-let is_leaf t i = Array.length t.children.(i) = 0
+let is_leaf t i = degree t i = 0
 
 let depth t =
   let p = size t in
   let d = Array.make p (-1) in
+  (* parents can have larger indices than children, so BFS from the
+     root; every node enters the queue exactly once, so a flat ring of
+     size p suffices *)
+  let queue = Array.make p 0 in
   d.(t.root) <- 0;
-  (* parents can have larger indices than children, so BFS from the root *)
-  let queue = Queue.create () in
-  Queue.add t.root queue;
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    Array.iter
-      (fun j ->
-        d.(j) <- d.(i) + 1;
-        Queue.add j queue)
-      t.children.(i)
+  queue.(0) <- t.root;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let i = queue.(!head) in
+    incr head;
+    for k = t.child_off.(i) to t.child_off.(i + 1) - 1 do
+      let j = t.child.(k) in
+      d.(j) <- d.(i) + 1;
+      queue.(!tail) <- j;
+      incr tail
+    done
   done;
   d
 
@@ -130,13 +171,9 @@ let bottom_up_order t =
 let subtree_sizes t =
   let p = size t in
   let sz = Array.make p 1 in
-  (* process nodes in decreasing depth so children are done first *)
-  let d = depth t in
-  let order = Array.init p (fun i -> i) in
-  Array.sort (fun a b -> compare d.(b) d.(a)) order;
   Array.iter
     (fun i -> if t.parent.(i) >= 0 then sz.(t.parent.(i)) <- sz.(t.parent.(i)) + sz.(i))
-    order;
+    (bottom_up_order t);
   sz
 
 let map_weights ~f ~n t =
@@ -159,9 +196,8 @@ let pp ppf t =
         Format.fprintf ppf "%s%d [f=%d n=%d]@\n"
           (String.make (min max_indent (2 * d.(i))) ' ')
           i t.f.(i) t.n.(i);
-        let cs = t.children.(i) in
-        for j = Array.length cs - 1 downto 0 do
-          stack := cs.(j) :: !stack
+        for k = t.child_off.(i + 1) - 1 downto t.child_off.(i) do
+          stack := t.child.(k) :: !stack
         done
   done
 

@@ -23,20 +23,40 @@
 
 type t = private {
   parent : int array;  (** [parent.(i)] is [i]'s parent, [-1] for the root. *)
-  children : int array array;  (** Children lists, consistent with [parent]. *)
+  child_off : int array;  (** CSR offsets, length [p + 1]. *)
+  child : int array;
+      (** CSR children, length [p - 1]: the children of [i] are
+          [child.(child_off.(i)) .. child.(child_off.(i + 1) - 1)], in
+          increasing index order. *)
   f : int array;  (** Input-file sizes [f_i >= 0]. *)
   n : int array;  (** Execution-file sizes [n_i], possibly negative. *)
   root : int;  (** The unique node with [parent = -1]. *)
 }
-(** A weighted rooted tree. Values are created only through {!make} (or
-    {!of_parents}), which validates the structure, so a [t] is always a
-    well-formed tree. *)
+(** A weighted rooted tree in compressed sparse row (CSR) layout: five
+    flat arrays and no per-node block, so a tree of [p] nodes is about
+    [5p] words, and every traversal below is iterative — chains of 10M
+    nodes are safe. Values are created only through {!make},
+    {!of_arrays} (or {!of_parents}), which validate the structure, so a
+    [t] is always a well-formed tree. The arrays are never mutated after
+    construction.
+
+    Hot kernels loop over [child_off]/[child] directly; elsewhere
+    {!degree}, {!iter_children} and {!children} read the same slices. *)
 
 val make : parent:int array -> f:int array -> n:int array -> t
-(** [make ~parent ~f ~n] builds and validates a tree.
+(** [make ~parent ~f ~n] copies the three arrays, then builds and
+    validates a tree.
     @raise Invalid_argument if the arrays disagree in length, if there is
     not exactly one root, if the parent pointers contain a cycle or go out
     of range, or if some [f.(i) < 0]. *)
+
+val of_arrays : parent:int array -> f:int array -> n:int array -> t
+(** {!make} without the copies: the tree takes ownership of the three
+    arrays, and the caller must not mutate them afterwards. At 10M nodes
+    a defensive copy would double the footprint; the streaming huge-tree
+    generators build through this.
+    @raise Invalid_argument under the same conditions as {!make}, whose
+    validation it shares. *)
 
 val of_parents : int array -> t
 (** Structure-only tree: all [f] and [n] set to [0]. *)
@@ -59,11 +79,23 @@ val total_f : t -> int
 (** Sum of all input-file sizes (an upper bound on any reasonable peak
     when all [n] are 0). *)
 
+val degree : t -> int -> int
+(** Number of children of node [i]. *)
+
 val is_leaf : t -> int -> bool
 (** Whether node [i] has no children. *)
 
+val children : t -> int -> int array
+(** A fresh array of the children of node [i], in increasing index
+    order. *)
+
+val iter_children : t -> int -> (int -> unit) -> unit
+(** [iter_children t i g] applies [g] to each child of [i], in increasing
+    index order. *)
+
 val depth : t -> int array
-(** [depth t] gives each node's distance from the root (root = 0). *)
+(** [depth t] gives each node's distance from the root (root = 0);
+    breadth-first with a preallocated ring, O(p). *)
 
 val bottom_up_order : t -> int array
 (** All nodes ordered by decreasing depth (ascending index within one

@@ -180,7 +180,7 @@ let compute ?(cancel = Tt_util.Cancel.never) ?minmem job =
       let points = Tt_sched.Pareto.sweep ~steps job.tree ~procs ~work in
       Pareto { procs; steps; points }
   | Approx_memory { seg_cap; tol } ->
-      let b = Tt_core.Minmem_approx.run_tree ~seg_cap ~tol job.tree in
+      let b = Tt_core.Minmem_approx.run ~seg_cap ~tol job.tree in
       Approx
         { lower = b.Tt_core.Minmem_approx.lower;
           upper = b.Tt_core.Minmem_approx.upper;

@@ -57,7 +57,7 @@ type spec =
   | Pareto_sweep of { procs : int; steps : int }
       (** {!Tt_sched.Pareto.sweep} with [steps] budget points. *)
   | Approx_memory of { seg_cap : int; tol : float }
-      (** {!Tt_core.Minmem_approx.run_tree} with the given initial
+      (** {!Tt_core.Minmem_approx.run} with the given initial
           segment cap and relative gap tolerance (the remaining
           refinement parameters keep their library defaults). *)
 

@@ -13,8 +13,11 @@ let subtree_work t ~work =
   let w = Array.make p 0 in
   Array.iter
     (fun i ->
-      w.(i) <-
-        Array.fold_left (fun acc c -> acc + w.(c)) (work i) t.T.children.(i))
+      let acc = ref (work i) in
+      for k = t.T.child_off.(i) to t.T.child_off.(i + 1) - 1 do
+        acc := !acc + w.(t.T.child.(k))
+      done;
+      w.(i) <- !acc)
     (T.bottom_up_order t);
   w
 
@@ -58,9 +61,10 @@ let plan t ~procs ~work =
         incr pops;
         tail_work := !tail_work + work i;
         total := !total - work i;
-        Array.iter
-          (fun c -> Tt_util.Int_heap.insert heap c (-w.(c)))
-          t.T.children.(i);
+        for k = t.T.child_off.(i) to t.T.child_off.(i + 1) - 1 do
+          let c = t.T.child.(k) in
+          Tt_util.Int_heap.insert heap c (-w.(c))
+        done;
         let max_w = -snd (Tt_util.Int_heap.min_elt heap) in
         let e = estimate ~procs ~tail_work:!tail_work ~max_w ~total_w:!total in
         if e < fst !best then best := (e, !pops)
@@ -80,9 +84,10 @@ let plan t ~procs ~work =
     let i, _ = Tt_util.Int_heap.pop_min heap in
     tail.(k) <- i;
     tail_work := !tail_work + work i;
-    Array.iter
-      (fun c -> Tt_util.Int_heap.insert heap c (-w.(c)))
-      t.T.children.(i)
+    for j = t.T.child_off.(i) to t.T.child_off.(i + 1) - 1 do
+      let c = t.T.child.(j) in
+      Tt_util.Int_heap.insert heap c (-w.(c))
+    done
   done;
   let subs = ref [] in
   while not (Tt_util.Int_heap.is_empty heap) do
@@ -113,7 +118,9 @@ let subtree_order t r =
   let rec visit i =
     nodes := i :: !nodes;
     incr count;
-    Array.iter visit t.T.children.(i)
+    for k = t.T.child_off.(i) to t.T.child_off.(i + 1) - 1 do
+      visit t.T.child.(k)
+    done
   in
   visit r;
   let nodes = Array.of_list (List.rev !nodes) in

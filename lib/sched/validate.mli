@@ -7,8 +7,8 @@
     finishes — out-tree semantics), processor exclusivity, the booking
     discipline when an activation order is supplied, and the memory
     bound at {e every} instant at which a task runs, reconstructed from
-    the events alone. Stronger than [Parallel.validate], and it names
-    the violated rule instead of answering [false]. *)
+    the events alone. It is the repo's one schedule checker, and it
+    names the violated rule. *)
 
 type violation =
   | Malformed of string  (** Not a schedule at all (duplicate node, …). *)

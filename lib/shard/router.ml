@@ -364,10 +364,21 @@ let accept_loop t =
         | fd, _ ->
             (try Unix.setsockopt fd Unix.TCP_NODELAY true
              with Unix.Unix_error _ -> ());
-            let d = Domain.spawn (fun () -> serve_conn t fd) in
-            Mutex.lock t.conns_mu;
-            t.conns <- d :: t.conns;
-            Mutex.unlock t.conns_mu
+            (match Domain.spawn (fun () -> serve_conn t fd) with
+            | d ->
+                Mutex.lock t.conns_mu;
+                t.conns <- d :: t.conns;
+                Mutex.unlock t.conns_mu
+            | exception Failure _ ->
+                (* OCaml 5 caps a process at 128 domains. Past the cap,
+                   refuse this client with one typed frame and keep
+                   accepting: the slots free up as connections close. *)
+                Metrics.reject t.metrics;
+                ignore
+                  (reply fd None
+                     (P.Refused
+                        { code = P.Overloaded; msg = "router at its connection limit" }));
+                (try Unix.close fd with Unix.Unix_error _ -> ()))
         | exception
             Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
           ->

@@ -129,7 +129,9 @@ val health_json : t -> Tt_engine.Telemetry.Json.t
 
 val start : t -> unit
 (** Run the accept loop and the health prober on background domains;
-    returns immediately.
+    returns immediately. Each client gets a domain of its own; a client
+    accepted when OCaml's per-process domain cap is reached gets one
+    typed [overloaded] refusal and is closed, and accepting goes on.
     @raise Invalid_argument when already started. *)
 
 val request_shutdown : t -> unit

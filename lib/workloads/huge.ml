@@ -1,4 +1,3 @@
-module Ft = Tt_core.Flat_tree
 module Rng = Tt_util.Rng
 
 (* Fixed chunk granularity: determinism across domain counts depends on
@@ -56,7 +55,7 @@ let generate ?(domains = 1) ~p ~seed ~parent_of () =
         n.(i) <- Rng.int_incl rng 0 max_n
       done;
       if lo = 0 then f.(0) <- f.(0) - 1 (* allow a zero root input *));
-  Ft.of_arrays ~parent ~f ~n
+  Tt_core.Tree.of_arrays ~parent ~f ~n
 
 let caterpillar ?domains ~p ~seed () =
   generate ?domains ~p ~seed () ~parent_of:(fun _rng i ->

@@ -112,8 +112,8 @@ let corpus_instances mode =
          { name = "corpus/" ^ inst.name; tree = Lazy.from_val inst.tree })
 
 (* --- huge family --------------------------------------------------------
-   Flat-tree instances at p = 1M (both modes) and 10M (full mode),
-   generated by the streaming [Huge] generators and measured once each
+   Instances at p = 1M (both modes) and 10M (full mode), generated by
+   the streaming [Huge] generators and measured once each
    ([max_reps = 1] — a 10M kernel run is tens of seconds). Instances are
    rebuilt inside each run rather than shared: rebuilding is O(p) and
    near-free next to the kernels, and it keeps at most one ~400 MB
@@ -159,7 +159,7 @@ let huge_family mode =
             hspec "gen" (fun () ->
                 Printf.sprintf "digest=%s" (Flat_tree.digest (instance ())));
             hspec "postorder" (fun () ->
-                let peak, order = Flat_tree.postorder_run (instance ()) in
+                let peak, order = Postorder_opt.run (instance ()) in
                 Printf.sprintf "mem=%d\norder_digest=%s" peak
                   (Flat_tree.digest_ints order));
             hspec "minmem-approx" (fun () ->

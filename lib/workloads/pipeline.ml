@@ -32,7 +32,7 @@ let stats (asm : Tt_etree.Assembly.t) =
   let maxdeg =
     let best = ref 0 in
     for i = 0 to p - 1 do
-      best := max !best (Array.length tree.Tt_core.Tree.children.(i))
+      best := max !best (Tt_core.Tree.degree tree i)
     done;
     !best
   in

@@ -18,6 +18,49 @@ let tree_list ~seed ~count ~size_max ~max_f ~max_n =
   let rng = Tt_util.Rng.create seed in
   List.init count (fun _ -> random_tree ~rng ~size_max ~max_f ~max_n)
 
+(* --- reference child lists ----------------------------------------------- *)
+
+(* Per-node child arrays derived from [parent] alone: a verbatim copy of
+   the builder [Tree] used before it stored its children in CSR form.
+   The parity tests' reference kernels read their child lists from here,
+   so the CSR kernels are pinned to results computed without the CSR
+   build. *)
+let children_of_parents parent =
+  let p = Array.length parent in
+  let counts = Array.make p 0 in
+  Array.iter (fun par -> if par >= 0 then counts.(par) <- counts.(par) + 1) parent;
+  let children = Array.map (fun c -> Array.make c (-1)) counts in
+  let fill = Array.make p 0 in
+  (* iterate in index order so children arrays are sorted increasingly *)
+  for i = 0 to p - 1 do
+    let par = parent.(i) in
+    if par >= 0 then begin
+      children.(par).(fill.(par)) <- i;
+      fill.(par) <- fill.(par) + 1
+    end
+  done;
+  children
+
+(* Total [f] over a child array: a node's output files in Equation (1). *)
+let sum_f (t : T.t) cs = Array.fold_left (fun acc c -> acc + t.T.f.(c)) 0 cs
+
+(* Distance from [root] over such child arrays: the breadth-first walk
+   [Tree.depth] made before the CSR layout. *)
+let depth_of_children children root =
+  let d = Array.make (Array.length children) (-1) in
+  d.(root) <- 0;
+  let queue = Queue.create () in
+  Queue.add root queue;
+  while not (Queue.is_empty queue) do
+    let i = Queue.pop queue in
+    Array.iter
+      (fun j ->
+        d.(j) <- d.(i) + 1;
+        Queue.add j queue)
+      children.(i)
+  done;
+  d
+
 (* --- QCheck arbitraries -------------------------------------------------- *)
 
 (* A tree encoded by a seed + size bound, printable and shrink-free (the

@@ -62,7 +62,7 @@ let prop_partial_traversal_feasible =
             if usage > mavail then ok := false;
             ready.(i) <- false;
             ready_f := !ready_f - t.T.f.(i) + T.sum_children_f t i;
-            Array.iter (fun c -> ready.(c) <- true) t.T.children.(i)
+            T.iter_children t i (fun c -> ready.(c) <- true)
           end)
         prefix;
       !ok)

@@ -1,9 +1,9 @@
-(* The huge-tree tier: flat trees must be bit-identical to the [Tree.t]
-   kernels they transcribe, the certified Minmem_approx bounds must
-   really sandwich the exact optimum (gap 0 wherever the exact answer is
-   affordable), the segment truncations must preserve the canonical
-   invariants, and the streaming generators must be deterministic across
-   runs and domain counts. *)
+(* The huge-tree tier: the CSR kernels of [Tree.t] must be bit-identical
+   to references over per-node child arrays, the certified Minmem_approx
+   bounds must really sandwich the exact optimum (gap 0 wherever the
+   exact answer is affordable), the segment truncations must preserve
+   the canonical invariants, and the streaming generators must be
+   deterministic across runs and domain counts. *)
 
 module T = Tt_core.Tree
 module Ft = Tt_core.Flat_tree
@@ -31,27 +31,118 @@ let family_instances =
     ("random", T.random ~rng:(Tt_util.Rng.create 97) ~size:150 ~max_f:50 ~max_n:9)
   ]
 
+(* --- references ------------------------------------------------------------
+   The kernels as they ran before the CSR layout, over per-node child
+   arrays built from [parent] alone by [H.children_of_parents]: the CSR
+   kernels of [Tree], [Postorder_opt], [Liu_exact] and [Traversal] must
+   reproduce them bit for bit. *)
+
+let ref_depth t = H.depth_of_children (H.children_of_parents t.T.parent) t.T.root
+
+(* decreasing depth, ascending index within a level *)
+let ref_bottom_up t =
+  let d = ref_depth t in
+  let order = Array.init (T.size t) Fun.id in
+  Array.stable_sort (fun a b -> compare d.(b) d.(a)) order;
+  order
+
+let ref_mem_req children t i = t.T.f.(i) + t.T.n.(i) + H.sum_f t children.(i)
+
+let ref_postorder_run t =
+  let children = H.children_of_parents t.T.parent in
+  let p = T.size t in
+  let peaks = Array.make p 0 and sorted = Array.make p [||] in
+  Array.iter
+    (fun i ->
+      let cs = Array.copy children.(i) in
+      Array.sort (fun a b -> Int.compare (peaks.(a) - t.T.f.(a)) (peaks.(b) - t.T.f.(b))) cs;
+      sorted.(i) <- cs;
+      let best = ref (ref_mem_req children t i) in
+      let pending = ref (H.sum_f t cs) in
+      Array.iter
+        (fun c ->
+          pending := !pending - t.T.f.(c);
+          best := max !best (peaks.(c) + !pending))
+        cs;
+      peaks.(i) <- !best)
+    (ref_bottom_up t);
+  let order = Array.make p (-1) and k = ref 0 in
+  let rec emit = function
+    | [] -> ()
+    | i :: rest ->
+        order.(!k) <- i;
+        incr k;
+        emit (Array.fold_right List.cons sorted.(i) rest)
+  in
+  emit [ t.T.root ];
+  (peaks.(t.T.root), order)
+
+let ref_liu_run t =
+  let children = H.children_of_parents t.T.parent in
+  let p = T.size t in
+  let prof = Array.make p Seg.empty in
+  Array.iter
+    (fun i ->
+      let merged = Seg.merge_array (Array.map (fun c -> prof.(c)) children.(i)) in
+      prof.(i) <-
+        Seg.append_parent merged ~hill:(ref_mem_req children t i) ~valley:t.T.f.(i) ~node:i)
+    (ref_bottom_up t);
+  let order = Array.make p 0 and k = ref p in
+  Seg.iter_nodes prof.(t.T.root) (fun i ->
+      decr k;
+      order.(!k) <- i);
+  (Seg.peak prof.(t.T.root), order)
+
+(* Algorithm 1 with a ready flag per node; [order] must be valid *)
+let ref_peak t order =
+  let children = H.children_of_parents t.T.parent in
+  let ready = Array.make (T.size t) false in
+  ready.(t.T.root) <- true;
+  let ready_f = ref t.T.f.(t.T.root) and peak = ref min_int in
+  Array.iter
+    (fun i ->
+      if not ready.(i) then invalid_arg "ref_peak: invalid order";
+      let out = H.sum_f t children.(i) in
+      peak := max !peak (!ready_f + t.T.n.(i) + out);
+      ready.(i) <- false;
+      ready_f := !ready_f - t.T.f.(i) + out;
+      Array.iter (fun c -> ready.(c) <- true) children.(i))
+    order;
+  !peak
+
 (* --- conversion ---------------------------------------------------------- *)
 
 let test_roundtrip () =
   List.iter
     (fun (name, tree) ->
-      let ft = Ft.of_tree tree in
-      Alcotest.(check bool) (name ^ " roundtrip") true (T.equal tree (Ft.to_tree ft));
-      Alcotest.(check (array int)) (name ^ " depth") (T.depth tree) (Ft.depth ft);
+      let children = H.children_of_parents tree.T.parent in
+      let copy =
+        T.of_arrays ~parent:(Array.copy tree.T.parent) ~f:(Array.copy tree.T.f)
+          ~n:(Array.copy tree.T.n)
+      in
+      Alcotest.(check bool) (name ^ " roundtrip") true
+        (T.equal tree (Ft.of_tree copy) && copy.T.root = tree.T.root);
+      Alcotest.(check (array int)) (name ^ " depth") (ref_depth tree) (T.depth tree);
       Alcotest.(check (array int))
         (name ^ " bottom-up")
-        (T.bottom_up_order tree) (Ft.bottom_up_order ft);
-      Alcotest.(check int) (name ^ " height") (T.height tree) (Ft.height ft);
-      Alcotest.(check int) (name ^ " max-mem-req") (T.max_mem_req tree) (Ft.max_mem_req ft);
-      Alcotest.(check int) (name ^ " total-f") (T.total_f tree) (Ft.total_f ft);
+        (ref_bottom_up tree) (T.bottom_up_order tree);
+      Alcotest.(check int) (name ^ " height")
+        (Array.fold_left max 0 (ref_depth tree))
+        (T.height tree);
+      Alcotest.(check int) (name ^ " max-mem-req")
+        (Array.fold_left max min_int (Array.init (T.size tree) (ref_mem_req children tree)))
+        (T.max_mem_req tree);
+      Alcotest.(check int) (name ^ " total-f") (Array.fold_left ( + ) 0 tree.T.f) (T.total_f tree);
       for i = 0 to T.size tree - 1 do
+        Alcotest.(check (array int))
+          (Printf.sprintf "%s children %d" name i)
+          children.(i) (T.children copy i);
         Alcotest.(check int)
           (Printf.sprintf "%s mem-req %d" name i)
-          (T.mem_req tree i) (Ft.mem_req ft i);
+          (ref_mem_req children tree i) (T.mem_req tree i);
         Alcotest.(check bool)
           (Printf.sprintf "%s leaf %d" name i)
-          (T.is_leaf tree i) (Ft.is_leaf ft i)
+          (children.(i) = [||]) (T.is_leaf tree i)
       done)
     family_instances
 
@@ -62,25 +153,25 @@ let test_of_arrays_validation () =
     | _ -> false
   in
   let ok = Alcotest.(check bool) in
-  ok "empty" true (raises (fun () -> Ft.of_arrays ~parent:[||] ~f:[||] ~n:[||]));
+  ok "empty" true (raises (fun () -> T.of_arrays ~parent:[||] ~f:[||] ~n:[||]));
   ok "length mismatch" true
-    (raises (fun () -> Ft.of_arrays ~parent:[| -1 |] ~f:[| 1; 2 |] ~n:[| 0 |]));
+    (raises (fun () -> T.of_arrays ~parent:[| -1 |] ~f:[| 1; 2 |] ~n:[| 0 |]));
   ok "negative f" true
-    (raises (fun () -> Ft.of_arrays ~parent:[| -1 |] ~f:[| -3 |] ~n:[| 0 |]));
+    (raises (fun () -> T.of_arrays ~parent:[| -1 |] ~f:[| -3 |] ~n:[| 0 |]));
   ok "two roots" true
-    (raises (fun () -> Ft.of_arrays ~parent:[| -1; -1 |] ~f:[| 1; 1 |] ~n:[| 0; 0 |]));
+    (raises (fun () -> T.of_arrays ~parent:[| -1; -1 |] ~f:[| 1; 1 |] ~n:[| 0; 0 |]));
   ok "no root" true
-    (raises (fun () -> Ft.of_arrays ~parent:[| 1; 0 |] ~f:[| 1; 1 |] ~n:[| 0; 0 |]));
+    (raises (fun () -> T.of_arrays ~parent:[| 1; 0 |] ~f:[| 1; 1 |] ~n:[| 0; 0 |]));
   ok "out of range" true
-    (raises (fun () -> Ft.of_arrays ~parent:[| -1; 7 |] ~f:[| 1; 1 |] ~n:[| 0; 0 |]));
+    (raises (fun () -> T.of_arrays ~parent:[| -1; 7 |] ~f:[| 1; 1 |] ~n:[| 0; 0 |]));
   ok "self-loop" true
-    (raises (fun () -> Ft.of_arrays ~parent:[| -1; 1 |] ~f:[| 1; 1 |] ~n:[| 0; 0 |]));
+    (raises (fun () -> T.of_arrays ~parent:[| -1; 1 |] ~f:[| 1; 1 |] ~n:[| 0; 0 |]));
   ok "cycle" true
     (raises (fun () ->
-         Ft.of_arrays ~parent:[| -1; 2; 3; 1 |] ~f:[| 1; 1; 1; 1 |] ~n:[| 0; 0; 0; 0 |]));
+         T.of_arrays ~parent:[| -1; 2; 3; 1 |] ~f:[| 1; 1; 1; 1 |] ~n:[| 0; 0; 0; 0 |]));
   ok "valid chain" true
-    (match Ft.of_arrays ~parent:[| -1; 0; 1 |] ~f:[| 0; 2; 3 |] ~n:[| 1; 0; 2 |] with
-    | ft -> Ft.size ft = 3 && ft.Ft.root = 0
+    (match T.of_arrays ~parent:[| -1; 0; 1 |] ~f:[| 0; 2; 3 |] ~n:[| 1; 0; 2 |] with
+    | ft -> T.size ft = 3 && ft.T.root = 0
     | exception _ -> false)
 
 (* --- kernel parity -------------------------------------------------------- *)
@@ -88,13 +179,12 @@ let test_of_arrays_validation () =
 let test_kernel_parity_families () =
   List.iter
     (fun (name, tree) ->
-      let ft = Ft.of_tree tree in
-      let em, eo = Tt_core.Postorder_opt.run tree in
-      let gm, go = Ft.postorder_run ft in
+      let em, eo = ref_postorder_run tree in
+      let gm, go = Tt_core.Postorder_opt.run tree in
       Alcotest.(check int) (name ^ " postorder mem") em gm;
       Alcotest.(check (array int)) (name ^ " postorder order") eo go;
-      let lm, lo = Liu.run tree in
-      let fm, fo = Ft.liu_run ft in
+      let lm, lo = ref_liu_run tree in
+      let fm, fo = Liu.run tree in
       Alcotest.(check int) (name ^ " liu mem") lm fm;
       Alcotest.(check (array int)) (name ^ " liu order") lo fo)
     family_instances
@@ -103,17 +193,17 @@ let prop_kernel_parity_random =
   H.qcheck ~count:300 "flat kernels bit-identical to Tree.t kernels"
     (H.arb_tree ~size_max:60 ())
     (fun tree ->
-      let ft = Ft.of_tree tree in
-      Tt_core.Postorder_opt.run tree = Ft.postorder_run ft
-      && Liu.run tree = Ft.liu_run ft
-      && T.bottom_up_order tree = Ft.bottom_up_order ft
-      && T.equal tree (Ft.to_tree ft))
+      Tt_core.Postorder_opt.run tree = ref_postorder_run tree
+      && Liu.run tree = ref_liu_run tree
+      && T.bottom_up_order tree = ref_bottom_up tree
+      && Array.for_all2 ( = ) (H.children_of_parents tree.T.parent)
+           (Array.init (T.size tree) (T.children tree)))
 
 let prop_peak_parity =
   H.qcheck ~count:200 "flat peak simulation matches Traversal.peak"
     (H.arb_tree_with_order ~size_max:40 ())
     (fun (tree, order) ->
-      Ft.peak (Ft.of_tree tree) order = Traversal.peak tree order)
+      Ft.peak tree order = ref_peak tree order)
 
 (* --- segment truncation --------------------------------------------------- *)
 
@@ -154,7 +244,7 @@ let test_truncate_cap_errors () =
 let test_bounds_exact_small () =
   List.iter
     (fun (name, tree) ->
-      let b = Ma.run_tree tree in
+      let b = Ma.run tree in
       let opt = Liu.min_memory tree in
       Alcotest.(check int) (name ^ " lower") opt b.Ma.lower;
       Alcotest.(check int) (name ^ " upper") opt b.Ma.upper;
@@ -168,7 +258,7 @@ let prop_bounds_exact_small =
   H.qcheck ~count:200 "gap 0 wherever the exact answer is affordable"
     (H.arb_tree ~size_max:50 ())
     (fun tree ->
-      let b = Ma.run_tree tree in
+      let b = Ma.run tree in
       let opt = Liu.min_memory tree in
       b.Ma.lower = opt && b.Ma.upper = opt && b.Ma.exact && Ma.gap b = 0.)
 
@@ -180,7 +270,7 @@ let prop_bounds_sandwich =
     (fun (tree, cap) ->
       let opt = Liu.min_memory tree in
       let b =
-        Ma.run_tree ~exact_threshold:0 ~seg_cap:cap ~tol:0. ~max_rounds:2 tree
+        Ma.run ~exact_threshold:0 ~seg_cap:cap ~tol:0. ~max_rounds:2 tree
       in
       b.Ma.lower <= opt && opt <= b.Ma.upper
       && Traversal.is_valid_order tree b.Ma.order
@@ -195,7 +285,7 @@ let prop_lb_exact_when_uncapped =
     (H.arb_tree ~size_max:60 ())
     (fun tree ->
       let b =
-        Ma.run_tree ~exact_threshold:0 ~seg_cap:1_000_000 ~tol:0. ~max_rounds:0 tree
+        Ma.run ~exact_threshold:0 ~seg_cap:1_000_000 ~tol:0. ~max_rounds:0 tree
       in
       b.Ma.lower = Liu.min_memory tree)
 
@@ -226,10 +316,11 @@ let test_generator_shapes () =
   List.iter
     (fun (name, build) ->
       let ft = build ~domains:2 ~p:50_000 ~seed:3 in
-      Alcotest.(check int) (name ^ " size") 50_000 (Ft.size ft);
+      Alcotest.(check int) (name ^ " size") 50_000 (T.size ft);
       (* of_arrays validated the structure; cross-check via Tree.make *)
-      let tree = Ft.to_tree ft in
-      Alcotest.(check bool) (name ^ " roundtrip") true (T.equal tree (Ft.to_tree (Ft.of_tree tree))))
+      let tree = T.make ~parent:ft.T.parent ~f:ft.T.f ~n:ft.T.n in
+      Alcotest.(check bool) (name ^ " roundtrip") true
+        (T.equal tree ft && tree.T.child_off = ft.T.child_off && tree.T.child = ft.T.child))
     generators
 
 let test_digest_ints () =
@@ -251,8 +342,8 @@ let test_digest_ints () =
 let test_deep_caterpillar_5m () =
   let p = 5_000_000 in
   let ft = Huge.caterpillar ~p ~seed:5 () in
-  Alcotest.(check int) "size" p (Ft.size ft);
-  Alcotest.(check bool) "deep" true (Ft.height ft > 1_000_000);
+  Alcotest.(check int) "size" p (T.size ft);
+  Alcotest.(check bool) "deep" true (T.height ft > 1_000_000);
   let b = Ma.run ft in
   Alcotest.(check bool) "bounds ordered" true (b.Ma.lower <= b.Ma.upper);
   Alcotest.(check bool) "certified gap within pinned threshold" true

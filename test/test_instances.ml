@@ -16,7 +16,7 @@ let test_star () =
   Alcotest.(check int) "size" 6 (T.size t);
   Alcotest.(check int) "root f" 7 t.T.f.(0);
   Alcotest.(check int) "leaf f" 2 t.T.f.(3);
-  Alcotest.(check int) "degree" 5 (Array.length t.T.children.(0))
+  Alcotest.(check int) "degree" 5 (T.degree t 0)
 
 let test_caterpillar () =
   let t = Tt_core.Instances.caterpillar ~length:3 ~leaves_per_node:2 ~f:1 ~n:0 in
@@ -27,27 +27,26 @@ let test_complete_binary () =
   let t = Tt_core.Instances.complete_binary ~levels:4 ~f:1 ~n:0 in
   Alcotest.(check int) "size" 15 (T.size t);
   Alcotest.(check int) "height" 3 (T.height t);
-  Array.iteri
-    (fun i cs ->
-      let d = Array.length cs in
-      if d <> 0 && d <> 2 then Alcotest.failf "node %d has degree %d" i d)
-    t.T.children
+  for i = 0 to T.size t - 1 do
+    let d = T.degree t i in
+    if d <> 0 && d <> 2 then Alcotest.failf "node %d has degree %d" i d
+  done
 
 let test_harpoon_structure () =
   let b = 3 in
   let t = Tt_core.Instances.harpoon ~branches:b ~m:30 ~eps:1 in
   Alcotest.(check int) "size 1 + 3b" (1 + (3 * b)) (T.size t);
-  Alcotest.(check int) "root degree" b (Array.length t.T.children.(0));
+  Alcotest.(check int) "root degree" b (T.degree t 0);
   (* each branch is M/b, eps, M from the root down *)
   Array.iter
     (fun a ->
       Alcotest.(check int) "a file" 10 t.T.f.(a);
-      let bb = t.T.children.(a).(0) in
+      let bb = (T.children t a).(0) in
       Alcotest.(check int) "b file" 1 t.T.f.(bb);
-      let c = t.T.children.(bb).(0) in
+      let c = (T.children t bb).(0) in
       Alcotest.(check int) "c file" 30 t.T.f.(c);
       Alcotest.(check bool) "c leaf" true (T.is_leaf t c))
-    t.T.children.(0)
+    (T.children t 0)
 
 let test_harpoon_nested_size () =
   (* p(L) = 1 + b(2 + p'(L-1)) with p'(1) = 3b counted without its root *)

@@ -2,6 +2,7 @@
 
 module T = Tt_core.Tree
 module P = Tt_core.Parallel
+module V = Tt_sched.Validate
 module H = Helpers
 
 let unit_work _ = 1
@@ -16,7 +17,7 @@ let prop_schedule_validates =
       let work = node_work t in
       match P.list_schedule t ~procs ~memory:(big_memory t) ~work with
       | None -> false
-      | Some s -> P.validate t ~memory:(big_memory t) ~work s)
+      | Some s -> V.check t ~memory:(big_memory t) ~work s = Ok ())
 
 let prop_makespan_bounds =
   H.qcheck ~count:200 "critical path <= makespan <= sequential sum"
@@ -102,7 +103,7 @@ let test_validation_rejects_broken_schedules () =
   let t = Tt_core.Instances.chain ~length:2 ~f:1 ~n:0 in
   let work _ = 1 in
   let s = Option.get (P.list_schedule t ~procs:1 ~memory:100 ~work) in
-  Alcotest.(check bool) "good" true (P.validate t ~memory:100 ~work s);
+  Alcotest.(check bool) "good" true (V.check t ~memory:100 ~work s = Ok ());
   (* break precedence: child starts at 0 *)
   let bad =
     { s with
@@ -113,11 +114,11 @@ let test_validation_rejects_broken_schedules () =
           s.P.events
     }
   in
-  Alcotest.(check bool) "precedence violation caught" false
-    (P.validate t ~memory:100 ~work bad);
+  Alcotest.(check bool) "precedence violation caught" true
+    (match V.check t ~memory:100 ~work bad with Error (V.Precedence _) -> true | _ -> false);
   (* break memory: claim a tiny budget *)
-  Alcotest.(check bool) "memory violation caught" false
-    (P.validate t ~memory:1 ~work s)
+  Alcotest.(check bool) "memory violation caught" true
+    (match V.check t ~memory:1 ~work s with Error (V.Memory _) -> true | _ -> false)
 
 let test_bad_arguments () =
   let t = Tt_core.Instances.chain ~length:2 ~f:1 ~n:0 in

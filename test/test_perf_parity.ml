@@ -18,7 +18,7 @@ module H = Helpers
    depth (unstable within a level, unlike the counting sort that replaced
    it — the references prove the results do not depend on that order) *)
 let seed_bottom_up t =
-  let d = T.depth t in
+  let d = H.depth_of_children (H.children_of_parents t.T.parent) t.T.root in
   let order = Array.init (T.size t) (fun i -> i) in
   Array.sort (fun a b -> compare d.(b) d.(a)) order;
   order
@@ -138,6 +138,7 @@ let ref_select policy s deficit =
 
 let ref_minio_run tree ~memory ~order policy =
   let p = T.size tree in
+  let children = H.children_of_parents tree.T.parent in
   let pos = Array.make p 0 in
   Array.iteri (fun step i -> pos.(i) <- step) order;
   let tau = Array.make p Io_schedule.never in
@@ -150,7 +151,10 @@ let ref_minio_run tree ~memory ~order policy =
   while !feasible && !step < p do
     let k = !step in
     let j = order.(k) in
-    let need = T.mem_req tree j - if evicted.(j) then 0 else tree.T.f.(j) in
+    let need =
+      tree.T.f.(j) + tree.T.n.(j) + H.sum_f tree children.(j)
+      - if evicted.(j) then 0 else tree.T.f.(j)
+    in
     if need > !mavail then begin
       let deficit = need - !mavail in
       let cand = ref [] in
@@ -180,8 +184,8 @@ let ref_minio_run tree ~memory ~order policy =
         mavail := !mavail - tree.T.f.(j)
       end
       else resident.(j) <- false;
-      mavail := !mavail + tree.T.f.(j) - T.sum_children_f tree j;
-      Array.iter (fun c -> resident.(c) <- true) tree.T.children.(j);
+      mavail := !mavail + tree.T.f.(j) - H.sum_f tree children.(j);
+      Array.iter (fun c -> resident.(c) <- true) children.(j);
       incr step
     end
   done;
@@ -189,6 +193,7 @@ let ref_minio_run tree ~memory ~order policy =
 
 let ref_divisible_lower_bound tree ~memory ~order =
   let p = T.size tree in
+  let children = H.children_of_parents tree.T.parent in
   let pos = Array.make p 0 in
   Array.iteri (fun step i -> pos.(i) <- step) order;
   let resident = Array.make p 0.0 in
@@ -203,7 +208,7 @@ let ref_divisible_lower_bound tree ~memory ~order =
     let bring = fj -. resident.(j) in
     resident.(j) <- fj;
     resident_total := !resident_total +. bring;
-    let working = float_of_int (tree.T.n.(j) + T.sum_children_f tree j) +. fj in
+    let working = float_of_int (tree.T.n.(j) + H.sum_f tree children.(j)) +. fj in
     let excess = !resident_total -. fj +. working -. float_of_int memory in
     if excess > 1e-9 then begin
       let cand = ref [] in
@@ -231,7 +236,7 @@ let ref_divisible_lower_bound tree ~memory ~order =
         (fun c ->
           resident.(c) <- float_of_int tree.T.f.(c);
           resident_total := !resident_total +. resident.(c))
-        tree.T.children.(j);
+        children.(j);
       incr step
     end
   done;
@@ -299,14 +304,17 @@ module Ref_seg = struct
   (* the list-backed Liu, using the reference calculus end to end *)
   let liu_run t =
     let p = T.size t in
+    let children = H.children_of_parents t.T.parent in
     let prof = Array.make p [] in
     Array.iter
       (fun i ->
         let merged =
-          merge (Array.to_list (Array.map (fun c -> prof.(c)) t.T.children.(i)))
+          merge (Array.to_list (Array.map (fun c -> prof.(c)) children.(i)))
         in
         prof.(i) <-
-          append_parent merged ~hill:(T.mem_req t i) ~valley:t.T.f.(i) ~node:i)
+          append_parent merged
+            ~hill:(t.T.f.(i) + t.T.n.(i) + H.sum_f t children.(i))
+            ~valley:t.T.f.(i) ~node:i)
       (seed_bottom_up t);
     let root_profile = prof.(t.T.root) in
     (peak root_profile, Array.of_list (List.rev (nodes root_profile)))
@@ -326,9 +334,10 @@ let seg_shape prof =
 
 let ref_postorder_run t =
   let p = T.size t in
+  let children = H.children_of_parents t.T.parent in
   let bottom_up = seed_bottom_up t in
   let sorted_children peaks i =
-    let cs = Array.copy t.T.children.(i) in
+    let cs = Array.copy children.(i) in
     Array.sort
       (fun a b -> compare (peaks.(a) - t.T.f.(a)) (peaks.(b) - t.T.f.(b)))
       cs;
@@ -338,7 +347,7 @@ let ref_postorder_run t =
   Array.iter
     (fun i ->
       let cs = sorted_children peaks i in
-      let best = ref (T.mem_req t i) in
+      let best = ref (t.T.f.(i) + t.T.n.(i) + H.sum_f t children.(i)) in
       let pending = ref (Array.fold_left (fun acc c -> acc + t.T.f.(c)) 0 cs) in
       Array.iter
         (fun c ->

@@ -15,9 +15,7 @@ let is_postorder t order =
   for i = 0 to T.size t - 1 do
     (* all descendants of i must be within (pos i, pos i + size i) *)
     let lo = pos.(i) and hi = pos.(i) + sz.(i) - 1 in
-    Array.iter
-      (fun c -> if pos.(c) <= lo || pos.(c) > hi then ok := false)
-      t.T.children.(i)
+    T.iter_children t i (fun c -> if pos.(c) <= lo || pos.(c) > hi then ok := false)
   done;
   !ok
 
@@ -51,7 +49,7 @@ let prop_subtree_peaks_root =
 let prop_keyed_rule_beats_natural =
   H.qcheck "the keyed child order never loses to the natural order"
     (H.arb_tree ~size_max:20 ()) (fun t ->
-      PO.best_memory t <= PO.peak_with_child_order t (fun i -> t.T.children.(i)))
+      PO.best_memory t <= PO.peak_with_child_order t (T.children t))
 
 let prop_peak_with_child_order_consistent =
   H.qcheck "peak_with_child_order on natural order equals simulated postorder"
@@ -62,10 +60,10 @@ let prop_peak_with_child_order_consistent =
       let rec emit i =
         order.(!k) <- i;
         incr k;
-        Array.iter emit t.T.children.(i)
+        T.iter_children t i emit
       in
       emit t.T.root;
-      PO.peak_with_child_order t (fun i -> t.T.children.(i)) = Tr.peak t order)
+      PO.peak_with_child_order t (T.children t) = Tr.peak t order)
 
 let test_harpoon_formula () =
   (* the closed form from the proof of Theorem 1 *)

@@ -492,6 +492,84 @@ let test_frame_cap () =
           | lines -> Alcotest.failf "%s: %d replies, expected one" who (List.length lines))
         [ ("server", Cl.shard_port c 0); ("router", Cl.router_port c) ])
 
+(* The router spawns one domain per client, and OCaml 5 allows 128
+   domains per process. Past that cap each surplus client gets exactly
+   one typed [overloaded] refusal and the router keeps accepting: once
+   the idle clients leave, a fresh client is served and shutdown
+   returns. *)
+let test_domain_cap () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let c = Cl.start ~shards:1 ~workers:1 () in
+  let port = Cl.router_port c in
+  let close fd = try Unix.close fd with Unix.Unix_error _ -> () in
+  let connect () =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+    fd
+  in
+  let clients = 135 in
+  let fds = List.init clients (fun _ -> connect ()) in
+  let read_lines fd =
+    let got = Buffer.create 256 and b = Bytes.create 4096 in
+    let rec recv () =
+      match Unix.read fd b 0 (Bytes.length b) with
+      | 0 -> ()
+      | n ->
+          Buffer.add_subbytes got b 0 n;
+          recv ()
+      | exception Unix.Unix_error _ -> ()
+    in
+    recv ();
+    close fd;
+    String.split_on_char '\n' (Buffer.contents got) |> List.filter (( <> ) "")
+  in
+  (* A refused client is sent one line and closed; a served one hears
+     nothing while it stays idle. Collect until a second passes quietly. *)
+  let rec collect idle refused =
+    match Unix.select idle [] [] 1.0 with
+    | [], _, _ -> (idle, refused)
+    | ready, _, _ ->
+        collect
+          (List.filter (fun fd -> not (List.mem fd ready)) idle)
+          (List.map read_lines ready @ refused)
+  in
+  let idle, refused = collect fds [] in
+  let stopped = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter close idle;
+      if not !stopped then Cl.stop c)
+    (fun () ->
+      Alcotest.(check bool) "every client past the cap refused" true
+        (List.length refused >= clients - 127);
+      List.iter
+        (function
+          | [ line ] -> (
+              match P.decode_response line with
+              | Ok { P.body = P.Refused { code = P.Overloaded; _ }; _ } -> ()
+              | _ -> Alcotest.failf "expected overloaded, got %s" line)
+          | lines -> Alcotest.failf "%d replies, expected one" (List.length lines))
+        refused;
+      List.iter close idle;
+      (* the idle clients' domains exit within their 0.25 s poll tick *)
+      let deadline = Unix.gettimeofday () +. 10. in
+      let rec solve () =
+        let r =
+          try C.with_connection ~port (fun conn -> C.solve conn "gen banded size=16 :: liu")
+          with Unix.Unix_error _ | Failure _ | End_of_file -> Error "transport"
+        in
+        match r with
+        | Ok _ -> ()
+        | Error _ when Unix.gettimeofday () < deadline ->
+            Unix.sleepf 0.2;
+            solve ()
+        | Error e -> Alcotest.failf "fresh client after the idle ones left: %s" e
+      in
+      solve ();
+      stopped := true;
+      Cl.stop c)
+
 let () =
   H.run "tt_shard"
     [ ( "ring",
@@ -515,6 +593,7 @@ let () =
         ] );
       ( "input bounds",
         [ H.case "route memo bounded" test_route_memo_bounded;
-          H.case "2 MiB frame cap on server and router" test_frame_cap
+          H.case "2 MiB frame cap on server and router" test_frame_cap;
+          H.case "domain cap refuses, then recovers" test_domain_cap
         ] )
     ]

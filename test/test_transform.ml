@@ -85,7 +85,7 @@ let arb_liu_model =
         let n_plus =
           Array.init p (fun i ->
               let child_sum =
-                Array.fold_left (fun acc c -> acc + n_minus.(c)) 0 t.T.children.(i)
+                Array.fold_left (fun acc c -> acc + n_minus.(c)) 0 (T.children t i)
               in
               n_minus.(i) + child_sum + Tt_util.Rng.int_incl rng 0 5)
         in

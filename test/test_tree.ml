@@ -11,8 +11,11 @@ let test_make_valid () =
   let t = tiny () in
   Alcotest.(check int) "size" 4 (T.size t);
   Alcotest.(check int) "root" 0 t.T.root;
-  Alcotest.(check (array int)) "children of 0" [| 1; 2 |] t.T.children.(0);
-  Alcotest.(check (array int)) "children of 2" [| 3 |] t.T.children.(2);
+  Alcotest.(check (array int)) "children of 0" [| 1; 2 |] (T.children t 0);
+  Alcotest.(check (array int)) "children of 2" [| 3 |] (T.children t 2);
+  Alcotest.(check (array int)) "CSR offsets" [| 0; 2; 2; 3; 3 |] t.T.child_off;
+  Alcotest.(check (array int)) "CSR children" [| 1; 2; 3 |] t.T.child;
+  Alcotest.(check int) "degree of 0" 2 (T.degree t 0);
   Alcotest.(check bool) "leaf 1" true (T.is_leaf t 1);
   Alcotest.(check bool) "leaf 0" false (T.is_leaf t 0)
 
@@ -82,12 +85,118 @@ let prop_subtree_sizes =
     (fun t ->
       let sz = T.subtree_sizes t in
       let ok = ref (sz.(t.T.root) = T.size t) in
-      Array.iteri
-        (fun i cs ->
-          let s = Array.fold_left (fun acc c -> acc + sz.(c)) 1 cs in
-          if s <> sz.(i) then ok := false)
-        t.T.children;
+      for i = 0 to T.size t - 1 do
+        let s = ref 1 in
+        T.iter_children t i (fun c -> s := !s + sz.(c));
+        if !s <> sz.(i) then ok := false
+      done;
       !ok)
+
+(* --- hostile input ------------------------------------------------------- *)
+
+module Rng = Tt_util.Rng
+
+(* The encoding of raw arrays, valid or not, in the [to_string] format. *)
+let encode parent f n =
+  String.concat " "
+    (string_of_int (Array.length parent)
+    :: List.init (Array.length parent) (fun i -> Printf.sprintf "%d:%d:%d" parent.(i) f.(i) n.(i)))
+
+(* One seeded mutation of a valid encoding: the shapes a corrupted or
+   hostile frame takes on its way to [of_string]. *)
+let mutate rng t =
+  let s = T.to_string t in
+  let len = String.length s in
+  let insert x =
+    let at = Rng.int rng (len + 1) in
+    String.sub s 0 at ^ x ^ String.sub s at (len - at)
+  in
+  let fields = String.split_on_char ' ' s in
+  let pick_field () = Rng.int rng (List.length fields) in
+  (* half the time the count is fixed up, so the edit reaches the
+     validator instead of the count check *)
+  let join = function
+    | _ :: nodes when Rng.bool rng ->
+        String.concat " " (string_of_int (List.length nodes) :: nodes)
+    | fs -> String.concat " " fs
+  in
+  let p = T.size t in
+  let non_root () = (t.T.root + 1 + Rng.int rng (p - 1)) mod p in
+  let parent = Array.copy t.T.parent in
+  match Rng.int rng 8 with
+  | 0 -> String.sub s 0 (Rng.int rng len)
+  | 1 ->
+      let b = Bytes.of_string s in
+      Bytes.set b (Rng.int rng len) (Char.chr (Rng.int rng 256));
+      Bytes.to_string b
+  | 2 -> insert (String.make (19 + Rng.int rng 20) '9')
+  | 3 -> insert (if Rng.bool rng then "\000" else "\r")
+  | 4 ->
+      let k = pick_field () in
+      join (List.filteri (fun i _ -> i <> k) fields)
+  | 5 ->
+      let k = pick_field () in
+      join (List.concat (List.mapi (fun i x -> if i = k then [ x; x ] else [ x ]) fields))
+  | 6 when p > 1 ->
+      (* a cycle: hang a non-root below itself or one of its descendants *)
+      let i = non_root () in
+      let j = ref i in
+      for _ = 1 to Rng.int rng p do
+        if not (T.is_leaf t !j) then j := Rng.pick rng (T.children t !j)
+      done;
+      parent.(i) <- !j;
+      encode parent t.T.f t.T.n
+  | 7 when p > 1 ->
+      parent.(non_root ()) <- -1;
+      encode parent t.T.f t.T.n
+  | _ -> String.sub s 0 (Rng.int rng len)
+
+let arb_mutated =
+  let gen =
+    QCheck.Gen.map
+      (fun seed ->
+        let rng = Rng.create seed in
+        mutate rng (H.random_tree ~rng ~size_max:12 ~max_f:12 ~max_n:6))
+      (QCheck.Gen.int_bound 1_000_000)
+  in
+  QCheck.make ~print:String.escaped gen
+
+let prop_hostile_encodings =
+  H.qcheck ~count:1000 "mutated encodings parse to a re-encodable tree or raise Invalid_argument"
+    arb_mutated (fun s ->
+      match T.of_string s with
+      | t -> T.equal t (T.of_string (T.to_string t))
+      | exception Invalid_argument _ -> true)
+
+(* A random tree's parent array, shuffled and half the time with one
+   entry overwritten, plus the odd negative [f] or over-long [n]: about
+   one in seven is a tree, and every rejection reason occurs. *)
+let arb_raw_arrays =
+  let gen =
+    QCheck.Gen.map
+      (fun seed ->
+        let rng = Rng.create seed in
+        let p = Rng.int_incl rng 0 10 in
+        let parent = Array.init p (fun i -> if i = 0 then -1 else Rng.int rng i) in
+        Rng.shuffle rng parent;
+        if p > 0 && Rng.bool rng then parent.(Rng.int rng p) <- Rng.int_incl rng (-2) p;
+        let f = Array.init p (fun _ -> Rng.int_incl rng (-1) 20) in
+        let n = Array.init (if Rng.int rng 10 = 0 then p + 1 else p) (fun _ -> Rng.int_incl rng (-3) 3) in
+        (parent, f, n))
+      (QCheck.Gen.int_bound 1_000_000)
+  in
+  QCheck.make ~print:(fun (parent, f, n) -> encode parent f (Array.sub n 0 (Array.length parent))) gen
+
+let prop_make_of_arrays_agree =
+  H.qcheck ~count:1000 "make and of_arrays accept and reject the same arrays" arb_raw_arrays
+    (fun (parent, f, n) ->
+      let outcome build =
+        match build ~parent:(Array.copy parent) ~f:(Array.copy f) ~n:(Array.copy n) with
+        | t -> Ok (T.to_string t, t.T.child_off, t.T.child)
+        | exception Invalid_argument msg ->
+            Error (String.sub msg (String.index msg ':') (String.length msg - String.index msg ':'))
+      in
+      outcome T.make = outcome T.of_arrays)
 
 let test_map_weights () =
   let t = tiny () in
@@ -100,10 +209,9 @@ let test_random_shape_degree () =
   let rng = Tt_util.Rng.create 3 in
   for _ = 1 to 20 do
     let t = T.random_shape ~rng ~size:40 ~max_degree:2 in
-    Array.iter
-      (fun cs ->
-        if Array.length cs > 2 then Alcotest.failf "degree %d > 2" (Array.length cs))
-      t.T.children
+    for i = 0 to T.size t - 1 do
+      if T.degree t i > 2 then Alcotest.failf "degree %d > 2" (T.degree t i)
+    done
   done
 
 let test_deep_tree_is_stack_safe () =
@@ -129,11 +237,13 @@ let () =
       ( "serialization",
         [ H.case "round trip" test_string_round_trip;
           H.case "parse errors" test_of_string_errors;
-          prop_string_round_trip
+          prop_string_round_trip;
+          prop_hostile_encodings
         ] );
       ( "random",
         [ prop_random_tree_valid;
           H.case "bounded degree" test_random_shape_degree;
-          H.case "deep chain" test_deep_tree_is_stack_safe
+          H.case "deep chain" test_deep_tree_is_stack_safe;
+          prop_make_of_arrays_agree
         ] )
     ]
