@@ -29,7 +29,9 @@ batch-smoke:
 # pinned threshold, and `timeout` bounds the wall time so a scaling
 # regression fails the gate instead of wedging CI. The tree/encode rows
 # digest the canonical tree encoding that every job id hashes, so they
-# must be present too.
+# must be present too, as must the sched/validate rows and the
+# sched-star rows (a half-heavy star on which a greedy scheduler that
+# rescans passed-over tasks turns quadratic).
 perf-smoke: build
 	timeout 600 dune exec bin/treetrav.exe -- perf --quick --out BENCH_CORE.json
 	grep -q '"kernel": "huge/minmem-approx"' BENCH_CORE.json \
@@ -37,6 +39,12 @@ perf-smoke: build
 	grep -q '"kernel": "tree/encode", "instance": "random"' BENCH_CORE.json \
 	  && grep -q '"kernel": "tree/encode", "instance": "corpus/' BENCH_CORE.json \
 	  || { echo "perf-smoke: tree/encode rows missing from BENCH_CORE.json"; exit 1; }
+	for k in greedy booking split validate; do \
+	  grep -q "\"kernel\": \"sched/$$k\", \"instance\": \"sched-star\"" BENCH_CORE.json \
+	    || { echo "perf-smoke: sched/$$k sched-star row missing from BENCH_CORE.json"; exit 1; }; \
+	done
+	grep -q '"kernel": "sched/validate", "instance": "sched-random"' BENCH_CORE.json \
+	  || { echo "perf-smoke: sched/validate rows missing from BENCH_CORE.json"; exit 1; }
 
 # Scheduling-tier smoke gate. The same par-schedule/pareto manifest
 # must produce bit-identical results digests via direct batch (at two

@@ -26,80 +26,68 @@ module Os = Tt_util.Ordered_set
 
    - [os]: the positions themselves, an {!Tt_util.Ordered_set} with
      O(log p) navigation — enough for LSNF walks and Best-K fronts;
-   - [maxf] / [minf]: segment trees over positions answering "rightmost
-     position with f >= d" (First Fit) and "... with f < d" (First Fill)
-     in O(log p);
-   - [byf]: the positions partitioned by file size — an ordered set of
-     present sizes plus one position set per size — turning Best Fit's
-     closest-size and Best Fill's largest-below-deficit searches into
-     floor/ceiling lookups.
+   - [maxf] / [minf]: {!Tt_util.Min_tree}s over positions answering
+     "rightmost position with f >= d" (First Fit, keyed by [-f]: the
+     rightmost [-f < 1 - d]) and "... with f < d" (First Fill) in
+     O(log p);
+   - [byf]: the positions ranked by (file size, position) and one
+     ordered set over the ranks of the present candidates. A size class
+     is a run of consecutive ranks and its latest-used file the largest
+     present rank of the run, so Best Fit's closest-size and Best
+     Fill's largest-below-deficit searches are a binary search over the
+     ranks plus one floor/ceiling lookup. This takes O(p) words, however
+     large or varied the sizes are.
 
    Only the parts the active policy needs are allocated. Every query
    returns the same file the previous linear scans chose, tie-breaks
    included: those scans ran over descending positions, so "first hit"
    always meant "largest position". *)
 
-module Max_tree = struct
-  (* max of f over positions; absent = 0 *)
-  type t = { a : int array; m : int }
+module Min_tree = Tt_util.Min_tree
 
-  let create p =
-    let m = ref 1 in
-    while !m < p do m := !m * 2 done;
-    { a = Array.make (2 * !m) 0; m = !m }
+type byf = {
+  f : int array;
+  order : int array;
+  rank_pos : int array; (* rank -> position, sizes non-decreasing *)
+  pos_rank : int array; (* position -> rank *)
+  ranks : Os.t; (* ranks of the present candidates *)
+}
 
-  let set t q v =
-    let i = ref (t.m + q) in
-    t.a.(!i) <- v;
-    i := !i lsr 1;
-    while !i >= 1 do
-      t.a.(!i) <- max t.a.(2 * !i) t.a.((2 * !i) + 1);
-      i := !i lsr 1
-    done
+let make_byf tree order =
+  let p = Array.length order in
+  let f = tree.Tree.f in
+  let rank_pos = Tt_util.Int_sort.order_by p (fun q -> f.(order.(q))) in
+  let pos_rank = Array.make p 0 in
+  Array.iteri (fun r q -> pos_rank.(q) <- r) rank_pos;
+  { f; order; rank_pos; pos_rank; ranks = Os.create p }
 
-  (* rightmost position whose file is at least [thr] *)
-  let rightmost_ge t thr =
-    if t.a.(1) < thr then None
-    else begin
-      let i = ref 1 in
-      while !i < t.m do
-        i := if t.a.((2 * !i) + 1) >= thr then (2 * !i) + 1 else 2 * !i
-      done;
-      Some (!i - t.m)
-    end
-end
+let size b r = b.f.(b.order.(b.rank_pos.(r)))
 
-module Min_tree = struct
-  (* min of f over positions; absent = max_int *)
-  type t = { a : int array; m : int }
-
-  let create p =
-    let m = ref 1 in
-    while !m < p do m := !m * 2 done;
-    { a = Array.make (2 * !m) max_int; m = !m }
-
-  let set t q v =
-    let i = ref (t.m + q) in
-    t.a.(!i) <- v;
-    i := !i lsr 1;
-    while !i >= 1 do
-      t.a.(!i) <- min t.a.(2 * !i) t.a.((2 * !i) + 1);
-      i := !i lsr 1
-    done
-
-  (* rightmost position whose file is strictly below [thr] *)
-  let rightmost_lt t thr =
-    if t.a.(1) >= thr then None
-    else begin
-      let i = ref 1 in
-      while !i < t.m do
-        i := if t.a.((2 * !i) + 1) < thr then (2 * !i) + 1 else 2 * !i
-      done;
-      Some (!i - t.m)
-    end
-end
-
-type byf = { fvals : Os.t; classes : (int, Os.t) Hashtbl.t }
+(* The first rank at or after [from] whose size is above [v] — or at
+   least [v] when not [incl]: the end of the ranks with size at most
+   (below) [v]. A galloping search, O(log d) for a distance [d] from
+   [from], so stepping over one size class is nearly free. *)
+let rank_bound b ~from ~incl v =
+  let n = Array.length b.rank_pos in
+  let past r =
+    let s = size b r in
+    s > v || ((not incl) && s = v)
+  in
+  if from >= n || past from then from
+  else begin
+    (* [lo] is not past; [hi] is past, or [n] *)
+    let lo = ref from and step = ref 1 in
+    while !lo + !step < n && not (past (!lo + !step)) do
+      lo := !lo + !step;
+      step := 2 * !step
+    done;
+    let hi = ref (if !lo + !step < n then !lo + !step else n) in
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) lsr 1 in
+      if past mid then hi := mid else lo := mid
+    done;
+    !hi
+  end
 
 type cands = {
   order : int array; (* position -> node *)
@@ -107,31 +95,19 @@ type cands = {
   f : int array;
   os : Os.t;
   mutable total : int;
-  maxf : Max_tree.t option;
+  maxf : Min_tree.t option; (* keyed by -f *)
   minf : Min_tree.t option;
   byf : byf option;
 }
 
 let make_cands tree ~order ~pos policy =
   let p = Array.length order in
-  let maxf = match policy with First_fit -> Some (Max_tree.create p) | _ -> None in
+  let maxf = match policy with First_fit -> Some (Min_tree.create p) | _ -> None in
   let minf = match policy with First_fill -> Some (Min_tree.create p) | _ -> None in
   let byf =
-    match policy with
-    | Best_fit | Best_fill ->
-        let fmax = Array.fold_left max 0 tree.Tree.f in
-        Some { fvals = Os.create (fmax + 1); classes = Hashtbl.create 64 }
-    | _ -> None
+    match policy with Best_fit | Best_fill -> Some (make_byf tree order) | _ -> None
   in
   { order; pos; f = tree.Tree.f; os = Os.create p; total = 0; maxf; minf; byf }
-
-let class_of c byf fv =
-  match Hashtbl.find_opt byf.classes fv with
-  | Some s -> s
-  | None ->
-      let s = Os.create (Os.capacity c.os) in
-      Hashtbl.add byf.classes fv s;
-      s
 
 (* register node [i]'s file when it becomes resident (no-op if empty) *)
 let cand_add c i =
@@ -140,14 +116,9 @@ let cand_add c i =
     let q = c.pos.(i) in
     Os.add c.os q;
     c.total <- c.total + fv;
-    (match c.maxf with Some t -> Max_tree.set t q fv | None -> ());
+    (match c.maxf with Some t -> Min_tree.set t q (-fv) | None -> ());
     (match c.minf with Some t -> Min_tree.set t q fv | None -> ());
-    match c.byf with
-    | Some b ->
-        let s = class_of c b fv in
-        if Os.is_empty s then Os.add b.fvals fv;
-        Os.add s q
-    | None -> ()
+    match c.byf with Some b -> Os.add b.ranks b.pos_rank.(q) | None -> ()
   end
 
 (* retire the candidate at position [q]; it must be a member *)
@@ -155,14 +126,9 @@ let cand_remove_pos c q =
   let fv = c.f.(c.order.(q)) in
   Os.remove c.os q;
   c.total <- c.total - fv;
-  (match c.maxf with Some t -> Max_tree.set t q 0 | None -> ());
-  (match c.minf with Some t -> Min_tree.set t q max_int | None -> ());
-  match c.byf with
-  | Some b ->
-      let s = class_of c b fv in
-      Os.remove s q;
-      if Os.is_empty s then Os.remove b.fvals fv
-  | None -> ()
+  (match c.maxf with Some t -> Min_tree.remove t q | None -> ());
+  (match c.minf with Some t -> Min_tree.remove t q | None -> ());
+  match c.byf with Some b -> Os.remove b.ranks b.pos_rank.(q) | None -> ()
 
 let cand_drop c i =
   let q = c.pos.(i) in
@@ -195,7 +161,7 @@ let evict c policy deficit apply =
   | First_fit -> (
       (* first file at least as large as the deficit; LSNF otherwise *)
       let maxf = match c.maxf with Some t -> t | None -> assert false in
-      match Max_tree.rightmost_ge maxf !rem with
+      match Min_tree.rightmost_lt maxf (1 - !rem) with
       | Some q -> take q
       | None -> lsnf_rest ())
   | First_fill ->
@@ -215,38 +181,40 @@ let evict c policy deficit apply =
          between) classes the largest position wins *)
       let b = match c.byf with Some b -> b | None -> assert false in
       while !rem > 0 && not (Os.is_empty c.os) do
-        let fv =
-          match (Os.pred b.fvals (!rem + 1), Os.succ b.fvals (!rem - 1)) with
+        let ge = rank_bound b ~from:0 ~incl:false !rem in
+        (* the latest-used file of the largest size at most [rem] *)
+        let floor = Os.pred b.ranks (rank_bound b ~from:ge ~incl:true !rem) in
+        (* the latest-used file of the smallest size at least [rem] *)
+        let ceil =
+          match Os.succ b.ranks (ge - 1) with
+          | None -> None
+          | Some r -> Os.pred b.ranks (rank_bound b ~from:r ~incl:true (size b r))
+        in
+        let r =
+          match (floor, ceil) with
           | Some lo, None -> lo
           | None, Some hi -> hi
           | Some lo, Some hi ->
-              let dl = !rem - lo and dh = hi - !rem in
+              let dl = !rem - size b lo and dh = size b hi - !rem in
               if dl < dh then lo
               else if dh < dl then hi
-              else begin
-                match (Os.max_elt (class_of c b lo), Os.max_elt (class_of c b hi)) with
-                | Some ql, Some qh -> if ql > qh then lo else hi
-                | _ -> assert false
-              end
+              else if b.rank_pos.(lo) > b.rank_pos.(hi) then lo
+              else hi
           | None, None -> assert false
         in
-        match Os.max_elt (class_of c b fv) with
-        | Some q -> take q
-        | None -> assert false
+        take b.rank_pos.(r)
       done
       (* candidates exhausted with a residual deficit leave nothing for
          the LSNF fallback to do *)
   | Best_fill ->
-      (* repeatedly the largest file strictly smaller than the deficit *)
+      (* repeatedly the largest file strictly smaller than the deficit,
+         the latest-used one among equals *)
       let b = match c.byf with Some b -> b | None -> assert false in
       let progress = ref true in
       while !rem > 0 && !progress do
-        match Os.pred b.fvals !rem with
+        match Os.pred b.ranks (rank_bound b ~from:0 ~incl:false !rem) with
         | None -> progress := false
-        | Some fv -> (
-            match Os.max_elt (class_of c b fv) with
-            | Some q -> take q
-            | None -> assert false)
+        | Some r -> take b.rank_pos.(r)
       done;
       if !rem > 0 then lsnf_rest ()
   | Best_k k ->

@@ -27,7 +27,13 @@
 
     All policies are guarded against zero-progress rounds (possible with
     zero-size files) by falling back to LSNF, so they terminate whenever
-    the instance is feasible, i.e. [memory >= max_mem_req]. *)
+    the instance is feasible, i.e. [memory >= max_mem_req].
+
+    {b Cost.} One {!run} takes O(p) words for a [p]-node tree, whatever
+    the file sizes: the candidate files are indexed by position (and,
+    for Best Fit and Best Fill, by rank in (size, position) order), never
+    by size value. Each eviction choice costs O(log p), or O(2^K) for
+    Best-K. *)
 
 type policy =
   | Lsnf

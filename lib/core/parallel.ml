@@ -7,8 +7,12 @@ let levels t ~work =
   let lvl = Array.make p 0 in
   Array.iter
     (fun i ->
-      let below = Array.fold_left (fun acc c -> max acc lvl.(c)) 0 (Tree.children t i) in
-      lvl.(i) <- work i + below)
+      let below = ref 0 in
+      for k = t.Tree.child_off.(i) to t.Tree.child_off.(i + 1) - 1 do
+        let l = lvl.(t.Tree.child.(k)) in
+        if l > !below then below := l
+      done;
+      lvl.(i) <- work i + !below)
     (Tree.bottom_up_order t);
   lvl
 
@@ -20,6 +24,64 @@ let sequential_makespan t ~work =
     acc := !acc + work i
   done;
   !acc
+
+(* What a running task holds on top of the alive files: its execution
+   file and its children's output files, booked at start. *)
+let working_sets t =
+  Array.init (Tree.size t) (fun i -> t.Tree.n.(i) + Tree.sum_children_f t i)
+
+(* Free processors as a stack, [0] on top. Both schedulers pop the top
+   at a start and push a finished task's processor, so a processor is
+   first handed out only when every lower-numbered one is busy; at most
+   [p] tasks run at once, so [min procs p] slots give the schedules of
+   [procs] slots. *)
+type proc_stack = { stack : int array; mutable free : int }
+
+let proc_stack ~procs p =
+  let width = min procs p in
+  { stack = Array.init width (fun k -> width - 1 - k); free = width }
+
+let take_proc ps =
+  ps.free <- ps.free - 1;
+  ps.stack.(ps.free)
+
+let release_proc ps pr =
+  ps.stack.(ps.free) <- pr;
+  ps.free <- ps.free + 1
+
+(* [memory - usage], the largest working set that still fits, saturated
+   where the difference leaves the int range: the budget is any int
+   (and [usage] can be negative, since execution files can be), so the
+   plain difference could wrap and admit a task the budget refuses. *)
+let room ~memory usage =
+  if usage < 0 && memory > max_int + usage then max_int
+  else if usage > 0 && memory < min_int + usage then min_int
+  else memory - usage
+
+(* Pop every running task that finishes at the earliest finish time.
+   Returns that time and the tasks, the first popped last. *)
+let pop_completions heap =
+  let i, finish = Tt_util.Int_heap.pop_min heap in
+  let completed = ref [ i ] in
+  let continue_ = ref true in
+  while !continue_ do
+    match Tt_util.Int_heap.min_elt heap with
+    | j, fj when fj = finish ->
+        ignore (Tt_util.Int_heap.pop_min heap);
+        completed := j :: !completed
+    | _ -> continue_ := false
+    | exception Not_found -> continue_ := false
+  done;
+  (finish, !completed)
+
+let of_runs ~proc ~start ~finish ~peak_memory =
+  let events =
+    Array.map
+      (fun i -> { node = i; proc = proc.(i); start = start.(i); finish = finish.(i) })
+      (Tt_util.Int_sort.order_by (Array.length start) (fun i -> start.(i)))
+  in
+  let makespan = Array.fold_left (fun acc f -> if f > acc then f else acc) 0 finish in
+  { events; makespan; peak_memory }
 
 let booking_schedule ?order t ~procs ~memory ~work =
   if procs < 1 then invalid_arg "Parallel.booking_schedule: procs < 1";
@@ -35,78 +97,62 @@ let booking_schedule ?order t ~procs ~memory ~work =
           invalid_arg "Parallel.booking_schedule: order is not a traversal";
         o
   in
-  let extra i = t.Tree.n.(i) + Tree.sum_children_f t i in
+  let ws = working_sets t in
   (* state: tasks start strictly in [order]; [next] is the first unstarted
-     position. Booking = the whole working set [extra i] is charged at
+     position. Booking = the whole working set [ws i] is charged at
      start, so a started task can always finish. *)
   let next = ref 0 in
   let finished = Array.make p false in
   let usage = ref t.Tree.f.(t.Tree.root) in
   let peak = ref !usage in
-  let free_procs = ref (List.init procs (fun k -> k)) in
+  let ps = proc_stack ~procs p in
   let heap = Tt_util.Int_heap.create p in
   let proc_of = Array.make p (-1) in
   let start_of = Array.make p 0 in
-  let events = Tt_util.Dynarray_compat.create () in
+  let finish_of = Array.make p 0 in
+  let count = ref 0 in
   let time = ref 0 in
-  let done_count = ref 0 in
   let deadlock = ref false in
   let try_start () =
     let blocked = ref false in
     while (not !blocked) && !next < p do
       let i = order.(!next) in
       let par = t.Tree.parent.(i) in
-      match !free_procs with
-      | pr :: rest
-        when (par < 0 || finished.(par)) && !usage + extra i <= memory ->
-          free_procs := rest;
-          usage := !usage + extra i;
-          if !usage > !peak then peak := !usage;
-          proc_of.(i) <- pr;
-          start_of.(i) <- !time;
-          Tt_util.Int_heap.insert heap i (!time + work i);
-          incr next
-      | _ -> blocked := true
+      if ps.free > 0 && (par < 0 || finished.(par)) && !usage + ws.(i) <= memory
+      then begin
+        usage := !usage + ws.(i);
+        if !usage > !peak then peak := !usage;
+        proc_of.(i) <- take_proc ps;
+        start_of.(i) <- !time;
+        Tt_util.Int_heap.insert heap i (!time + work i);
+        incr next
+      end
+      else blocked := true
     done
   in
   try_start ();
-  while (not !deadlock) && !done_count < p do
+  while (not !deadlock) && !count < p do
     if Tt_util.Int_heap.is_empty heap then deadlock := true
     else begin
-      let i, finish = Tt_util.Int_heap.pop_min heap in
+      let finish, completed = pop_completions heap in
       time := finish;
-      (* complete every task finishing at this instant *)
-      let completed = ref [ i ] in
-      let continue_ = ref true in
-      while !continue_ do
-        match Tt_util.Int_heap.min_elt heap with
-        | j, fj when fj = finish ->
-            ignore (Tt_util.Int_heap.pop_min heap);
-            completed := j :: !completed
-        | _ -> continue_ := false
-        | exception Not_found -> continue_ := false
-      done;
       List.iter
         (fun j ->
-          incr done_count;
           finished.(j) <- true;
-          Tt_util.Dynarray_compat.add_last events
-            { node = j; proc = proc_of.(j); start = start_of.(j); finish };
-          free_procs := proc_of.(j) :: !free_procs;
-          usage := !usage - extra j - t.Tree.f.(j) + Tree.sum_children_f t j)
-        !completed;
+          finish_of.(j) <- finish;
+          incr count;
+          release_proc ps proc_of.(j);
+          (* the execution file and the consumed input die; the
+             children's files, booked at start, stay alive *)
+          usage := !usage - t.Tree.n.(j) - t.Tree.f.(j))
+        completed;
       try_start ()
     end
   done;
   if !deadlock then None
-  else begin
-    let evs = Tt_util.Dynarray_compat.to_array events in
-    Array.sort (fun a b -> compare (a.start, a.node) (b.start, b.node)) evs;
-    let makespan = Array.fold_left (fun acc e -> max acc e.finish) 0 evs in
-    Some { events = evs; makespan; peak_memory = !peak }
-  end
+  else Some (of_runs ~proc:proc_of ~start:start_of ~finish:finish_of ~peak_memory:!peak)
 
-let list_schedule ?priority t ~procs ~memory ~work =
+let list_schedule ?priority ?order t ~procs ~memory ~work =
   if procs < 1 then invalid_arg "Parallel.list_schedule: procs < 1";
   let p = Tree.size t in
   for i = 0 to p - 1 do
@@ -115,66 +161,67 @@ let list_schedule ?priority t ~procs ~memory ~work =
   let prio =
     match priority with Some f -> Array.init p f | None -> levels t ~work
   in
-  let extra i = t.Tree.n.(i) + Tree.sum_children_f t i in
-  (* state *)
-  let ready = ref [ t.Tree.root ] in
-  let usage = ref t.Tree.f.(t.Tree.root) in
+  (* the start order, ranked once: priority descending ([lnot] reverses
+     the order of ints without overflow), then id ascending *)
+  let by_rank = Tt_util.Int_sort.order_by p (fun i -> lnot prio.(i)) in
+  let rank = Array.make p 0 in
+  Array.iteri (fun r i -> rank.(i) <- r) by_rank;
+  let ws = working_sets t in
+  (* the ready tasks, indexed by rank and keyed by working set *)
+  let ready = Tt_util.Min_tree.create p in
+  let root = t.Tree.root in
+  Tt_util.Min_tree.set ready rank.(root) ws.(root);
+  let usage = ref t.Tree.f.(root) in
   let peak = ref !usage in
-  let free_procs = ref (List.init procs (fun k -> k)) in
+  let ps = proc_stack ~procs p in
   (* running tasks as a finish-time min-heap over task ids *)
   let heap = Tt_util.Int_heap.create p in
   let proc_of = Array.make p (-1) in
   let start_of = Array.make p 0 in
-  let events = Tt_util.Dynarray_compat.create () in
+  let finish_of = Array.make p 0 in
+  let count = ref 0 in
   let time = ref 0 in
-  let done_count = ref 0 in
   let deadlock = ref false in
   let try_start () =
-    (* start ready tasks in priority order while a processor and the
-       memory allow; tasks that do not fit are skipped (greedy holes) *)
-    let sorted = List.sort (fun a b -> compare (prio.(b), a) (prio.(a), b)) !ready in
-    let remaining = ref [] in
-    List.iter
-      (fun i ->
-        match !free_procs with
-        | pr :: rest when !usage + extra i <= memory ->
-            free_procs := rest;
-            usage := !usage + extra i;
-            if !usage > !peak then peak := !usage;
-            proc_of.(i) <- pr;
-            start_of.(i) <- !time;
-            Tt_util.Int_heap.insert heap i (!time + work i)
-        | _ -> remaining := i :: !remaining)
-      sorted;
-    ready := !remaining
+    (* start ready tasks in rank order while a processor and the memory
+       allow. A task that does not fit is skipped (a greedy hole) and
+       the scan never comes back to it at this instant: the next start
+       is the first ready task after the last one started whose working
+       set fits the memory left. *)
+    let from = ref 0 in
+    while ps.free > 0 && !from < p do
+      match Tt_util.Min_tree.leftmost_le ready ~from:!from (room ~memory !usage) with
+      | None -> from := p
+      | Some r ->
+          let i = by_rank.(r) in
+          Tt_util.Min_tree.remove ready r;
+          usage := !usage + ws.(i);
+          if !usage > !peak then peak := !usage;
+          proc_of.(i) <- take_proc ps;
+          start_of.(i) <- !time;
+          Tt_util.Int_heap.insert heap i (!time + work i);
+          from := r + 1
+    done
   in
   try_start ();
-  while (not !deadlock) && !done_count < p do
+  while (not !deadlock) && !count < p do
     if Tt_util.Int_heap.is_empty heap then deadlock := true
     else begin
-      let i, finish = Tt_util.Int_heap.pop_min heap in
+      let finish, completed = pop_completions heap in
       time := finish;
-      (* complete every task finishing at this instant *)
-      let completed = ref [ i ] in
-      let continue_ = ref true in
-      while !continue_ do
-        match Tt_util.Int_heap.min_elt heap with
-        | j, fj when fj = finish ->
-            ignore (Tt_util.Int_heap.pop_min heap);
-            completed := j :: !completed
-        | _ -> continue_ := false
-        | exception Not_found -> continue_ := false
-      done;
       List.iter
         (fun j ->
-          incr done_count;
-          Tt_util.Dynarray_compat.add_last events
-            { node = j; proc = proc_of.(j); start = start_of.(j); finish };
-          free_procs := proc_of.(j) :: !free_procs;
-          (* extras and the consumed input die; children files are born *)
-          usage := !usage - extra j - t.Tree.f.(j) + Tree.sum_children_f t j;
-          ready := Array.to_list (Tree.children t j) @ !ready)
-        !completed;
+          finish_of.(j) <- finish;
+          incr count;
+          release_proc ps proc_of.(j);
+          (* the execution file and the consumed input die; the
+             children's files are born and the children become ready *)
+          usage := !usage - t.Tree.n.(j) - t.Tree.f.(j);
+          for k = t.Tree.child_off.(j) to t.Tree.child_off.(j + 1) - 1 do
+            let c = t.Tree.child.(k) in
+            Tt_util.Min_tree.set ready rank.(c) ws.(c)
+          done)
+        completed;
       try_start ()
     end
   done;
@@ -183,10 +230,5 @@ let list_schedule ?priority t ~procs ~memory ~work =
        MinMemory phenomenon. Replay with the booking discipline along a
        memory-optimal activation order: succeeds for every budget at
        least the sequential optimum. *)
-    booking_schedule t ~procs ~memory ~work
-  else begin
-    let evs = Tt_util.Dynarray_compat.to_array events in
-    Array.sort (fun a b -> compare (a.start, a.node) (b.start, b.node)) evs;
-    let makespan = Array.fold_left (fun acc e -> max acc e.finish) 0 evs in
-    Some { events = evs; makespan; peak_memory = !peak }
-  end
+    booking_schedule ?order t ~procs ~memory ~work
+  else Some (of_runs ~proc:proc_of ~start:start_of ~finish:finish_of ~peak_memory:!peak)

@@ -23,7 +23,16 @@
     in the order of a memory-feasible sequential traversal, each booking
     its whole working set against the budget. The [tt_sched] library
     builds the splitting scheduler and the memory/makespan Pareto sweep
-    on top of these two primitives. *)
+    on top of these two primitives.
+
+    {b Cost.} Both schedulers run in O(p log p) time and O(p) words for
+    a [p]-node tree, whatever [procs] is: at most [p] tasks run at once,
+    so they keep [min procs p] processor slots, and since a finished
+    task's processor is the next one handed out, a processor is first
+    used only when every lower-numbered one is busy — the schedule is
+    the same as with [procs] slots. Working sets are computed once per
+    call, and the priority ranking and the (start, node) event order are
+    radix sorts on int keys ({!Tt_util.Int_sort}). *)
 
 type event = {
   node : int;  (** The task. *)
@@ -40,6 +49,7 @@ type schedule = {
 
 val list_schedule :
   ?priority:(int -> int) ->
+  ?order:int array ->
   Tree.t ->
   procs:int ->
   memory:int ->
@@ -47,16 +57,28 @@ val list_schedule :
   schedule option
 (** Greedy schedule of the out-tree with [procs] workers within [memory]
     words. [work i >= 1] is task [i]'s duration; [priority] defaults to
-    the critical-path (bottom) level (higher runs first).
+    the critical-path (bottom) level (higher runs first, ties to the
+    smaller id).
+
+    At every completion instant the scheduler starts, while a processor
+    is free, the first ready task in priority order whose working set
+    fits the memory left; tasks passed over for memory are not looked at
+    again until the next instant. The tasks are ranked once, and the
+    ready ones sit in a {!Tt_util.Min_tree} over ranks keyed by working
+    set, so each start is one O(log p) search however many ready tasks
+    it passes over.
 
     {b Guarantee.} When the greedy start rule deadlocks — a greedy
     prefix strands too many open files, just as greedy sequential
     traversals can (the MinMemory phenomenon) — the scheduler falls back
-    to {!booking_schedule} along a MinMem-optimal activation order, so
-    [None] is only possible when [memory < Minmem.min_memory tree]: for
-    any budget at least the sequential optimum a schedule is always
+    to {!booking_schedule} along [order], by default the MinMem-optimal
+    traversal of {!Minmem.run}. A caller that already holds that
+    traversal passes it to save the MinMem run. With the default, [None]
+    is only possible when [memory < Minmem.min_memory tree]: for any
+    budget at least the sequential optimum a schedule is always
     returned.
-    @raise Invalid_argument if [procs < 1] or some [work i < 1]. *)
+    @raise Invalid_argument if [procs < 1] or some [work i < 1], or if
+    the fallback runs and [order] is not a valid traversal. *)
 
 val booking_schedule :
   ?order:int array ->
@@ -82,6 +104,12 @@ val booking_schedule :
     degenerate to the sequential traversal itself.
     @raise Invalid_argument if [procs < 1], some [work i < 1], or
     [order] is not a valid traversal of the tree. *)
+
+val of_runs :
+  proc:int array -> start:int array -> finish:int array -> peak_memory:int -> schedule
+(** The schedule in which task [i] ran on [proc.(i)] from [start.(i)]
+    to [finish.(i)], for every task: events in (start, node) order,
+    makespan the last finish. *)
 
 val critical_path : Tree.t -> work:(int -> int) -> int
 (** Length of the heaviest root-to-leaf chain — a makespan lower bound

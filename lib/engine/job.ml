@@ -127,10 +127,11 @@ let compute ?(cancel = Tt_util.Cancel.never) ?minmem job =
       let io = Tt_core.Minio.io_volume job.tree ~memory ~order policy in
       Io { in_core; memory; io }
   | Schedule { procs; mem_factor } ->
-      let in_core, _ = minmem_run () in
+      let in_core, order = minmem_run () in
       let memory = int_of_float (mem_factor *. float_of_int in_core) in
       let work = work_of job.tree in
-      (match Tt_core.Parallel.list_schedule job.tree ~procs ~memory ~work with
+      (* greedy's deadlock fallback books along this same MinMem order *)
+      (match Tt_core.Parallel.list_schedule ~order job.tree ~procs ~memory ~work with
       | Some s ->
           Sched
             { memory;
@@ -148,7 +149,7 @@ let compute ?(cancel = Tt_util.Cancel.never) ?minmem job =
          scheduler bug surfaces as a crashed job, never a wrong digest *)
       match algo with
       | Greedy -> (
-          match P.list_schedule job.tree ~procs ~memory ~work with
+          match P.list_schedule ~order job.tree ~procs ~memory ~work with
           | Some s ->
               Tt_sched.Validate.check_exn job.tree ~memory ~work s;
               Par_sched

@@ -3,9 +3,9 @@ module P = Tt_core.Parallel
 
 type point = { algo : string; budget : int; makespan : int; peak : int }
 
-let budgets t ~steps =
+(* [lo] is the sequential optimum, [Minmem.min_memory t] *)
+let budgets_from ~lo t ~steps =
   if steps < 1 then invalid_arg "Pareto.budgets: steps < 1";
-  let lo = Tt_core.Minmem.min_memory t in
   let hi = max lo (T.total_f t) in
   if steps = 1 || hi = lo then [| lo |]
   else begin
@@ -25,18 +25,22 @@ let budgets t ~steps =
     |> Array.of_list
   end
 
+let budgets t ~steps = budgets_from ~lo:(Tt_core.Minmem.min_memory t) t ~steps
+
 let fail_invalid algo v =
   invalid_arg
     (Printf.sprintf "Pareto.sweep: %s produced an invalid schedule: %s" algo
        (Validate.violation_to_string v))
 
 let sweep ?(steps = 8) t ~procs ~work =
-  let _, order = Tt_core.Minmem.run t in
+  (* one MinMem run gives both the lowest budget and the activation
+     order of booking and of greedy's fallback *)
+  let lo, order = Tt_core.Minmem.run t in
   let points = ref [] in
   let push p = points := p :: !points in
   Array.iter
     (fun budget ->
-      (match P.list_schedule t ~procs ~memory:budget ~work with
+      (match P.list_schedule ~order t ~procs ~memory:budget ~work with
       | None -> ()
       | Some s -> (
           match Validate.check t ~memory:budget ~work s with
@@ -54,7 +58,7 @@ let sweep ?(steps = 8) t ~procs ~work =
                 { algo = "booking"; budget; makespan = s.P.makespan;
                   peak = s.P.peak_memory }
           | Error v -> fail_invalid "booking" v))
-    (budgets t ~steps);
+    (budgets_from ~lo t ~steps);
   (* splitting is budget-free: one point at its own peak *)
   let s = Split.run t ~procs ~work in
   (match Validate.check t ~memory:s.P.peak_memory ~work s with

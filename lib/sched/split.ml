@@ -34,6 +34,10 @@ let plan t ~procs ~work =
   for i = 0 to p - 1 do
     if work i < 1 then invalid_arg "Split.plan: work < 1"
   done;
+  (* at most [p] subtrees run at once: clamping [procs] to [p] keeps
+     the assignment below, and the estimate too, since a frontier of [k]
+     subtrees has [max_w >= total_w / k >= total_w / p] *)
+  let procs = min procs p in
   let w = subtree_work t ~work in
   (* SplitSubtrees (Eyraud-Dubois et al. 2014): repeatedly move the
      heaviest frontier subtree's root into the sequential tail and
@@ -95,24 +99,31 @@ let plan t ~procs ~work =
     subs := i :: !subs
   done;
   let subtrees = Array.of_list (List.rev !subs) in
-  (* longest-processing-time assignment of subtrees to processors *)
-  let load = Array.make procs 0 in
+  (* longest-processing-time assignment of subtrees to processors: each
+     goes to the least-loaded processor, ties to the lowest index — the
+     order of a heap keyed by load over processor ids. Every subtree
+     weighs at least 1, so the first [k] subtrees take processors
+     [0, k) and no other processor is ever chosen. *)
+  let width = min procs (Array.length subtrees) in
+  let loads = Tt_util.Int_heap.create width in
+  for q = 0 to width - 1 do
+    Tt_util.Int_heap.insert loads q 0
+  done;
   let assignment =
     Array.map
       (fun r ->
-        let best = ref 0 in
-        for q = 1 to procs - 1 do
-          if load.(q) < load.(!best) then best := q
-        done;
-        load.(!best) <- load.(!best) + w.(r);
-        !best)
+        let q, load = Tt_util.Int_heap.pop_min loads in
+        Tt_util.Int_heap.insert loads q (load + w.(r));
+        q)
       subtrees
   in
   { tail; subtrees; assignment; tail_work = !tail_work }
 
 (* MinMem-optimal traversal of the subtree rooted at [r], expressed in
-   the parent tree's node ids. *)
-let subtree_order t r =
+   the parent tree's node ids. [index] maps a node to its id within its
+   subtree; subtrees are disjoint and every lookup is for a node of the
+   current subtree, so one array serves them all. *)
+let subtree_order t ~index r =
   let nodes = ref [] in
   let count = ref 0 in
   let rec visit i =
@@ -127,12 +138,9 @@ let subtree_order t r =
   let q = !count in
   if q = 1 then [| r |]
   else begin
-    let index = Hashtbl.create q in
-    Array.iteri (fun k i -> Hashtbl.add index i k) nodes;
+    Array.iteri (fun k i -> index.(i) <- k) nodes;
     let parent =
-      Array.map
-        (fun i -> if i = r then -1 else Hashtbl.find index t.T.parent.(i))
-        nodes
+      Array.map (fun i -> if i = r then -1 else index.(t.T.parent.(i))) nodes
     in
     let f = Array.map (fun i -> t.T.f.(i)) nodes in
     let n = Array.map (fun i -> t.T.n.(i)) nodes in
@@ -144,34 +152,31 @@ let subtree_order t r =
 let run ?plan:given t ~procs ~work =
   if procs < 1 then invalid_arg "Split.run: procs < 1";
   let pl = match given with Some pl -> pl | None -> plan t ~procs ~work in
-  let events = Tt_util.Dynarray_compat.create () in
+  let p = T.size t in
+  let proc = Array.make p (-1) and start = Array.make p 0 and finish = Array.make p 0 in
+  (* run node [i] on processor [q] from [at]; returns its finish time *)
+  let run_at i q at =
+    if proc.(i) >= 0 then invalid_arg "Split.run: plan runs a node twice";
+    proc.(i) <- q;
+    start.(i) <- at;
+    finish.(i) <- at + work i;
+    finish.(i)
+  in
   (* the tail (the split-off top of the tree) runs first, sequentially
      on processor 0 — out-tree semantics: ancestors before subtrees *)
-  let time = ref 0 in
-  Array.iter
-    (fun i ->
-      Tt_util.Dynarray_compat.add_last events
-        { P.node = i; proc = 0; start = !time; finish = !time + work i };
-      time := !time + work i)
-    pl.tail;
-  let tail_end = !time in
+  let tail_end = Array.fold_left (fun at i -> run_at i 0 at) 0 pl.tail in
   (* each processor then runs its assigned subtrees back to back, every
-     subtree in its own MinMem-optimal sequential order *)
-  let cursor = Array.make procs tail_end in
+     subtree in its own MinMem-optimal sequential order; only the
+     processors the plan uses get a cursor *)
+  let width = Array.fold_left (fun acc q -> if q >= acc then q + 1 else acc) 0 pl.assignment in
+  if width > procs then invalid_arg "Split.run: plan assigns past procs";
+  let cursor = Array.make width tail_end in
+  let index = Array.make p 0 in
   Array.iteri
     (fun k r ->
       let q = pl.assignment.(k) in
-      Array.iter
-        (fun i ->
-          Tt_util.Dynarray_compat.add_last events
-            { P.node = i; proc = q; start = cursor.(q); finish = cursor.(q) + work i };
-          cursor.(q) <- cursor.(q) + work i)
-        (subtree_order t r))
+      Array.iter (fun i -> cursor.(q) <- run_at i q cursor.(q)) (subtree_order t ~index r))
     pl.subtrees;
-  let evs = Tt_util.Dynarray_compat.to_array events in
-  Array.sort
-    (fun (a : P.event) b -> compare (a.start, a.node) (b.start, b.node))
-    evs;
-  let makespan = Array.fold_left (fun acc (e : P.event) -> max acc e.finish) 0 evs in
-  let draft = { P.events = evs; makespan; peak_memory = 0 } in
+  if Array.exists (fun q -> q < 0) proc then invalid_arg "Split.run: plan misses a node";
+  let draft = P.of_runs ~proc ~start ~finish ~peak_memory:0 in
   { draft with P.peak_memory = Validate.peak_usage t draft }

@@ -14,7 +14,15 @@
     Splitting ignores any memory budget: it trades memory for makespan
     (up to [procs] sequential peaks coexist). The schedule reports its
     honest peak ({!Validate.peak_usage}); callers compare that against
-    their budget — the Pareto sweep plots exactly this trade-off. *)
+    their budget — the Pareto sweep plots exactly this trade-off.
+
+    {b Cost.} Apart from the per-subtree MinMem runs, O(p log p) time
+    and O(p) words whatever [procs] is. A frontier never holds more
+    than [p] subtrees, so [procs] is clamped to [p]: the split estimate
+    does not change (the heaviest subtree already bounds it), and the
+    longest-processing-time assignment keeps its loads in a heap over
+    only the processors it can reach. The subtrees' MinMem inputs are
+    indexed through one array shared by all of them. *)
 
 type plan = {
   tail : int array;
@@ -39,4 +47,6 @@ val run :
 (** Materialize the split as a schedule (computing {!plan} if not
     given). Always succeeds — with one processor it degenerates to a
     sequential traversal. [peak_memory] is the measured
-    {!Validate.peak_usage} of the events. *)
+    {!Validate.peak_usage} of the events.
+    @raise Invalid_argument if [procs < 1], or if a given plan does not
+    run every node exactly once on a processor below [procs]. *)

@@ -29,41 +29,45 @@ let violation_to_string = function
 
 exception Bad of violation
 
-(* Replay the schedule as a sequence of usage deltas grouped by instant:
-   the root's input file is alive from time 0, a start books the whole
-   extra working set [n i + sum_children_f i], a finish releases the
-   extras and the consumed input and leaves the children files alive (net
-   delta [-n i - f i]). Returns [(makespan, peak)] where [peak] is the
-   maximum usage over every instant at which at least one task runs —
-   the honest "memory bound at every instant" measure, independent of
-   any scheduler's own accounting. *)
-let replay t (s : P.schedule) =
-  let q = Array.length s.events in
-  let deltas = Array.make (2 * q) (0, 0, 0) in
-  Array.iteri
-    (fun k (e : P.event) ->
-      let extra = t.T.n.(e.node) + T.sum_children_f t e.node in
-      deltas.(2 * k) <- (e.start, 1, extra);
-      deltas.(2 * k + 1) <- (e.finish, -1, -t.T.n.(e.node) - t.T.f.(e.node)))
-    s.events;
-  Array.sort compare deltas;
+(* Replay the schedule as usage deltas grouped by instant, merging the
+   items (events or nodes) in start order, [starts], with the same items
+   in finish order: the root's input file is alive from time 0, a start
+   books the whole extra working set [n i + sum_children_f i], a finish
+   releases the extras and the consumed input and leaves the children
+   files alive (net delta [-n i - f i]). Every delta of an instant is
+   applied before the instant is observed. Returns
+   [(makespan, peak, peak_time)] where [peak] is the maximum usage over
+   every instant at which at least one task runs — the honest "memory
+   bound at every instant" measure, independent of any scheduler's own
+   accounting — and [peak_time] the first instant that reaches it. *)
+let replay t ~node_of ~start ~finish ~starts =
+  let q = Array.length start in
+  let finishes = Tt_util.Int_sort.order_by q (fun k -> finish.(k)) in
   let usage = ref t.T.f.(t.T.root) in
   let running = ref 0 in
   let peak = ref 0 in
   let peak_time = ref 0 in
   let makespan = ref 0 in
-  let k = ref 0 in
-  while !k < 2 * q do
-    let time, _, _ = deltas.(!k) in
-    (* apply every delta at this instant, then observe *)
-    while
-      !k < 2 * q
-      && (let ti, _, _ = deltas.(!k) in ti = time)
-    do
-      let _, dr, du = deltas.(!k) in
-      running := !running + dr;
-      usage := !usage + du;
-      incr k
+  let a = ref 0 and b = ref 0 in
+  while !a < q || !b < q do
+    let time =
+      if !b >= q then start.(starts.(!a))
+      else if !a >= q then finish.(finishes.(!b))
+      else
+        let ts = start.(starts.(!a)) and tf = finish.(finishes.(!b)) in
+        if ts <= tf then ts else tf
+    in
+    while !a < q && start.(starts.(!a)) = time do
+      let i = node_of starts.(!a) in
+      incr running;
+      usage := !usage + t.T.n.(i) + T.sum_children_f t i;
+      incr a
+    done;
+    while !b < q && finish.(finishes.(!b)) = time do
+      let i = node_of finishes.(!b) in
+      decr running;
+      usage := !usage - t.T.n.(i) - t.T.f.(i);
+      incr b
     done;
     if !running > 0 && !usage > !peak then begin
       peak := !usage;
@@ -73,13 +77,17 @@ let replay t (s : P.schedule) =
   done;
   (!makespan, !peak, !peak_time)
 
-let peak_usage t s =
-  let _, peak, _ = replay t s in
+let peak_usage t (s : P.schedule) =
+  let evs = s.events in
+  let start = Array.map (fun (e : P.event) -> e.start) evs in
+  let _, peak, _ =
+    replay t
+      ~node_of:(fun k -> evs.(k).node)
+      ~start
+      ~finish:(Array.map (fun (e : P.event) -> e.finish) evs)
+      ~starts:(Tt_util.Int_sort.order_by (Array.length evs) (fun k -> start.(k)))
+  in
   peak
-
-let makespan t s =
-  let m, _, _ = replay t s in
-  m
 
 let check ?activation t ~memory ~work (s : P.schedule) =
   let p = T.size t in
@@ -88,6 +96,7 @@ let check ?activation t ~memory ~work (s : P.schedule) =
       raise (Bad (Malformed "event count differs from tree size"));
     let start_of = Array.make p (-1) in
     let finish_of = Array.make p (-1) in
+    let proc_of = Array.make p (-1) in
     Array.iter
       (fun (e : P.event) ->
         if e.node < 0 || e.node >= p then
@@ -98,7 +107,8 @@ let check ?activation t ~memory ~work (s : P.schedule) =
         if e.finish - e.start <> work e.node then
           raise (Bad (Malformed "duration differs from work"));
         start_of.(e.node) <- e.start;
-        finish_of.(e.node) <- e.finish)
+        finish_of.(e.node) <- e.finish;
+        proc_of.(e.node) <- e.proc)
       s.events;
     (* precedence: out-tree, so a node may start only after its parent *)
     for i = 0 to p - 1 do
@@ -106,29 +116,25 @@ let check ?activation t ~memory ~work (s : P.schedule) =
       if par >= 0 && start_of.(i) < finish_of.(par) then
         raise (Bad (Precedence { node = i; parent = par }))
     done;
-    (* processor exclusivity: per processor, sorted runs must not overlap *)
-    let by_proc = Hashtbl.create 16 in
+    (* processor exclusivity: sweep the nodes in (start, node) order,
+       remembering each processor's last task; a task that starts before
+       that one finishes overlaps it. The first pair found is the
+       earliest. Processor ids are only known to be non-negative, so
+       ids at or past [p] are remembered in a table. *)
+    let starts = Tt_util.Int_sort.order_by p (fun i -> start_of.(i)) in
+    let last = Array.make p (-1) in
+    let last_far = Hashtbl.create 0 in
     Array.iter
-      (fun (e : P.event) ->
-        let prev = try Hashtbl.find by_proc e.proc with Not_found -> [] in
-        Hashtbl.replace by_proc e.proc (e :: prev))
-      s.events;
-    Hashtbl.iter
-      (fun proc evs ->
-        let evs =
-          List.sort
-            (fun (a : P.event) b -> compare (a.start, a.node) (b.start, b.node))
-            evs
+      (fun i ->
+        let proc = proc_of.(i) in
+        let prev =
+          if proc < p then last.(proc)
+          else Option.value (Hashtbl.find_opt last_far proc) ~default:(-1)
         in
-        let rec disjoint = function
-          | (a : P.event) :: (b :: _ as rest) ->
-              if b.start < a.finish then
-                raise (Bad (Overlap { proc; first = a.node; second = b.node }));
-              disjoint rest
-          | _ -> ()
-        in
-        disjoint evs)
-      by_proc;
+        if prev >= 0 && start_of.(i) < finish_of.(prev) then
+          raise (Bad (Overlap { proc; first = prev; second = i }));
+        if proc < p then last.(proc) <- i else Hashtbl.replace last_far proc i)
+      starts;
     (* booking discipline: starts are monotone along the activation order *)
     (match activation with
     | None -> ()
@@ -140,7 +146,9 @@ let check ?activation t ~memory ~work (s : P.schedule) =
             raise (Bad (Booking { position = k; node = order.(k) }))
         done);
     (* memory bound at every instant while at least one task runs *)
-    let observed_makespan, observed_peak, peak_time = replay t s in
+    let observed_makespan, observed_peak, peak_time =
+      replay t ~node_of:Fun.id ~start:start_of ~finish:finish_of ~starts
+    in
     if observed_peak > memory then
       raise
         (Bad (Memory { time = peak_time; usage = observed_peak; budget = memory }));

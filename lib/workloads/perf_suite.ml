@@ -32,6 +32,15 @@ let payload_lb = function
   | None -> "infeasible"
   | Some v -> Printf.sprintf "lb=%.9f" v
 
+(* the validator's verdict on a schedule, with the makespan it checked
+   against the replay and the replayed peak *)
+let payload_validate verdict ~makespan ~peak =
+  Printf.sprintf "verdict=%s\nmakespan=%d\npeak=%d"
+    (match verdict with
+    | Ok () -> "ok"
+    | Error v -> Tt_sched.Validate.violation_to_string v)
+    makespan peak
+
 let payload_parallel = function
   | None -> "infeasible"
   | Some (s : Parallel.schedule) ->
@@ -72,6 +81,16 @@ let harpoon_deep ~branches ~levels =
    re-weighting splits the six policies into distinct schedules *)
 let caterpillar ~length ~leaves =
   reweight ~max_f:251 (Instances.caterpillar ~length ~leaves_per_node:leaves ~f:7 ~n:3)
+
+(* a star whose even leaves carry a 10^6-word execution file: the heavy
+   leaves rank first for the greedy scheduler but few fit at once, so
+   each completion event passes over most of the ready list *)
+let half_heavy_star leaves =
+  let t = star_flat leaves in
+  Tree.map_weights
+    ~f:(fun i -> t.Tree.f.(i))
+    ~n:(fun i -> if i > 0 && i mod 2 = 0 then 1_000_000 else t.Tree.n.(i))
+    t
 
 let random_tree ~seed ~size =
   Tree.random ~rng:(Tt_util.Rng.create seed) ~size ~max_f:1000 ~max_n:50
@@ -212,6 +231,9 @@ let specs mode =
         if quick then caterpillar ~length:200 ~leaves:3
         else caterpillar ~length:2_000 ~leaves:3)
   in
+  let sched_star =
+    sized "sched-star" (fun () -> half_heavy_star (if quick then 8_000 else 64_000))
+  in
   let corpus = corpus_instances mode in
   let spec kernel inst run : Tt_profile.Microbench.spec =
     {
@@ -252,15 +274,22 @@ let specs mode =
             payload_lb (Minio.divisible_lower_bound tree ~memory ~order));
       ]
   in
-  let sched_family inst =
+  let sched_family ?(pareto = true) inst =
     (* one MinMem run shared by the kernels that schedule along it, so
-       the timings isolate the schedulers from the order computation *)
+       the timings isolate the schedulers from the order computation;
+       [validate] checks the booking schedule against its activation
+       order, as the serving path does *)
     let procs = 4 in
     let setup =
       Lazy.from_fun (fun () ->
           let t = Lazy.force inst.tree in
           let mem, order = Minmem.run t in
           (t, Tt_sched.Work.default t, mem, order))
+    in
+    let booked =
+      Lazy.from_fun (fun () ->
+          let t, work, mem, order = Lazy.force setup in
+          Option.get (Parallel.booking_schedule ~order t ~procs ~memory:mem ~work))
     in
     [
       spec "sched/greedy" inst (fun () ->
@@ -272,10 +301,22 @@ let specs mode =
       spec "sched/split" inst (fun () ->
           let t, work, _, _ = Lazy.force setup in
           payload_parallel (Some (Tt_sched.Split.run t ~procs ~work)));
-      spec "sched/pareto" inst (fun () ->
-          let t, work, _, _ = Lazy.force setup in
-          Tt_sched.Pareto.(render (sweep ~steps:4 t ~procs ~work)));
+      spec "sched/validate" inst (fun () ->
+          let t, work, mem, order = Lazy.force setup in
+          let s = Lazy.force booked in
+          payload_validate
+            (Tt_sched.Validate.check ~activation:order t ~memory:mem ~work s)
+            ~makespan:s.Parallel.makespan
+            ~peak:(Tt_sched.Validate.peak_usage t s));
     ]
+    @
+    if pareto then
+      [
+        spec "sched/pareto" inst (fun () ->
+            let t, work, _, _ = Lazy.force setup in
+            Tt_sched.Pareto.(render (sweep ~steps:4 t ~procs ~work)));
+      ]
+    else []
   in
   List.concat
     [
@@ -287,5 +328,6 @@ let specs mode =
       minio_family ~order_seed:11 rand;
       sched_family sched_cat;
       sched_family sched_rand;
+      sched_family ~pareto:false sched_star;
       huge_family mode;
     ]

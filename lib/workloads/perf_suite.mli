@@ -23,8 +23,17 @@
       ({!Tt_core.Parallel.list_schedule} at 1.5× the sequential
       optimum), [booking] ({!Tt_core.Parallel.booking_schedule} at
       exactly the optimum, MinMem activation), [split]
-      ({!Tt_sched.Split.run}, budget-free) and [pareto]
-      ({!Tt_sched.Pareto.sweep}, 4 budget steps).
+      ({!Tt_sched.Split.run}, budget-free), [validate]
+      ({!Tt_sched.Validate.check} of the booking schedule against its
+      activation order, as the serving path runs it; the payload is the
+      verdict, the makespan it checked against the replay, and
+      {!Tt_sched.Validate.peak_usage}) and [pareto]
+      ({!Tt_sched.Pareto.sweep}, 4 budget steps). The [sched-star]
+      instance, a star whose even leaves carry a 10⁶-word execution
+      file (8k leaves quick, 64k full), runs greedy, booking, split and
+      validate: its heavy leaves rank first but few fit at once, the
+      case where a greedy scan that revisits passed-over tasks turns
+      quadratic.
 
     Every spec's payload encodes the kernel's {e full} result (traversal,
     tau vector, I/O volume…), so the digests in [BENCH_CORE.json] are

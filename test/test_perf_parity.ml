@@ -605,6 +605,63 @@ let test_ordered_set_pred_clamp () =
       Alcotest.(check (option int)) "succ clamps negative" (Some 0) (Os.succ os (-7)))
     [ 1; 62; 63; 64; 126; 189; 200 ]
 
+(* Min_tree against a plain array model: random sets and removals, then
+   both threshold searches from random cursors *)
+let prop_min_tree_model =
+  H.qcheck ~count:300 "Min_tree matches an array model"
+    QCheck.(pair (int_bound 1_000_000) (1 -- 70))
+    (fun (seed, n) ->
+      let module M = Tt_util.Min_tree in
+      let rng = Tt_util.Rng.create seed in
+      let mt = M.create n in
+      let model = Array.make n None in
+      let ok = ref true in
+      for _ = 1 to 150 do
+        let q = Tt_util.Rng.int rng n in
+        (if Tt_util.Rng.int rng 3 = 0 then begin
+           M.remove mt q;
+           model.(q) <- None
+         end
+         else begin
+           let v = Tt_util.Rng.int_incl rng (-20) 20 in
+           M.set mt q v;
+           model.(q) <- Some v
+         end);
+        let thr = Tt_util.Rng.int_incl rng (-25) 25 in
+        let from = Tt_util.Rng.int_incl rng (-2) (n + 1) in
+        let rightmost = ref None and leftmost = ref None in
+        Array.iteri
+          (fun i v ->
+            match v with
+            | Some v ->
+                if v < thr then rightmost := Some i;
+                if i >= from && v <= thr && !leftmost = None then leftmost := Some i
+            | None -> ())
+          model;
+        if M.rightmost_lt mt thr <> !rightmost then ok := false;
+        if M.leftmost_le mt ~from thr <> !leftmost then ok := false
+      done;
+      !ok)
+
+(* Int_sort.order_by against a stable sort of the indices, on keys with
+   many ties, keys needing several radix passes, and keys spanning all of
+   int (the comparison-sort fallback) *)
+let prop_int_sort_order_by =
+  H.qcheck ~count:300 "Int_sort.order_by = stable sort of the indices by key"
+    QCheck.(triple (int_bound 1_000_000) (0 -- 300) (int_bound 2))
+    (fun (seed, n, width) ->
+      let rng = Tt_util.Rng.create seed in
+      let keys =
+        Array.init n (fun _ ->
+            match width with
+            | 0 -> Tt_util.Rng.int_incl rng (-50) 50
+            | 1 -> Tt_util.Rng.int_incl rng (-1_000_000_000) 1_000_000_000
+            | _ -> Int64.to_int (Tt_util.Rng.int64 rng))
+      in
+      let expect = Array.init n Fun.id in
+      Array.stable_sort (fun a b -> compare keys.(a) keys.(b)) expect;
+      Tt_util.Int_sort.order_by n (fun i -> keys.(i)) = expect)
+
 let prop_filter_in_place_stable =
   H.qcheck ~count:300 "Dynarray filter_in_place = List.filter"
     (H.arb_int_list ~len:60 ~max_v:20 ())
@@ -664,12 +721,822 @@ let test_tree_encoding_edges () =
     [ (0, 0); (max_int, min_int); (max_int, max_int); (9, -9); (10, -10);
       (99, -99); (100, -100); (max_int - 1, min_int + 1) ]
 
+(* --- reference schedulers and validator ------------------------------------
+   Verbatim copies of the list schedulers, the splitting scheduler and the
+   validator before they were made O(p log p): a ready list re-sorted with
+   polymorphic [compare] at every completion event, per-call [List.init
+   procs] processor lists, a [Hashtbl] per split subtree, and a validator
+   that groups processors in a [Hashtbl] and sorts 2p delta tuples. *)
+
+module P = Tt_core.Parallel
+module V = Tt_sched.Validate
+
+module Ref_parallel = struct
+  let levels t ~work =
+    (* bottom level: work i + max over children levels *)
+    let p = T.size t in
+    let lvl = Array.make p 0 in
+    Array.iter
+      (fun i ->
+        let below = Array.fold_left (fun acc c -> max acc lvl.(c)) 0 (T.children t i) in
+        lvl.(i) <- work i + below)
+      (T.bottom_up_order t);
+    lvl
+
+  let booking_schedule ?order t ~procs ~memory ~work =
+    if procs < 1 then invalid_arg "Parallel.booking_schedule: procs < 1";
+    let p = T.size t in
+    for i = 0 to p - 1 do
+      if work i < 1 then invalid_arg "Parallel.booking_schedule: work < 1"
+    done;
+    let order =
+      match order with
+      | None -> snd (Tt_core.Minmem.run t)
+      | Some o ->
+          if not (Traversal.is_valid_order t o) then
+            invalid_arg "Parallel.booking_schedule: order is not a traversal";
+          o
+    in
+    let extra i = t.T.n.(i) + T.sum_children_f t i in
+    (* state: tasks start strictly in [order]; [next] is the first unstarted
+       position. Booking = the whole working set [extra i] is charged at
+       start, so a started task can always finish. *)
+    let next = ref 0 in
+    let finished = Array.make p false in
+    let usage = ref t.T.f.(t.T.root) in
+    let peak = ref !usage in
+    let free_procs = ref (List.init procs (fun k -> k)) in
+    let heap = Tt_util.Int_heap.create p in
+    let proc_of = Array.make p (-1) in
+    let start_of = Array.make p 0 in
+    let events = Tt_util.Dynarray_compat.create () in
+    let time = ref 0 in
+    let done_count = ref 0 in
+    let deadlock = ref false in
+    let try_start () =
+      let blocked = ref false in
+      while (not !blocked) && !next < p do
+        let i = order.(!next) in
+        let par = t.T.parent.(i) in
+        match !free_procs with
+        | pr :: rest
+          when (par < 0 || finished.(par)) && !usage + extra i <= memory ->
+            free_procs := rest;
+            usage := !usage + extra i;
+            if !usage > !peak then peak := !usage;
+            proc_of.(i) <- pr;
+            start_of.(i) <- !time;
+            Tt_util.Int_heap.insert heap i (!time + work i);
+            incr next
+        | _ -> blocked := true
+      done
+    in
+    try_start ();
+    while (not !deadlock) && !done_count < p do
+      if Tt_util.Int_heap.is_empty heap then deadlock := true
+      else begin
+        let i, finish = Tt_util.Int_heap.pop_min heap in
+        time := finish;
+        (* complete every task finishing at this instant *)
+        let completed = ref [ i ] in
+        let continue_ = ref true in
+        while !continue_ do
+          match Tt_util.Int_heap.min_elt heap with
+          | j, fj when fj = finish ->
+              ignore (Tt_util.Int_heap.pop_min heap);
+              completed := j :: !completed
+          | _ -> continue_ := false
+          | exception Not_found -> continue_ := false
+        done;
+        List.iter
+          (fun j ->
+            incr done_count;
+            finished.(j) <- true;
+            Tt_util.Dynarray_compat.add_last events
+              { P.node = j; proc = proc_of.(j); start = start_of.(j); finish };
+            free_procs := proc_of.(j) :: !free_procs;
+            usage := !usage - extra j - t.T.f.(j) + T.sum_children_f t j)
+          !completed;
+        try_start ()
+      end
+    done;
+    if !deadlock then None
+    else begin
+      let evs = Tt_util.Dynarray_compat.to_array events in
+      Array.sort (fun (a : P.event) b -> compare (a.start, a.node) (b.start, b.node)) evs;
+      let makespan = Array.fold_left (fun acc (e : P.event) -> max acc e.finish) 0 evs in
+      Some { P.events = evs; makespan; peak_memory = !peak }
+    end
+
+  let list_schedule ?priority t ~procs ~memory ~work =
+    if procs < 1 then invalid_arg "Parallel.list_schedule: procs < 1";
+    let p = T.size t in
+    for i = 0 to p - 1 do
+      if work i < 1 then invalid_arg "Parallel.list_schedule: work < 1"
+    done;
+    let prio =
+      match priority with Some f -> Array.init p f | None -> levels t ~work
+    in
+    let extra i = t.T.n.(i) + T.sum_children_f t i in
+    (* state *)
+    let ready = ref [ t.T.root ] in
+    let usage = ref t.T.f.(t.T.root) in
+    let peak = ref !usage in
+    let free_procs = ref (List.init procs (fun k -> k)) in
+    (* running tasks as a finish-time min-heap over task ids *)
+    let heap = Tt_util.Int_heap.create p in
+    let proc_of = Array.make p (-1) in
+    let start_of = Array.make p 0 in
+    let events = Tt_util.Dynarray_compat.create () in
+    let time = ref 0 in
+    let done_count = ref 0 in
+    let deadlock = ref false in
+    let try_start () =
+      (* start ready tasks in priority order while a processor and the
+         memory allow; tasks that do not fit are skipped (greedy holes) *)
+      let sorted = List.sort (fun a b -> compare (prio.(b), a) (prio.(a), b)) !ready in
+      let remaining = ref [] in
+      List.iter
+        (fun i ->
+          match !free_procs with
+          | pr :: rest when !usage + extra i <= memory ->
+              free_procs := rest;
+              usage := !usage + extra i;
+              if !usage > !peak then peak := !usage;
+              proc_of.(i) <- pr;
+              start_of.(i) <- !time;
+              Tt_util.Int_heap.insert heap i (!time + work i)
+          | _ -> remaining := i :: !remaining)
+        sorted;
+      ready := !remaining
+    in
+    try_start ();
+    while (not !deadlock) && !done_count < p do
+      if Tt_util.Int_heap.is_empty heap then deadlock := true
+      else begin
+        let i, finish = Tt_util.Int_heap.pop_min heap in
+        time := finish;
+        (* complete every task finishing at this instant *)
+        let completed = ref [ i ] in
+        let continue_ = ref true in
+        while !continue_ do
+          match Tt_util.Int_heap.min_elt heap with
+          | j, fj when fj = finish ->
+              ignore (Tt_util.Int_heap.pop_min heap);
+              completed := j :: !completed
+          | _ -> continue_ := false
+          | exception Not_found -> continue_ := false
+        done;
+        List.iter
+          (fun j ->
+            incr done_count;
+            Tt_util.Dynarray_compat.add_last events
+              { P.node = j; proc = proc_of.(j); start = start_of.(j); finish };
+            free_procs := proc_of.(j) :: !free_procs;
+            (* extras and the consumed input die; children files are born *)
+            usage := !usage - extra j - t.T.f.(j) + T.sum_children_f t j;
+            ready := Array.to_list (T.children t j) @ !ready)
+          !completed;
+        try_start ()
+      end
+    done;
+    if !deadlock then
+      (* A greedy prefix stranded too many open files — the parallel
+         MinMemory phenomenon. Replay with the booking discipline along a
+         memory-optimal activation order: succeeds for every budget at
+         least the sequential optimum. *)
+      booking_schedule t ~procs ~memory ~work
+    else begin
+      let evs = Tt_util.Dynarray_compat.to_array events in
+      Array.sort (fun (a : P.event) b -> compare (a.start, a.node) (b.start, b.node)) evs;
+      let makespan = Array.fold_left (fun acc (e : P.event) -> max acc e.finish) 0 evs in
+      Some { P.events = evs; makespan; peak_memory = !peak }
+    end
+end
+
+module Ref_validate = struct
+  exception Bad of V.violation
+
+  (* Replay the schedule as a sequence of usage deltas grouped by instant:
+     the root's input file is alive from time 0, a start books the whole
+     extra working set [n i + sum_children_f i], a finish releases the
+     extras and the consumed input and leaves the children files alive (net
+     delta [-n i - f i]). Returns [(makespan, peak)] where [peak] is the
+     maximum usage over every instant at which at least one task runs —
+     the honest "memory bound at every instant" measure, independent of
+     any scheduler's own accounting. *)
+  let replay t (s : P.schedule) =
+    let q = Array.length s.events in
+    let deltas = Array.make (2 * q) (0, 0, 0) in
+    Array.iteri
+      (fun k (e : P.event) ->
+        let extra = t.T.n.(e.node) + T.sum_children_f t e.node in
+        deltas.(2 * k) <- (e.start, 1, extra);
+        deltas.(2 * k + 1) <- (e.finish, -1, -t.T.n.(e.node) - t.T.f.(e.node)))
+      s.events;
+    Array.sort compare deltas;
+    let usage = ref t.T.f.(t.T.root) in
+    let running = ref 0 in
+    let peak = ref 0 in
+    let peak_time = ref 0 in
+    let makespan = ref 0 in
+    let k = ref 0 in
+    while !k < 2 * q do
+      let time, _, _ = deltas.(!k) in
+      (* apply every delta at this instant, then observe *)
+      while
+        !k < 2 * q
+        && (let ti, _, _ = deltas.(!k) in ti = time)
+      do
+        let _, dr, du = deltas.(!k) in
+        running := !running + dr;
+        usage := !usage + du;
+        incr k
+      done;
+      if !running > 0 && !usage > !peak then begin
+        peak := !usage;
+        peak_time := time
+      end;
+      if time > !makespan then makespan := time
+    done;
+    (!makespan, !peak, !peak_time)
+
+  let peak_usage t s =
+    let _, peak, _ = replay t s in
+    peak
+
+  let check ?activation t ~memory ~work (s : P.schedule) =
+    let p = T.size t in
+    try
+      if Array.length s.events <> p then
+        raise (Bad (V.Malformed "event count differs from tree size"));
+      let start_of = Array.make p (-1) in
+      let finish_of = Array.make p (-1) in
+      Array.iter
+        (fun (e : P.event) ->
+          if e.node < 0 || e.node >= p then
+            raise (Bad (V.Malformed "node out of range"));
+          if start_of.(e.node) >= 0 then raise (Bad (V.Malformed "duplicate node"));
+          if e.start < 0 then raise (Bad (V.Malformed "negative start time"));
+          if e.proc < 0 then raise (Bad (V.Malformed "negative processor"));
+          if e.finish - e.start <> work e.node then
+            raise (Bad (V.Malformed "duration differs from work"));
+          start_of.(e.node) <- e.start;
+          finish_of.(e.node) <- e.finish)
+        s.events;
+      (* precedence: out-tree, so a node may start only after its parent *)
+      for i = 0 to p - 1 do
+        let par = t.T.parent.(i) in
+        if par >= 0 && start_of.(i) < finish_of.(par) then
+          raise (Bad (V.Precedence { node = i; parent = par }))
+      done;
+      (* processor exclusivity: per processor, sorted runs must not overlap *)
+      let by_proc = Hashtbl.create 16 in
+      Array.iter
+        (fun (e : P.event) ->
+          let prev = try Hashtbl.find by_proc e.proc with Not_found -> [] in
+          Hashtbl.replace by_proc e.proc (e :: prev))
+        s.events;
+      Hashtbl.iter
+        (fun proc evs ->
+          let evs =
+            List.sort
+              (fun (a : P.event) b -> compare (a.start, a.node) (b.start, b.node))
+              evs
+          in
+          let rec disjoint = function
+            | (a : P.event) :: (b :: _ as rest) ->
+                if b.start < a.finish then
+                  raise (Bad (V.Overlap { proc; first = a.node; second = b.node }));
+                disjoint rest
+            | _ -> ()
+          in
+          disjoint evs)
+        by_proc;
+      (* booking discipline: starts are monotone along the activation order *)
+      (match activation with
+      | None -> ()
+      | Some order ->
+          if not (Tt_core.Traversal.is_valid_order t order) then
+            raise (Bad (V.Malformed "activation order is not a traversal"));
+          for k = 1 to p - 1 do
+            if start_of.(order.(k)) < start_of.(order.(k - 1)) then
+              raise (Bad (V.Booking { position = k; node = order.(k) }))
+          done);
+      (* memory bound at every instant while at least one task runs *)
+      let observed_makespan, observed_peak, peak_time = replay t s in
+      if observed_peak > memory then
+        raise
+          (Bad (V.Memory { time = peak_time; usage = observed_peak; budget = memory }));
+      (* accounting: the carried fields must be consistent with the events *)
+      if s.makespan <> observed_makespan then
+        raise (Bad (V.Accounting "makespan differs from last finish time"));
+      if s.peak_memory > memory then
+        raise (Bad (V.Accounting "reported peak exceeds the budget"));
+      if s.peak_memory < observed_peak then
+        raise (Bad (V.Accounting "reported peak understates observed usage"));
+      Ok ()
+    with Bad v -> Error v
+end
+
+module Ref_split = struct
+  let peak_usage = Ref_validate.peak_usage
+
+  type plan = {
+    tail : int array;
+    subtrees : int array;
+    assignment : int array;
+    tail_work : int;
+  }
+
+  let subtree_work t ~work =
+    let p = T.size t in
+    let w = Array.make p 0 in
+    Array.iter
+      (fun i ->
+        let acc = ref (work i) in
+        for k = t.T.child_off.(i) to t.T.child_off.(i + 1) - 1 do
+          acc := !acc + w.(t.T.child.(k))
+        done;
+        w.(i) <- !acc)
+      (T.bottom_up_order t);
+    w
+
+  (* Greedy makespan estimate for a candidate frontier: the tail runs
+     first on one processor, then the subtrees are sheet-metal packed onto
+     [procs] workers — bounded below by both the largest subtree and the
+     average load. *)
+  let estimate ~procs ~tail_work ~max_w ~total_w =
+    tail_work + max max_w ((total_w + procs - 1) / procs)
+
+  let plan t ~procs ~work =
+    if procs < 1 then invalid_arg "Split.plan: procs < 1";
+    let p = T.size t in
+    for i = 0 to p - 1 do
+      if work i < 1 then invalid_arg "Split.plan: work < 1"
+    done;
+    let w = subtree_work t ~work in
+    (* SplitSubtrees (Eyraud-Dubois et al. 2014): repeatedly move the
+       heaviest frontier subtree's root into the sequential tail and
+       promote its children, keeping the iteration with the best makespan
+       estimate. The max-heap keys by negated work; ties break toward the
+       smaller node id, so the whole search is deterministic. *)
+    let cap = max 8 (4 * procs) in
+    let search () =
+      let heap = Tt_util.Int_heap.create p in
+      Tt_util.Int_heap.insert heap t.T.root (-w.(t.T.root));
+      let tail_work = ref 0 in
+      let total = ref w.(t.T.root) in
+      let pops = ref 0 in
+      let best =
+        ref
+          ( estimate ~procs ~tail_work:0 ~max_w:w.(t.T.root) ~total_w:!total,
+            0 )
+      in
+      let stop = ref false in
+      while (not !stop) && Tt_util.Int_heap.length heap < cap do
+        let i, _ = Tt_util.Int_heap.min_elt heap in
+        if T.is_leaf t i then stop := true
+        else begin
+          ignore (Tt_util.Int_heap.pop_min heap);
+          incr pops;
+          tail_work := !tail_work + work i;
+          total := !total - work i;
+          for k = t.T.child_off.(i) to t.T.child_off.(i + 1) - 1 do
+            let c = t.T.child.(k) in
+            Tt_util.Int_heap.insert heap c (-w.(c))
+          done;
+          let max_w = -snd (Tt_util.Int_heap.min_elt heap) in
+          let e = estimate ~procs ~tail_work:!tail_work ~max_w ~total_w:!total in
+          if e < fst !best then best := (e, !pops)
+        end
+      done;
+      snd !best
+    in
+    let best_pops = search () in
+    (* replay the deterministic search up to the winning iteration to
+       materialize the tail (in pop order, a valid top-down prefix) and
+       the parallel frontier *)
+    let heap = Tt_util.Int_heap.create p in
+    Tt_util.Int_heap.insert heap t.T.root (-w.(t.T.root));
+    let tail = Array.make best_pops (-1) in
+    let tail_work = ref 0 in
+    for k = 0 to best_pops - 1 do
+      let i, _ = Tt_util.Int_heap.pop_min heap in
+      tail.(k) <- i;
+      tail_work := !tail_work + work i;
+      for j = t.T.child_off.(i) to t.T.child_off.(i + 1) - 1 do
+        let c = t.T.child.(j) in
+        Tt_util.Int_heap.insert heap c (-w.(c))
+      done
+    done;
+    let subs = ref [] in
+    while not (Tt_util.Int_heap.is_empty heap) do
+      let i, _ = Tt_util.Int_heap.pop_min heap in
+      subs := i :: !subs
+    done;
+    let subtrees = Array.of_list (List.rev !subs) in
+    (* longest-processing-time assignment of subtrees to processors *)
+    let load = Array.make procs 0 in
+    let assignment =
+      Array.map
+        (fun r ->
+          let best = ref 0 in
+          for q = 1 to procs - 1 do
+            if load.(q) < load.(!best) then best := q
+          done;
+          load.(!best) <- load.(!best) + w.(r);
+          !best)
+        subtrees
+    in
+    { tail; subtrees; assignment; tail_work = !tail_work }
+
+  (* MinMem-optimal traversal of the subtree rooted at [r], expressed in
+     the parent tree's node ids. *)
+  let subtree_order t r =
+    let nodes = ref [] in
+    let count = ref 0 in
+    let rec visit i =
+      nodes := i :: !nodes;
+      incr count;
+      for k = t.T.child_off.(i) to t.T.child_off.(i + 1) - 1 do
+        visit t.T.child.(k)
+      done
+    in
+    visit r;
+    let nodes = Array.of_list (List.rev !nodes) in
+    let q = !count in
+    if q = 1 then [| r |]
+    else begin
+      let index = Hashtbl.create q in
+      Array.iteri (fun k i -> Hashtbl.add index i k) nodes;
+      let parent =
+        Array.map
+          (fun i -> if i = r then -1 else Hashtbl.find index t.T.parent.(i))
+          nodes
+      in
+      let f = Array.map (fun i -> t.T.f.(i)) nodes in
+      let n = Array.map (fun i -> t.T.n.(i)) nodes in
+      let sub = T.make ~parent ~f ~n in
+      let _, order = Tt_core.Minmem.run sub in
+      Array.map (fun k -> nodes.(k)) order
+    end
+
+  let run ?plan:given t ~procs ~work =
+    if procs < 1 then invalid_arg "Split.run: procs < 1";
+    let pl = match given with Some pl -> pl | None -> plan t ~procs ~work in
+    let events = Tt_util.Dynarray_compat.create () in
+    (* the tail (the split-off top of the tree) runs first, sequentially
+       on processor 0 — out-tree semantics: ancestors before subtrees *)
+    let time = ref 0 in
+    Array.iter
+      (fun i ->
+        Tt_util.Dynarray_compat.add_last events
+          { P.node = i; proc = 0; start = !time; finish = !time + work i };
+        time := !time + work i)
+      pl.tail;
+    let tail_end = !time in
+    (* each processor then runs its assigned subtrees back to back, every
+       subtree in its own MinMem-optimal sequential order *)
+    let cursor = Array.make procs tail_end in
+    Array.iteri
+      (fun k r ->
+        let q = pl.assignment.(k) in
+        Array.iter
+          (fun i ->
+            Tt_util.Dynarray_compat.add_last events
+              { P.node = i; proc = q; start = cursor.(q); finish = cursor.(q) + work i };
+            cursor.(q) <- cursor.(q) + work i)
+          (subtree_order t r))
+      pl.subtrees;
+    let evs = Tt_util.Dynarray_compat.to_array events in
+    Array.sort
+      (fun (a : P.event) b -> compare (a.start, a.node) (b.start, b.node))
+      evs;
+    let makespan = Array.fold_left (fun acc (e : P.event) -> max acc e.finish) 0 evs in
+    let draft = { P.events = evs; makespan; peak_memory = 0 } in
+    { draft with P.peak_memory = peak_usage t draft }
+end
+
+(* --- the scheduling tier against the references -------------------------- *)
+
+(* A star whose even leaves carry a 10^6-word execution file: the heavy
+   leaves rank first (their critical path is longest) but few of them
+   fit at once, so every completion event passes over most of the ready
+   list for memory. *)
+let half_heavy_star leaves =
+  let t = Tt_core.Instances.star ~branches:leaves ~f_root:3 ~f_leaf:7 ~n:5 in
+  T.map_weights
+    ~f:(fun i -> t.T.f.(i))
+    ~n:(fun i -> if i > 0 && i mod 2 = 0 then 1_000_000 else t.T.n.(i))
+    t
+
+let sched_procs = [ 1; 2; 4; 7 ]
+
+(* the sequential optimum, 1.5x, 2x, enough for any schedule, and the
+   ends of the int range, where [memory - usage] would wrap *)
+let sched_budgets t =
+  let mm = Tt_core.Minmem.min_memory t in
+  [ mm; mm * 3 / 2; 2 * mm; T.total_f t + T.max_mem_req t; min_int; max_int ]
+
+let verdict = function
+  | Ok () -> "ok"
+  | Error (V.Malformed _) -> "malformed"
+  | Error (V.Precedence _) -> "precedence"
+  | Error (V.Overlap _) -> "overlap"
+  | Error (V.Booking _) -> "booking"
+  | Error (V.Memory _) -> "memory"
+  | Error (V.Accounting _) -> "accounting"
+
+let same_verdict ?activation t ~memory ~work s =
+  verdict (Ref_validate.check ?activation t ~memory ~work s)
+  = verdict (V.check ?activation t ~memory ~work s)
+
+(* The validator's mutation classes from test_sched.ml, applied to a
+   schedule: each returns the mutated schedule with the budget and
+   activation order it is checked under. *)
+let mutations t ~work ~memory ~order (s : P.schedule) =
+  let q = Array.length s.P.events in
+  let event_of node =
+    let found = ref s.P.events.(0) in
+    Array.iter (fun (e : P.event) -> if e.P.node = node then found := e) s.P.events;
+    !found
+  in
+  let map f = { s with P.events = Array.map f s.P.events } in
+  let victim = s.P.events.(q - 1).P.node in
+  let parent = t.T.parent.(victim) in
+  let with_parent =
+    if parent < 0 then []
+    else
+      let ps = event_of parent and vs = event_of victim in
+      [ (* a child moved onto its parent's start *)
+        ( map (fun (e : P.event) ->
+              if e.P.node = victim then
+                { e with P.start = ps.P.start; finish = ps.P.start + work victim }
+              else e),
+          max_int, None );
+        (* a parent/child pair of time slots swapped *)
+        ( map (fun (e : P.event) ->
+              if e.P.node = victim then { ps with P.node = victim }
+              else if e.P.node = parent then { vs with P.node = parent }
+              else e),
+          max_int, None )
+      ]
+  in
+  let swapped =
+    (* the first adjacent activation pair that is not parent/child *)
+    let k = ref (-1) in
+    for i = Array.length order - 1 downto 1 do
+      if t.T.parent.(order.(i)) <> order.(i - 1) then k := i
+    done;
+    if !k < 0 then []
+    else begin
+      let o = Array.copy order in
+      o.(!k) <- order.(!k - 1);
+      o.(!k - 1) <- order.(!k);
+      [ (s, memory, Some o) ]
+    end
+  in
+  [ (s, Ref_validate.peak_usage t s - 1, None);
+    (map (fun (e : P.event) -> { e with P.proc = 0 }), memory, None);
+    (* processor ids past the tree size, which the validator keeps in a
+       table rather than an array *)
+    (map (fun (e : P.event) -> { e with P.proc = e.P.proc + T.size t }), memory, None);
+    (map (fun (e : P.event) -> { e with P.proc = max_int }), memory, None);
+    ( map (fun (e : P.event) ->
+          if e.P.node = s.P.events.(min 1 (q - 1)).P.node then
+            { e with P.node = s.P.events.(0).P.node }
+          else e),
+      max_int, None );
+    (s, memory, Some order)
+  ]
+  @ with_parent @ swapped
+
+(* Every scheduler on [t] at every processor count and budget equals its
+   reference, event for event; every schedule and every mutation of it
+   gets the reference validator's verdict. Returns [false] if anything
+   differs, after printing each difference. *)
+let sched_matches ?(work_of = Tt_sched.Work.default) name t =
+  let work = work_of t in
+  let order = snd (Tt_core.Minmem.run t) in
+  let ok = ref true in
+  let expect what a b =
+    if a <> b then begin
+      ok := false;
+      Printf.printf "%s: %s differs\n%!" name what
+    end
+  in
+  let verdicts what ?activation ~memory s =
+    if not (same_verdict ?activation t ~memory ~work s) then begin
+      ok := false;
+      Printf.printf "%s: %s verdict differs\n%!" name what
+    end;
+    List.iter
+      (fun (m, memory, activation) ->
+        if not (same_verdict ?activation t ~memory ~work m) then begin
+          ok := false;
+          Printf.printf "%s: %s mutation verdict differs\n%!" name what
+        end)
+      (mutations t ~work ~memory ~order s)
+  in
+  List.iter
+    (fun procs ->
+      let split = Tt_sched.Split.run t ~procs ~work in
+      expect (Printf.sprintf "split procs=%d" procs) (Ref_split.run t ~procs ~work) split;
+      verdicts "split" ~memory:split.P.peak_memory split;
+      List.iter
+        (fun memory ->
+          let tag what = Printf.sprintf "%s procs=%d mem=%d" what procs memory in
+          let greedy = P.list_schedule t ~procs ~memory ~work in
+          expect (tag "greedy") (Ref_parallel.list_schedule t ~procs ~memory ~work) greedy;
+          expect (tag "greedy ~order") greedy (P.list_schedule ~order t ~procs ~memory ~work);
+          let booking = P.booking_schedule t ~procs ~memory ~work in
+          expect (tag "booking")
+            (Ref_parallel.booking_schedule t ~procs ~memory ~work)
+            booking;
+          Option.iter (verdicts (tag "greedy") ~memory) greedy;
+          Option.iter (verdicts (tag "booking") ~activation:order ~memory) booking)
+        (sched_budgets t))
+    sched_procs;
+  !ok
+
+let test_sched_corpus () =
+  List.iter
+    (fun (inst : Tt_workloads.Dataset.instance) ->
+      Alcotest.(check bool) inst.name true (sched_matches inst.name inst.tree))
+    (Tt_workloads.Dataset.small_corpus ~seed:3)
+
+let test_sched_stars () =
+  List.iter
+    (fun (name, t) -> Alcotest.(check bool) name true (sched_matches name t))
+    [ ("star-200", Tt_core.Instances.star ~branches:200 ~f_root:3 ~f_leaf:7 ~n:5);
+      ("half-heavy-200", half_heavy_star 200);
+      ("half-heavy-7", half_heavy_star 7)
+    ]
+
+let prop_sched_random =
+  H.qcheck ~count:100 "schedulers and validator match the references"
+    (H.arb_tree ~size_max:40 ()) (fun t -> sched_matches "random" t)
+
+(* Negative execution files (the model reductions produce them) make a
+   start lower the memory in use, so a task passed over earlier at the
+   same instant could fit again: the scan must still not return to it. *)
+let prop_sched_negative_n =
+  H.qcheck ~count:100 "schedulers match the references with negative execution files"
+    (H.arb_tree ~size_max:40 ~max_n:12 ()) (fun t ->
+      let t = T.map_weights ~f:(fun i -> t.T.f.(i)) ~n:(fun i -> t.T.n.(i) - 6) t in
+      sched_matches ~work_of:(fun t i -> 1 + (abs t.T.n.(i) / 4)) "negative-n" t)
+
+(* The parent re-sorted its whole ready list at every completion event:
+   3.6-3.8 s at 8k leaves already, growing quadratically. One O(log p)
+   search per start takes tens of milliseconds at 32k. *)
+let test_greedy_wide_star () =
+  let t = half_heavy_star 32_768 in
+  let work = Tt_sched.Work.default t in
+  let mm, order = Tt_core.Minmem.run t in
+  List.iter
+    (fun (label, memory) ->
+      let t0 = Unix.gettimeofday () in
+      let s = P.list_schedule ~order t ~procs:4 ~memory ~work in
+      let dt = Unix.gettimeofday () -. t0 in
+      (match s with
+      | Some s -> Alcotest.(check bool) (label ^ " valid") true (V.check t ~memory ~work s = Ok ())
+      | None -> Alcotest.fail (label ^ ": no schedule at or above the optimum"));
+      if dt >= 2.0 then Alcotest.failf "greedy at %s took %.2f s (bound 2 s)" label dt)
+    [ ("1.0x", mm); ("1.5x", mm * 3 / 2) ]
+
+(* Bytes allocated by [f ()] on this domain. *)
+let allocated f =
+  let before = Gc.allocated_bytes () in
+  let r = f () in
+  (r, Gc.allocated_bytes () -. before)
+
+(* Scheduler memory follows the tree, not [procs]: ten million
+   processors on a small tree give the [procs = p] schedule and allocate
+   under 1 MB. (The parent built a ten-million-element processor list
+   or load array first: 161-241 MB.) *)
+let test_sched_procs_clamp () =
+  let huge = 10_000_000 in
+  List.iter
+    (fun t ->
+      let p = T.size t in
+      let work = Tt_sched.Work.default t in
+      let memory = 2 * Tt_core.Minmem.min_memory t in
+      let order = snd (Tt_core.Minmem.run t) in
+      let bounded what at_p run =
+        let got, bytes = allocated (fun () -> run huge) in
+        Alcotest.(check bool) (Printf.sprintf "%s p=%d: same as procs=p" what p) true (got = at_p);
+        if bytes >= 1e6 then
+          Alcotest.failf "%s p=%d procs=%d allocated %.0f bytes (bound 1 MB)" what p huge bytes
+      in
+      let greedy procs = P.list_schedule ~order t ~procs ~memory ~work in
+      let booking procs = P.booking_schedule ~order t ~procs ~memory ~work in
+      let split procs = Tt_sched.Split.run t ~procs ~work in
+      let pareto procs = Tt_sched.Pareto.sweep ~steps:3 t ~procs ~work in
+      bounded "greedy" (greedy p) greedy;
+      bounded "booking" (booking p) booking;
+      bounded "split" (split p) split;
+      bounded "pareto" (pareto p) pareto)
+    [ T.make ~parent:[| -1; 0; 0 |] ~f:[| 2; 3; 4 |] ~n:[| 1; 5; 6 |];
+      T.random ~rng:(Tt_util.Rng.create 5) ~size:60 ~max_f:50 ~max_n:9
+    ]
+
+(* Random trees whose files span the extremes: empty, one word, powers of
+   ten up to 10^15 and their neighbours, so size classes are sparse,
+   huge and often tied. *)
+let arb_extreme_tree_with_order =
+  let gen =
+    QCheck.Gen.map
+      (fun seed ->
+        let rng = Tt_util.Rng.create seed in
+        let shape = H.random_tree ~rng ~size_max:30 ~max_f:12 ~max_n:6 in
+        let size () =
+          let pow10 = int_of_float (10. ** float_of_int (Tt_util.Rng.int_incl rng 0 15)) in
+          match Tt_util.Rng.int rng 6 with
+          | 0 -> 0
+          | 1 -> 1
+          | 2 -> pow10
+          | 3 -> pow10 + 1
+          | 4 -> max 0 (pow10 - 1)
+          | _ -> Tt_util.Rng.int_incl rng 1 1000
+        in
+        let tree = T.map_weights ~f:(fun _ -> size ()) ~n:(fun _ -> size ()) shape in
+        (tree, Traversal.random_order ~rng tree))
+      (QCheck.Gen.int_bound 1_000_000)
+  in
+  QCheck.make ~print:(fun (t, _) -> T.to_string t) gen
+
+let prop_minio_extreme_sizes =
+  H.qcheck ~count:150 "minio policies match the rescan reference on extreme sizes"
+    arb_extreme_tree_with_order (fun (tree, order) ->
+      List.for_all
+        (fun memory ->
+          List.for_all
+            (fun (_, policy) ->
+              same_schedule
+                (ref_minio_run tree ~memory ~order policy)
+                (Minio.run tree ~memory ~order policy))
+            Minio.all_policies)
+        (memory_levels tree order))
+
+(* Best Fit and Best Fill index their candidates in O(p) words, however
+   large or varied the file sizes. The parent kept an ordered set over
+   [0, max f] and one p-capacity set per distinct size: 129 MB for one
+   call on a 3-node tree with a 10^9-word file, 135 MB on a 30k-leaf
+   star of distinct sizes. *)
+let test_minio_alloc_bound () =
+  let bytes tree ~memory ~order policy =
+    snd (allocated (fun () -> Minio.run tree ~memory ~order policy))
+  in
+  (* one huge file: the whole call stays under 1 MB *)
+  let small = T.make ~parent:[| -1; 0; 0 |] ~f:[| 1; 1_000_000_000; 5 |] ~n:[| 0; 0; 0 |] in
+  let order = [| 0; 2; 1 |] in
+  let memory = T.max_mem_req small in
+  List.iter
+    (fun policy ->
+      let b = bytes small ~memory ~order policy in
+      if b >= 1e6 then
+        Alcotest.failf "%s on a 10^9-word file allocated %.0f bytes (bound 1 MB)"
+          (Minio.policy_name policy) b)
+    [ Minio.Best_fit; Minio.Best_fill ];
+  (* 30k distinct sizes, all resident once the root has run, then a
+     deficit at the first leaf. The call's own O(p) arrays (positions,
+     tau, residency) are common to all policies, and every eviction
+     query leaves a short-lived option behind, so the bound is on what
+     the policy adds to the major heap over LSNF: the index itself. *)
+  let leaves = 30_000 in
+  let star =
+    T.make
+      ~parent:(Array.init (leaves + 1) (fun i -> if i = 0 then -1 else 0))
+      ~f:(Array.init (leaves + 1) (fun i -> if i = 0 then 1 else i))
+      ~n:(Array.init (leaves + 1) (fun i -> if i = 0 then 0 else 1_000_000))
+  in
+  let order = Traversal.top_down_order star in
+  let memory = T.max_mem_req star in
+  let major policy =
+    let before = (Gc.quick_stat ()).Gc.major_words in
+    let s = Minio.run star ~memory ~order policy in
+    (s, ((Gc.quick_stat ()).Gc.major_words -. before) *. float_of_int (Sys.word_size / 8))
+  in
+  let base = snd (major Minio.Lsnf) in
+  List.iter
+    (fun policy ->
+      let s, b = major policy in
+      Alcotest.(check bool) "evicts" true (Io_schedule.io_volume star (Option.get s) > 0);
+      let extra = b -. base in
+      if extra >= 1e6 then
+        Alcotest.failf "%s on %d distinct sizes put %.0f bytes more than LSNF on the major heap (bound 1 MB)"
+          (Minio.policy_name policy) leaves extra)
+    [ Minio.Best_fit; Minio.Best_fill ]
+
 let () =
   H.run "perf_parity"
     [ ( "minio",
         [ H.case "family instances x policies x memory" test_minio_families;
           prop_minio_random;
-          prop_minio_schedules_valid
+          prop_minio_schedules_valid;
+          prop_minio_extreme_sizes;
+          H.case "Best Fit/Fill allocation is O(p)" test_minio_alloc_bound
         ] );
       ("segments", [ prop_segments_merge_reference ]);
       ( "liu",
@@ -677,11 +1544,21 @@ let () =
       ( "postorder",
         [ H.case "family instances" test_postorder_families; prop_postorder_random ] );
       ("minmem", [ H.case "wide cuts" test_minmem_wide ]);
+      ( "sched",
+        [ H.case "corpus trees x procs x budgets" test_sched_corpus;
+          H.case "plain and half-heavy stars" test_sched_stars;
+          prop_sched_random;
+          prop_sched_negative_n;
+          H.case "greedy on a 32k-leaf half-heavy star under 2 s" test_greedy_wide_star;
+          H.case "procs = 10^7 allocates under 1 MB" test_sched_procs_clamp
+        ] );
       ( "encoding",
         [ H.case "edge weights" test_tree_encoding_edges; prop_tree_encoding_reference ] );
       ( "structures",
         [ prop_ordered_set_model;
           H.case "pred clamp at word-size bounds" test_ordered_set_pred_clamp;
-          prop_filter_in_place_stable
+          prop_filter_in_place_stable;
+          prop_min_tree_model;
+          prop_int_sort_order_by
         ] )
     ]
