@@ -25,6 +25,31 @@ let sequential_makespan t ~work =
   done;
   !acc
 
+(* The argument checks both schedulers share. Every memory figure they
+   reach, a usage or a usage plus the working set of a task about to
+   start, is a sum of distinct [f] and [n] weights. Keeping the total of
+   their absolute values below [max_int] makes all of that arithmetic
+   exact: no budget test can wrap, and no working set reaches [max_int],
+   which greedy's ready set reads as "absent". *)
+let check_args name t ~procs ~work =
+  if procs < 1 then invalid_arg (name ^ ": procs < 1");
+  let p = Tree.size t in
+  for i = 0 to p - 1 do
+    if work i < 1 then invalid_arg (name ^ ": work < 1")
+  done;
+  let total = ref 0 in
+  let add w =
+    (* [abs min_int] is negative *)
+    let a = abs w in
+    if a < 0 || a > max_int - 1 - !total then
+      invalid_arg (name ^ ": weights sum to max_int or more")
+    else total := !total + a
+  in
+  for i = 0 to p - 1 do
+    add t.Tree.f.(i);
+    add t.Tree.n.(i)
+  done
+
 (* What a running task holds on top of the alive files: its execution
    file and its children's output files, booked at start. *)
 let working_sets t =
@@ -52,7 +77,8 @@ let release_proc ps pr =
 (* [memory - usage], the largest working set that still fits, saturated
    where the difference leaves the int range: the budget is any int
    (and [usage] can be negative, since execution files can be), so the
-   plain difference could wrap and admit a task the budget refuses. *)
+   plain difference could wrap and admit a task the budget refuses.
+   Both schedulers test a start with it. *)
 let room ~memory usage =
   if usage < 0 && memory > max_int + usage then max_int
   else if usage > 0 && memory < min_int + usage then min_int
@@ -84,11 +110,8 @@ let of_runs ~proc ~start ~finish ~peak_memory =
   { events; makespan; peak_memory }
 
 let booking_schedule ?order t ~procs ~memory ~work =
-  if procs < 1 then invalid_arg "Parallel.booking_schedule: procs < 1";
+  check_args "Parallel.booking_schedule" t ~procs ~work;
   let p = Tree.size t in
-  for i = 0 to p - 1 do
-    if work i < 1 then invalid_arg "Parallel.booking_schedule: work < 1"
-  done;
   let order =
     match order with
     | None -> snd (Minmem.run t)
@@ -118,7 +141,7 @@ let booking_schedule ?order t ~procs ~memory ~work =
     while (not !blocked) && !next < p do
       let i = order.(!next) in
       let par = t.Tree.parent.(i) in
-      if ps.free > 0 && (par < 0 || finished.(par)) && !usage + ws.(i) <= memory
+      if ps.free > 0 && (par < 0 || finished.(par)) && ws.(i) <= room ~memory !usage
       then begin
         usage := !usage + ws.(i);
         if !usage > !peak then peak := !usage;
@@ -153,11 +176,8 @@ let booking_schedule ?order t ~procs ~memory ~work =
   else Some (of_runs ~proc:proc_of ~start:start_of ~finish:finish_of ~peak_memory:!peak)
 
 let list_schedule ?priority ?order t ~procs ~memory ~work =
-  if procs < 1 then invalid_arg "Parallel.list_schedule: procs < 1";
+  check_args "Parallel.list_schedule" t ~procs ~work;
   let p = Tree.size t in
-  for i = 0 to p - 1 do
-    if work i < 1 then invalid_arg "Parallel.list_schedule: work < 1"
-  done;
   let prio =
     match priority with Some f -> Array.init p f | None -> levels t ~work
   in

@@ -25,14 +25,22 @@
     builds the splitting scheduler and the memory/makespan Pareto sweep
     on top of these two primitives.
 
-    {b Cost.} Both schedulers run in O(p log p) time and O(p) words for
-    a [p]-node tree, whatever [procs] is: at most [p] tasks run at once,
-    so they keep [min procs p] processor slots, and since a finished
-    task's processor is the next one handed out, a processor is first
-    used only when every lower-numbered one is busy — the schedule is
-    the same as with [procs] slots. Working sets are computed once per
+    {b Cost.} Given [order], both schedulers run in O(p log p) time and
+    O(p) words for a [p]-node tree, whatever [procs] is. (Without it,
+    booking and greedy's fallback first run {!Minmem.run}, O(p²) in the
+    worst case.) At most [p] tasks run at once, so they keep
+    [min procs p] processor slots, and since a finished task's
+    processor is the next one handed out, a processor is first used
+    only when every lower-numbered one is busy — the schedule is the
+    same as with [procs] slots. Working sets are computed once per
     call, and the priority ranking and the (start, node) event order are
-    radix sorts on int keys ({!Tt_util.Int_sort}). *)
+    index sorts on int keys ({!Tt_util.Int_sort}).
+
+    {b Weights.} Both schedulers refuse a tree whose [|f i|] and
+    [|n i|] sum to [max_int] or more. Below that bound every memory
+    figure they compute is exact, so both test a start against the
+    budget the same way, and without wrapping, for any budget from
+    [min_int] to [max_int]. *)
 
 type event = {
   node : int;  (** The task. *)
@@ -77,8 +85,9 @@ val list_schedule :
     is only possible when [memory < Minmem.min_memory tree]: for any
     budget at least the sequential optimum a schedule is always
     returned.
-    @raise Invalid_argument if [procs < 1] or some [work i < 1], or if
-    the fallback runs and [order] is not a valid traversal. *)
+    @raise Invalid_argument if [procs < 1], some [work i < 1], the
+    weights reach [max_int] (see {b Weights} above), or the fallback
+    runs and [order] is not a valid traversal. *)
 
 val booking_schedule :
   ?order:int array ->
@@ -102,8 +111,9 @@ val booking_schedule :
     [memory >= Traversal.peak t order] (with the default order, every
     [memory >= Minmem.min_memory t]); one processor and that budget
     degenerate to the sequential traversal itself.
-    @raise Invalid_argument if [procs < 1], some [work i < 1], or
-    [order] is not a valid traversal of the tree. *)
+    @raise Invalid_argument if [procs < 1], some [work i < 1], the
+    weights reach [max_int], or [order] is not a valid traversal of the
+    tree. *)
 
 val of_runs :
   proc:int array -> start:int array -> finish:int array -> peak_memory:int -> schedule

@@ -1,12 +1,10 @@
 module T = Tt_core.Tree
 module P = Tt_core.Parallel
 
-type plan = {
-  tail : int array;
-  subtrees : int array;
-  assignment : int array;
-  tail_work : int;
-}
+(* The split: the tail in execution order, the frontier subtree roots
+   heaviest first, and [assignment.(k)], the processor of
+   [subtrees.(k)]. *)
+type plan = { tail : int array; subtrees : int array; assignment : int array }
 
 let subtree_work t ~work =
   let p = T.size t in
@@ -29,10 +27,10 @@ let estimate ~procs ~tail_work ~max_w ~total_w =
   tail_work + max max_w ((total_w + procs - 1) / procs)
 
 let plan t ~procs ~work =
-  if procs < 1 then invalid_arg "Split.plan: procs < 1";
+  if procs < 1 then invalid_arg "Split.run: procs < 1";
   let p = T.size t in
   for i = 0 to p - 1 do
-    if work i < 1 then invalid_arg "Split.plan: work < 1"
+    if work i < 1 then invalid_arg "Split.run: work < 1"
   done;
   (* at most [p] subtrees run at once: clamping [procs] to [p] keeps
      the assignment below, and the estimate too, since a frontier of [k]
@@ -83,11 +81,9 @@ let plan t ~procs ~work =
   let heap = Tt_util.Int_heap.create p in
   Tt_util.Int_heap.insert heap t.T.root (-w.(t.T.root));
   let tail = Array.make best_pops (-1) in
-  let tail_work = ref 0 in
   for k = 0 to best_pops - 1 do
     let i, _ = Tt_util.Int_heap.pop_min heap in
     tail.(k) <- i;
-    tail_work := !tail_work + work i;
     for j = t.T.child_off.(i) to t.T.child_off.(i + 1) - 1 do
       let c = t.T.child.(j) in
       Tt_util.Int_heap.insert heap c (-w.(c))
@@ -117,7 +113,7 @@ let plan t ~procs ~work =
         q)
       subtrees
   in
-  { tail; subtrees; assignment; tail_work = !tail_work }
+  { tail; subtrees; assignment }
 
 (* MinMem-optimal traversal of the subtree rooted at [r], expressed in
    the parent tree's node ids. [index] maps a node to its id within its
@@ -149,14 +145,12 @@ let subtree_order t ~index r =
     Array.map (fun k -> nodes.(k)) order
   end
 
-let run ?plan:given t ~procs ~work =
-  if procs < 1 then invalid_arg "Split.run: procs < 1";
-  let pl = match given with Some pl -> pl | None -> plan t ~procs ~work in
+let run t ~procs ~work =
+  let pl = plan t ~procs ~work in
   let p = T.size t in
-  let proc = Array.make p (-1) and start = Array.make p 0 and finish = Array.make p 0 in
+  let proc = Array.make p 0 and start = Array.make p 0 and finish = Array.make p 0 in
   (* run node [i] on processor [q] from [at]; returns its finish time *)
   let run_at i q at =
-    if proc.(i) >= 0 then invalid_arg "Split.run: plan runs a node twice";
     proc.(i) <- q;
     start.(i) <- at;
     finish.(i) <- at + work i;
@@ -166,17 +160,14 @@ let run ?plan:given t ~procs ~work =
      on processor 0 — out-tree semantics: ancestors before subtrees *)
   let tail_end = Array.fold_left (fun at i -> run_at i 0 at) 0 pl.tail in
   (* each processor then runs its assigned subtrees back to back, every
-     subtree in its own MinMem-optimal sequential order; only the
-     processors the plan uses get a cursor *)
-  let width = Array.fold_left (fun acc q -> if q >= acc then q + 1 else acc) 0 pl.assignment in
-  if width > procs then invalid_arg "Split.run: plan assigns past procs";
-  let cursor = Array.make width tail_end in
+     subtree in its own MinMem-optimal sequential order; the plan uses
+     processors [0, min procs p) only *)
+  let cursor = Array.make (min procs p) tail_end in
   let index = Array.make p 0 in
   Array.iteri
     (fun k r ->
       let q = pl.assignment.(k) in
       Array.iter (fun i -> cursor.(q) <- run_at i q cursor.(q)) (subtree_order t ~index r))
     pl.subtrees;
-  if Array.exists (fun q -> q < 0) proc then invalid_arg "Split.run: plan misses a node";
   let draft = P.of_runs ~proc ~start ~finish ~peak_memory:0 in
   { draft with P.peak_memory = Validate.peak_usage t draft }

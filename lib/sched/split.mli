@@ -17,36 +17,18 @@
     their budget — the Pareto sweep plots exactly this trade-off.
 
     {b Cost.} Apart from the per-subtree MinMem runs, O(p log p) time
-    and O(p) words whatever [procs] is. A frontier never holds more
-    than [p] subtrees, so [procs] is clamped to [p]: the split estimate
-    does not change (the heaviest subtree already bounds it), and the
-    longest-processing-time assignment keeps its loads in a heap over
-    only the processors it can reach. The subtrees' MinMem inputs are
-    indexed through one array shared by all of them. *)
+    and O(p) words whatever [procs] is. Those runs are O(q²) in the
+    worst case for a q-node subtree ({!Tt_core.Minmem}) and poll no
+    cancel token. A frontier never holds more than [p] subtrees, so
+    [procs] is clamped to [p]: the split estimate does not change (the
+    heaviest subtree already bounds it), and the longest-processing-time
+    assignment keeps its loads in a heap over only the processors it
+    can reach. The subtrees' MinMem inputs are indexed through one
+    array shared by all of them. *)
 
-type plan = {
-  tail : int array;
-      (** Sequential prefix in execution order (a valid top-down order
-          of the split-off top part; empty when no split helps). *)
-  subtrees : int array;  (** Frontier subtree roots, heaviest first. *)
-  assignment : int array;
-      (** [assignment.(k)] is the processor of [subtrees.(k)] (LPT). *)
-  tail_work : int;  (** Total duration of the tail. *)
-}
-
-val plan : Tt_core.Tree.t -> procs:int -> work:(int -> int) -> plan
-(** Deterministic split of the tree for [procs] processors.
-    @raise Invalid_argument if [procs < 1] or some [work i < 1]. *)
-
-val run :
-  ?plan:plan ->
-  Tt_core.Tree.t ->
-  procs:int ->
-  work:(int -> int) ->
-  Tt_core.Parallel.schedule
-(** Materialize the split as a schedule (computing {!plan} if not
-    given). Always succeeds — with one processor it degenerates to a
-    sequential traversal. [peak_memory] is the measured
+val run : Tt_core.Tree.t -> procs:int -> work:(int -> int) -> Tt_core.Parallel.schedule
+(** Deterministic split of the tree for [procs] processors, materialized
+    as a schedule. Always succeeds — with one processor it degenerates
+    to a sequential traversal. [peak_memory] is the measured
     {!Validate.peak_usage} of the events.
-    @raise Invalid_argument if [procs < 1], or if a given plan does not
-    run every node exactly once on a processor below [procs]. *)
+    @raise Invalid_argument if [procs < 1] or some [work i < 1]. *)

@@ -1,77 +1,4 @@
-(* Least-significant-digit radix sort of non-negative ints, one byte per
-   pass, ping-ponging between [a] and one scratch array; [maxv] bounds
-   the values, so only the bytes it spans are sorted. Each pass is
-   stable, which makes the whole sort stable. Short arrays take an
-   insertion sort instead. *)
-let radix_sort a maxv =
-  let n = Array.length a in
-  if n <= 32 then
-    for i = 1 to n - 1 do
-      let v = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && a.(!j) > v do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- v
-    done
-  else begin
-    let count = Array.make 256 0 in
-    let src = ref a and dst = ref (Array.make n 0) in
-    let shift = ref 0 in
-    while !shift < 63 && maxv lsr !shift > 0 do
-      let s = !src and d = !dst and sh = !shift in
-      Array.fill count 0 256 0;
-      for i = 0 to n - 1 do
-        let b = (s.(i) lsr sh) land 255 in
-        count.(b) <- count.(b) + 1
-      done;
-      (* a byte every value shares leaves the order as it is *)
-      if count.((s.(0) lsr sh) land 255) < n then begin
-        let sum = ref 0 in
-        for b = 0 to 255 do
-          let c = count.(b) in
-          count.(b) <- !sum;
-          sum := !sum + c
-        done;
-        for i = 0 to n - 1 do
-          let v = s.(i) in
-          let b = (v lsr sh) land 255 in
-          d.(count.(b)) <- v;
-          count.(b) <- count.(b) + 1
-        done;
-        src := d;
-        dst := s
-      end;
-      shift := !shift + 8
-    done;
-    if !src != a then Array.blit !src 0 a 0 n
-  end
-
 let order_by n key =
-  if n <= 1 then Array.make n 0
-  else begin
-    let lo = ref max_int and hi = ref min_int in
-    for i = 0 to n - 1 do
-      let k = key i in
-      if k < !lo then lo := k;
-      if k > !hi then hi := k
-    done;
-    let lo = !lo in
-    (* a span past max_int wraps negative *)
-    let span = !hi - lo in
-    if span >= 0 && span <= (max_int - (n - 1)) / n then begin
-      (* pack (key, index) into one int, sort, keep the index *)
-      let a = Array.init n (fun i -> ((key i - lo) * n) + i) in
-      radix_sort a ((span * n) + n - 1);
-      for r = 0 to n - 1 do
-        a.(r) <- a.(r) mod n
-      done;
-      a
-    end
-    else begin
-      let idx = Array.init n Fun.id in
-      Array.stable_sort (fun a b -> Int.compare (key a) (key b)) idx;
-      idx
-    end
-  end
+  let idx = Array.init n Fun.id in
+  Array.stable_sort (fun a b -> Int.compare (key a) (key b)) idx;
+  idx

@@ -1,14 +1,12 @@
-(** Stable ordering of indices by an int key, without a comparison
-    function per step.
+(** Stable ordering of indices by an int key.
 
-    The scheduling tier and MinIO's Best Fit / Best Fill sort every
-    node of a tree by an int key (priority, start time, finish time,
-    file size) on every call. A comparison sort through a closure costs
-    O(n log n) indirect calls; packing each (key, index) pair into one
-    int and radix-sorting it costs a few linear passes. *)
+    The scheduling tier and MinIO's Best Fit / Best Fill sort the nodes
+    of a tree by an int key (priority, start time, finish time, file
+    size). Sorting an index array with [Int.compare] on the key keeps
+    that one comparison specialized to ints, where a sort of tuples or
+    records with polymorphic [compare] walks boxed values at every
+    step. *)
 
 val order_by : int -> (int -> int) -> int array
 (** [order_by n key] lists the indices [0, n) by [key] ascending, ties
-    by index ascending. [key] is called O(1) times per index when the
-    keys span less than about [max_int / n]; wider keys fall back to a
-    stable comparison sort. O(n) words. *)
+    by index ascending. O(n log n) time, O(n) words. *)

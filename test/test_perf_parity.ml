@@ -644,8 +644,7 @@ let prop_min_tree_model =
       !ok)
 
 (* Int_sort.order_by against a stable sort of the indices, on keys with
-   many ties, keys needing several radix passes, and keys spanning all of
-   int (the comparison-sort fallback) *)
+   many ties, wide keys and keys spanning all of int *)
 let prop_int_sort_order_by =
   H.qcheck ~count:300 "Int_sort.order_by = stable sort of the indices by key"
     QCheck.(triple (int_bound 1_000_000) (0 -- 300) (int_bound 2))
@@ -1387,6 +1386,44 @@ let prop_sched_negative_n =
       let t = T.map_weights ~f:(fun i -> t.T.f.(i)) ~n:(fun i -> t.T.n.(i) - 6) t in
       sched_matches ~work_of:(fun t i -> 1 + (abs t.T.n.(i) / 4)) "negative-n" t)
 
+(* Weights at the bound the schedulers accept: absolute weights that sum
+   to [max_int - 1], one execution file nearly as large (either sign),
+   and a lone task whose working set is [max_int - 1], the largest value
+   greedy's ready set can hold. Every scheduler and the validator still
+   match the references at every budget, [min_int] and [max_int]
+   included. One more word of weight, a working set of [max_int] or an
+   execution file of [min_int], and greedy and booking both refuse the
+   tree instead of wrapping. *)
+let test_sched_extreme_weights () =
+  let star n = T.make ~parent:[| -1; 0; 0; 0 |] ~f:[| 1; 2; 3; 4 |] ~n in
+  let big = max_int - 1 - (1 + 2 + 3 + 4 + 5 + 6 + 7) in
+  let work_of _ i = 1 + (i mod 3) in
+  List.iter
+    (fun (name, t) -> Alcotest.(check bool) name true (sched_matches ~work_of name t))
+    [ ("leaf n near max_int", star [| 5; big; 6; 7 |]);
+      ("leaf n near -max_int", star [| 5; -big; 6; 7 |]);
+      ("root n near max_int", star [| big; 5; 6; 7 |]);
+      ("lone task", T.make ~parent:[| -1 |] ~f:[| 0 |] ~n:[| max_int - 1 |])
+    ];
+  let refused what run =
+    match run () with
+    | _ -> Alcotest.failf "%s: accepted weights that reach max_int" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (name, t) ->
+      let work _ = 1 in
+      List.iter
+        (fun memory ->
+          refused (name ^ " greedy") (fun () -> P.list_schedule t ~procs:2 ~memory ~work);
+          refused (name ^ " booking") (fun () ->
+              P.booking_schedule ~order:(Traversal.top_down_order t) t ~procs:2 ~memory ~work))
+        [ 0; max_int ])
+    [ ("sum max_int", star [| 5; big + 1; 6; 7 |]);
+      ("working set max_int", T.make ~parent:[| -1 |] ~f:[| 0 |] ~n:[| max_int |]);
+      ("n min_int", T.make ~parent:[| -1; 0 |] ~f:[| 0; 0 |] ~n:[| 0; min_int |])
+    ]
+
 (* The parent re-sorted its whole ready list at every completion event:
    3.6-3.8 s at 8k leaves already, growing quadratically. One O(log p)
    search per start takes tens of milliseconds at 32k. *)
@@ -1405,8 +1442,15 @@ let test_greedy_wide_star () =
       if dt >= 2.0 then Alcotest.failf "greedy at %s took %.2f s (bound 2 s)" label dt)
     [ ("1.0x", mm); ("1.5x", mm * 3 / 2) ]
 
-(* Bytes allocated by [f ()] on this domain. *)
+(* Bytes allocated by [f ()] on this domain. The minor heap is emptied
+   first: a minor collection inside the call can make the counters read
+   a minor heap's worth too much (0.9-1.9 MB at the default 256k words,
+   seen for about 3 % of starting positions on a call allocating under
+   100 KB). Started on an empty minor heap, a call that allocates less
+   than the heap holds does not fill it, so it triggers no collection
+   itself. *)
 let allocated f =
+  Gc.minor ();
   let before = Gc.allocated_bytes () in
   let r = f () in
   (r, Gc.allocated_bytes () -. before)
@@ -1549,6 +1593,7 @@ let () =
           H.case "plain and half-heavy stars" test_sched_stars;
           prop_sched_random;
           prop_sched_negative_n;
+          H.case "weights at the int bound" test_sched_extreme_weights;
           H.case "greedy on a 32k-leaf half-heavy star under 2 s" test_greedy_wide_star;
           H.case "procs = 10^7 allocates under 1 MB" test_sched_procs_clamp
         ] );
