@@ -29,9 +29,10 @@ batch-smoke:
 # pinned threshold, and `timeout` bounds the wall time so a scaling
 # regression fails the gate instead of wedging CI. The tree/encode rows
 # digest the canonical tree encoding that every job id hashes, so they
-# must be present too, as must the sched/validate rows and the
+# must be present too, as must the sched/validate rows, the
 # sched-star rows (a half-heavy star on which a greedy scheduler that
-# rescans passed-over tasks turns quadratic).
+# rescans passed-over tasks turns quadratic) and the pipeline/mindeg
+# rows (minimum-degree permutations of three corpus matrices).
 perf-smoke: build
 	timeout 600 dune exec bin/treetrav.exe -- perf --quick --out BENCH_CORE.json
 	grep -q '"kernel": "huge/minmem-approx"' BENCH_CORE.json \
@@ -45,6 +46,10 @@ perf-smoke: build
 	done
 	grep -q '"kernel": "sched/validate", "instance": "sched-random"' BENCH_CORE.json \
 	  || { echo "perf-smoke: sched/validate rows missing from BENCH_CORE.json"; exit 1; }
+	for i in rand-1500-3.5 arrow-1200 grid3d-10; do \
+	  grep -q "\"kernel\": \"pipeline/mindeg\", \"instance\": \"$$i\"" BENCH_CORE.json \
+	    || { echo "perf-smoke: pipeline/mindeg $$i row missing from BENCH_CORE.json"; exit 1; }; \
+	done
 
 # Scheduling-tier smoke gate. The same par-schedule/pareto manifest
 # must produce bit-identical results digests via direct batch (at two

@@ -99,9 +99,17 @@ let needs_minmem job =
    lives in [Tt_sched.Work] so every consumer shares it. *)
 let work_of = Tt_sched.Work.default
 
+(* [x * w] words, saturating at the int range: [int_of_float] wraps a
+   float past it (1e300 became 0) *)
+let scale_words x w =
+  let v = x *. float_of_int w in
+  if v >= 0x1p62 then max_int else if v <= -0x1p62 then min_int else int_of_float v
+
 let budget_words ~floor ~in_core = function
   | Words w -> w
-  | Fraction x -> floor + int_of_float (x *. float_of_int (in_core - floor))
+  | Fraction x ->
+      let above = scale_words x (in_core - floor) in
+      if above > 0 && floor > max_int - above then max_int else floor + above
 
 let compute ?(cancel = Tt_util.Cancel.never) ?minmem job =
   Tt_util.Cancel.check cancel;
@@ -128,7 +136,7 @@ let compute ?(cancel = Tt_util.Cancel.never) ?minmem job =
       Io { in_core; memory; io }
   | Schedule { procs; mem_factor } ->
       let in_core, order = minmem_run () in
-      let memory = int_of_float (mem_factor *. float_of_int in_core) in
+      let memory = scale_words mem_factor in_core in
       let work = work_of job.tree in
       (* greedy's deadlock fallback books along this same MinMem order *)
       (match Tt_core.Parallel.list_schedule ~order job.tree ~procs ~memory ~work with
@@ -141,7 +149,7 @@ let compute ?(cancel = Tt_util.Cancel.never) ?minmem job =
       | None -> Sched { memory; makespan = None; peak = None })
   | Par_schedule { algo; procs; mem_factor } -> (
       let in_core, order = minmem_run () in
-      let memory = int_of_float (mem_factor *. float_of_int in_core) in
+      let memory = scale_words mem_factor in_core in
       let work = work_of job.tree in
       let name = par_algo_name algo in
       let module P = Tt_core.Parallel in

@@ -37,6 +37,8 @@ type par_algo = Greedy | Booking | Split
     scheduling ({!Tt_sched.Booking}), postorder-based tree splitting
     ({!Tt_sched.Split}). *)
 
+(** A float budget becomes words saturated at [max_int], never
+    wrapped. *)
 type budget =
   | Fraction of float
       (** Position in the gap between the working-set floor

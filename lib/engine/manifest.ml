@@ -49,20 +49,28 @@ let ordering_of = function
 
 let gen_matrix ~kind ~size ~seed =
   let rng = Tt_util.Rng.create seed in
+  (* a negative grid side squares to a diagonal matrix; an arrow needs
+     a row below its two-row border *)
+  let at_least k = if size < k then bad "%s size must be >= %d, got %d" kind k size in
   match kind with
-  | "grid2d" -> S.Spgen.grid2d size
-  | "grid9" -> S.Spgen.grid2d_9pt size
-  | "grid3d" -> S.Spgen.grid3d size
-  | "banded" -> S.Spgen.banded ~rng ~n:size ~bandwidth:(max 2 (size / 50)) ~fill:0.4
-  | "random" -> S.Spgen.random_sym ~rng ~n:size ~nnz_per_row:3.0
-  | "arrow" -> S.Spgen.block_arrow ~n:size ~blocks:8 ~border:(max 2 (size / 40))
-  | "powerlaw" -> S.Spgen.power_law ~rng ~n:size ~edges_per_node:2
-  | "tridiagonal" -> S.Spgen.tridiagonal size
+  | "grid2d" -> at_least 0; S.Spgen.grid2d size
+  | "grid9" -> at_least 0; S.Spgen.grid2d_9pt size
+  | "grid3d" -> at_least 0; S.Spgen.grid3d size
+  | "banded" ->
+      at_least 0;
+      S.Spgen.banded ~rng ~n:size ~bandwidth:(max 2 (size / 50)) ~fill:0.4
+  | "random" -> at_least 0; S.Spgen.random_sym ~rng ~n:size ~nnz_per_row:3.0
+  | "arrow" ->
+      at_least 3;
+      S.Spgen.block_arrow ~n:size ~blocks:8 ~border:(max 2 (size / 40))
+  | "powerlaw" -> at_least 0; S.Spgen.power_law ~rng ~n:size ~edges_per_node:2
+  | "tridiagonal" -> at_least 0; S.Spgen.tridiagonal size
   | other -> bad "unknown matrix kind %S" other
 
 let tree_of_matrix pairs m =
   let ordering = ordering_of (lookup ~default:"mindeg" pairs "ordering") in
   let amalgamation = int_of ~what:"amalgamation" (lookup ~default:"4" pairs "amalgamation") in
+  if amalgamation < 1 then bad "amalgamation must be >= 1, got %d" amalgamation;
   (Tt_workloads.Pipeline.assembly_tree ~ordering ~amalgamation m).Tt_etree.Assembly.tree
 
 (* Returns [(short_label, tree)]. *)
@@ -112,11 +120,23 @@ let policy_of = function
       | Some k when k >= 1 -> Tt_core.Minio.Best_k k
       | _ -> bad "unknown policy %S" s)
 
+(* memory factors and budgets: finite and not negative *)
+let amount_of ~what s =
+  let x = float_of ~what s in
+  if not (Float.is_finite x && x >= 0.) then bad "%s must be finite and >= 0, got %S" what s;
+  x
+
 let budget_of s =
   let n = String.length s in
   if n > 1 && s.[n - 1] = '%' then
-    Job.Fraction (float_of ~what:"budget" (String.sub s 0 (n - 1)) /. 100.)
-  else Job.Words (int_of ~what:"budget" s)
+    Job.Fraction (amount_of ~what:"budget" (String.sub s 0 (n - 1)) /. 100.)
+  else begin
+    let w = int_of ~what:"budget" s in
+    if w < 0 then bad "budget must be >= 0, got %d" w;
+    Job.Words w
+  end
+
+let max_steps = 1024
 
 let parse_job_spec text =
   match tokens text with
@@ -135,7 +155,7 @@ let parse_job_spec text =
       check_keys pairs [ "procs"; "mem" ];
       Job.Schedule
         { procs = int_of ~what:"procs" (lookup pairs "procs");
-          mem_factor = float_of ~what:"mem" (lookup ~default:"1.5" pairs "mem")
+          mem_factor = amount_of ~what:"mem" (lookup ~default:"1.5" pairs "mem")
         }
   | "par-schedule" :: rest ->
       let pairs = kv_pairs rest in
@@ -149,15 +169,15 @@ let parse_job_spec text =
       Job.Par_schedule
         { algo;
           procs = int_of ~what:"procs" (lookup pairs "procs");
-          mem_factor = float_of ~what:"mem" (lookup ~default:"1.5" pairs "mem")
+          mem_factor = amount_of ~what:"mem" (lookup ~default:"1.5" pairs "mem")
         }
   | "pareto" :: rest ->
       let pairs = kv_pairs rest in
       check_keys pairs [ "procs"; "steps" ];
-      Job.Pareto_sweep
-        { procs = int_of ~what:"procs" (lookup pairs "procs");
-          steps = int_of ~what:"steps" (lookup ~default:"8" pairs "steps")
-        }
+      let steps = int_of ~what:"steps" (lookup ~default:"8" pairs "steps") in
+      if steps < 1 || steps > max_steps then
+        bad "steps must be in [1, %d], got %d" max_steps steps;
+      Job.Pareto_sweep { procs = int_of ~what:"procs" (lookup pairs "procs"); steps }
   | "minmem-approx" :: rest ->
       let pairs = kv_pairs rest in
       check_keys pairs [ "cap"; "tol" ];

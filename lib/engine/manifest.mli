@@ -19,21 +19,25 @@
     v}
 
     [ORD] is [natural], [rcm], [mindeg] or [nd] (default [mindeg]);
-    [amalgamation] defaults to 4. [KIND] is any of `treetrav generate`'s
-    families ([grid2d], [grid9], [grid3d], [banded], [random], [arrow],
-    [powerlaw], [tridiagonal]); [size] defaults to 20, [seed] to 42.
+    [amalgamation] is at least 1 (default 4). [KIND] is any of
+    `treetrav generate`'s families ([grid2d], [grid9], [grid3d],
+    [banded], [random], [arrow], [powerlaw], [tridiagonal]); [size]
+    defaults to 20 and is at least 0 ([arrow]: at least 3), [seed]
+    defaults to 42.
     [POL] is [lsnf], [first-fit], [best-fit], [first-fill], [best-fill]
     or an integer K for Best-K (default [first-fit]). [B] is either
     [P%] — position P/100 in the gap between the working-set floor and
     the in-core optimum — or an absolute word count (default [50%]).
     [A] is a [tt_sched] scheduler: [greedy], [booking] (default) or
     [split]; [mem] is the budget as a multiple of the MinMem in-core
-    optimum (default 1.5). [pareto] runs the full memory/makespan sweep
-    with [steps] budget points (default 8). [minmem-approx] computes
-    certified MinMemory bounds via {!Tt_core.Minmem_approx} with initial
-    segment cap [cap >= 2] (default 8) and relative gap tolerance [tol]
-    (default 0.01) — the near-linear tier for trees too large for the
-    exact solvers.
+    optimum (default 1.5). [P] and [mem] are finite and not negative, a
+    word count is not negative, and a budget past the int range
+    saturates at [max_int]. [pareto] runs the full memory/makespan sweep
+    with [steps] budget points, from 1 to {!max_steps} (default 8).
+    [minmem-approx] computes certified MinMemory bounds via
+    {!Tt_core.Minmem_approx} with initial segment cap [cap >= 2]
+    (default 8) and relative gap tolerance [tol] (default 0.01) — the
+    near-linear tier for trees too large for the exact solvers.
 
     Example:
 
@@ -48,6 +52,10 @@
     pipeline; the engine's cache then deduplicates identical solver
     work across lines (the two [grid2d] lines above share one tree
     digest, so their MinMem runs coincide). *)
+
+val max_steps : int
+(** The most [pareto] budget steps an entry may ask for, 1024. Every
+    step can run two schedulers and their validations. *)
 
 val parse : string -> (Job.t list, string) Stdlib.result
 (** Parse manifest text. On failure the error reports {e every}

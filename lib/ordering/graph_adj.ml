@@ -1,35 +1,44 @@
 type t = { n : int; adj : int array array }
 
 let of_pattern (a : Tt_sparse.Csr.t) =
-  if a.Tt_sparse.Csr.nrows <> a.Tt_sparse.Csr.ncols then
-    invalid_arg "Graph_adj.of_pattern: not square";
-  let n = a.Tt_sparse.Csr.nrows in
+  let open Tt_sparse.Csr in
+  if a.nrows <> a.ncols then invalid_arg "Graph_adj.of_pattern: not square";
   let adj =
-    Array.init n (fun i ->
-        let neighbors =
-          Seq.filter_map
-            (fun (j, _) -> if j <> i then Some j else None)
-            (Tt_sparse.Csr.row a i)
-        in
-        Array.of_seq neighbors)
+    Array.init a.nrows (fun i ->
+        let lo = a.row_ptr.(i) and hi = a.row_ptr.(i + 1) in
+        (* rows are sorted and duplicate-free: skip the diagonal entry *)
+        let d = ref lo in
+        while !d < hi && a.col_idx.(!d) < i do incr d done;
+        if !d < hi && a.col_idx.(!d) = i then
+          Array.init (hi - lo - 1) (fun j ->
+              a.col_idx.(if lo + j < !d then lo + j else lo + j + 1))
+        else Array.sub a.col_idx lo (hi - lo))
   in
-  { n; adj }
+  { n = a.nrows; adj }
 
 let of_adjacency adj =
   let n = Array.length adj in
-  let clean =
-    Array.mapi
-      (fun i neighbors ->
-        Array.iter
-          (fun v ->
-            if v < 0 || v >= n then invalid_arg "Graph_adj.of_adjacency: out of range")
-          neighbors;
-        let l = List.filter (fun v -> v <> i) (Array.to_list neighbors) in
-        let l = List.sort_uniq compare l in
-        Array.of_list l)
-      adj
+  let clean i neighbors =
+    Array.iter
+      (fun v -> if v < 0 || v >= n then invalid_arg "Graph_adj.of_adjacency: out of range")
+      neighbors;
+    let a = Array.copy neighbors in
+    Array.sort Int.compare a;
+    (* keep the first of each run, dropping [i]; writes trail reads *)
+    let k = ref 0 and prev = ref (-1) in
+    Array.iter
+      (fun v ->
+        if v <> !prev then begin
+          prev := v;
+          if v <> i then begin
+            a.(!k) <- v;
+            incr k
+          end
+        end)
+      a;
+    if !k = Array.length a then a else Array.sub a 0 !k
   in
-  { n; adj = clean }
+  { n; adj = Array.mapi clean adj }
 
 let degree g i = Array.length g.adj.(i)
 

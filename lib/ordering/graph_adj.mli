@@ -13,7 +13,8 @@ val of_pattern : Tt_sparse.Csr.t -> t
 
 val of_adjacency : int array array -> t
 (** Build directly from neighbor lists (used for induced subgraphs).
-    Lists are sorted and deduplicated; self-loops are dropped.
+    Lists are sorted and deduplicated; self-loops are dropped. Lists are
+    not symmetrized.
     @raise Invalid_argument if an index is out of range. *)
 
 val degree : t -> int -> int

@@ -1,24 +1,30 @@
 module D = Tt_util.Dynarray_compat
 
 (* Subgraph induced by [vertices] of [g], with the mapping back to the
-   original ids. *)
+   original ids. [local] numbers the chosen vertices and marks the rest
+   [-1]. *)
 let induced (g : Graph_adj.t) vertices =
   let map_back = Array.of_list vertices in
-  let n' = Array.length map_back in
-  let local = Hashtbl.create (2 * n') in
-  Array.iteri (fun li v -> Hashtbl.replace local v li) map_back;
+  let local = Array.make g.Graph_adj.n (-1) in
+  Array.iteri (fun li v -> local.(v) <- li) map_back;
   let parent = g.Graph_adj.adj in
   let adj =
     Array.map
       (fun v ->
-        let ns = D.create () in
+        let a = parent.(v) in
+        let k = ref 0 in
+        Array.iter (fun u -> if local.(u) >= 0 then incr k) a;
+        let ns = Array.make !k 0 in
+        k := 0;
         Array.iter
           (fun u ->
-            match Hashtbl.find_opt local u with
-            | Some lu -> D.add_last ns lu
-            | None -> ())
-          parent.(v);
-        D.to_array ns)
+            let lu = local.(u) in
+            if lu >= 0 then begin
+              ns.(!k) <- lu;
+              incr k
+            end)
+          a;
+        ns)
       map_back
   in
   (Graph_adj.of_adjacency adj, map_back)

@@ -3,26 +3,30 @@ module P = Tt_core.Parallel
 
 type point = { algo : string; budget : int; makespan : int; peak : int }
 
-(* [lo] is the sequential optimum, [Minmem.min_memory t] *)
+(* [lo] is the sequential optimum, [Minmem.min_memory t]. The grid is
+   [lo + floor (span * k / (steps - 1))] for [k] in [0, steps). When its
+   steps are at most one word apart it is every budget in [lo, hi];
+   otherwise consecutive budgets differ, so nothing repeats. *)
 let budgets_from ~lo t ~steps =
   if steps < 1 then invalid_arg "Pareto.budgets: steps < 1";
   let hi = max lo (T.total_f t) in
-  if steps = 1 || hi = lo then [| lo |]
+  let span = hi - lo in
+  if span < 0 then invalid_arg "Pareto.budgets: budget range overflows";
+  if steps = 1 || span = 0 then [| lo |]
+  else if steps - 1 >= span then Array.init (span + 1) (fun k -> lo + k)
   else begin
+    (* span * k can wrap: carry the remainder of (span mod d) * k / d
+       instead, all terms below d *)
+    let d = steps - 1 in
+    let q = span / d and r = span mod d in
     let out = Array.make steps lo in
-    for k = 0 to steps - 1 do
-      out.(k) <- lo + ((hi - lo) * k / (steps - 1))
+    let rem = ref 0 in
+    for k = 1 to d do
+      let carry = if !rem >= d - r then 1 else 0 in
+      rem := if carry = 1 then !rem - (d - r) else !rem + r;
+      out.(k) <- out.(k - 1) + q + carry
     done;
-    (* the integer grid can repeat budgets on tiny ranges; keep firsts *)
-    let seen = Hashtbl.create steps in
-    Array.to_list out
-    |> List.filter (fun b ->
-           if Hashtbl.mem seen b then false
-           else begin
-             Hashtbl.add seen b ();
-             true
-           end)
-    |> Array.of_list
+    out
   end
 
 let budgets t ~steps = budgets_from ~lo:(Tt_core.Minmem.min_memory t) t ~steps

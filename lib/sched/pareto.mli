@@ -20,8 +20,11 @@ type point = {
 val budgets : Tt_core.Tree.t -> steps:int -> int array
 (** [steps] budgets linearly spaced over
     [[min_memory t, max (min_memory t) (total_f t)]], duplicates
-    removed (strictly increasing). @raise Invalid_argument if
-    [steps < 1]. *)
+    removed (strictly increasing). The grid is computed without
+    overflow for any weights, and it takes
+    [min steps (hi - lo + 1)] words, whatever [steps] is.
+    @raise Invalid_argument if [steps < 1], or if [hi - lo] overflows
+    (a negative [min_memory] far below zero). *)
 
 val sweep :
   ?steps:int ->

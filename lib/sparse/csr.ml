@@ -138,21 +138,58 @@ let is_symmetric ?(tol = 0.) a =
     end
   end
 
+(* Rows of a [t] are sorted and duplicate-free, so the pattern builders
+   below need no sort and sum nothing: a counting pass over the rows in
+   order fills each column with its rows sorted, and merging sorted rows
+   keeps them sorted. *)
+
 let symmetrize_pattern a =
   if a.nrows <> a.ncols then invalid_arg "Csr.symmetrize_pattern: not square";
-  let n = a.nrows in
-  let t = Triplet.create ~nrows:n ~ncols:n in
+  let n = a.nrows and m = nnz a in
+  (* the pattern of [a^T] *)
+  let tptr = Array.make (n + 1) 0 in
+  for k = 0 to m - 1 do
+    let j = a.col_idx.(k) in
+    tptr.(j + 1) <- tptr.(j + 1) + 1
+  done;
+  for j = 0 to n - 1 do
+    tptr.(j + 1) <- tptr.(j + 1) + tptr.(j)
+  done;
+  let tidx = Array.make m 0 and fill = Array.sub tptr 0 n in
   for i = 0 to n - 1 do
-    Triplet.add t i i 1.;
     for k = a.row_ptr.(i) to a.row_ptr.(i + 1) - 1 do
       let j = a.col_idx.(k) in
-      Triplet.add t i j 1.;
-      Triplet.add t j i 1.
+      tidx.(fill.(j)) <- i;
+      fill.(j) <- fill.(j) + 1
     done
   done;
-  let b = of_triplet t in
-  (* collapse summed duplicates back to pattern value 1 *)
-  { b with values = Array.map (fun _ -> 1.) b.values }
+  (* [union i f] calls [f] on each column of row [i] of [a], row [i] of
+     [a^T] and [i], ascending *)
+  let union i f =
+    let k = ref a.row_ptr.(i) and t = ref tptr.(i) and d = ref i in
+    let ke = a.row_ptr.(i + 1) and te = tptr.(i + 1) in
+    while !k < ke || !t < te || !d < max_int do
+      let ck = if !k < ke then a.col_idx.(!k) else max_int in
+      let ct = if !t < te then tidx.(!t) else max_int in
+      let c = min !d (min ck ct) in
+      if ck = c then incr k;
+      if ct = c then incr t;
+      if !d = c then d := max_int;
+      f c
+    done
+  in
+  let row_ptr = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    row_ptr.(i + 1) <- row_ptr.(i);
+    union i (fun _ -> row_ptr.(i + 1) <- row_ptr.(i + 1) + 1)
+  done;
+  let col_idx = Array.make row_ptr.(n) 0 and pos = ref 0 in
+  for i = 0 to n - 1 do
+    union i (fun c ->
+        col_idx.(!pos) <- c;
+        incr pos)
+  done;
+  { nrows = n; ncols = n; row_ptr; col_idx; values = Array.make row_ptr.(n) 1. }
 
 let symmetrize_values a =
   if a.nrows <> a.ncols then invalid_arg "Csr.symmetrize_values: not square";
@@ -203,13 +240,46 @@ let permute_sym a perm =
         invalid_arg "Csr.permute_sym: not a permutation";
       inv.(oldi) <- newi)
     perm;
-  let t = Triplet.create ~nrows:n ~ncols:n in
-  for i = 0 to n - 1 do
+  (* Two counting passes. The first fills the columns of the result in
+     ascending row order, so each column lists its rows sorted; the
+     second reads those columns in ascending order into the rows, so
+     each row lists its columns sorted. *)
+  let m = nnz a in
+  let cptr = Array.make (n + 1) 0 in
+  for k = 0 to m - 1 do
+    let c = inv.(a.col_idx.(k)) in
+    cptr.(c + 1) <- cptr.(c + 1) + 1
+  done;
+  for c = 0 to n - 1 do
+    cptr.(c + 1) <- cptr.(c + 1) + cptr.(c)
+  done;
+  let crow = Array.make m 0 and cpos = Array.make m 0 in
+  let fill = Array.sub cptr 0 n in
+  for r = 0 to n - 1 do
+    let i = perm.(r) in
     for k = a.row_ptr.(i) to a.row_ptr.(i + 1) - 1 do
-      Triplet.add t inv.(i) inv.(a.col_idx.(k)) a.values.(k)
+      let c = inv.(a.col_idx.(k)) in
+      crow.(fill.(c)) <- r;
+      cpos.(fill.(c)) <- k;
+      fill.(c) <- fill.(c) + 1
     done
   done;
-  of_triplet t
+  let row_ptr = Array.make (n + 1) 0 in
+  for r = 0 to n - 1 do
+    let i = perm.(r) in
+    row_ptr.(r + 1) <- row_ptr.(r) + (a.row_ptr.(i + 1) - a.row_ptr.(i))
+  done;
+  let col_idx = Array.make m 0 and values = Array.make m 0. in
+  Array.blit row_ptr 0 fill 0 n;
+  for c = 0 to n - 1 do
+    for q = cptr.(c) to cptr.(c + 1) - 1 do
+      let r = crow.(q) in
+      col_idx.(fill.(r)) <- c;
+      values.(fill.(r)) <- a.values.(cpos.(q));
+      fill.(r) <- fill.(r) + 1
+    done
+  done;
+  { nrows = n; ncols = n; row_ptr; col_idx; values }
 
 let mul_vec a x =
   if Array.length x <> a.ncols then invalid_arg "Csr.mul_vec: dimension mismatch";

@@ -43,7 +43,8 @@ val is_symmetric : ?tol:float -> t -> bool
 val symmetrize_pattern : t -> t
 (** The paper's preprocessing: the pattern of [|A| + |A^T| + I], with
     value [1.] on every entry. The result is square, structurally
-    symmetric, with a full diagonal.
+    symmetric, with a full diagonal. O(n + nnz): a counting pass builds
+    the transposed pattern and each row is one merge.
     @raise Invalid_argument if the matrix is not square. *)
 
 val symmetrize_values : t -> t
@@ -57,6 +58,8 @@ val lower : ?strict:bool -> t -> t
 val permute_sym : t -> int array -> t
 (** [permute_sym a perm] is [P A P^T] where [perm.(new_index) =
     old_index] — entry [(i,j)] of the result is [a(perm i, perm j)].
+    Values are moved, never summed, so they are bit-identical. O(n +
+    nnz) by two counting passes.
     @raise Invalid_argument if [perm] is not a permutation of the
     dimension. *)
 

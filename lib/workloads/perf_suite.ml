@@ -200,6 +200,35 @@ let huge_family mode =
         families)
     sizes
 
+(* --- pipeline family -------------------------------------------------------
+   Minimum-degree ordering, the symbolic pipeline's costliest stage, on
+   three corpus matrices (scale 1, the corpus seed): [rand-1500-3.5],
+   whose elimination graph turns into one clique, [arrow-1200], whose
+   dense border rows meet every pivot, and the 3-D grid [grid3d-10].
+   Same sizes in both modes; the payload is the permutation. *)
+
+let pipeline_family () =
+  let matrices = lazy (Dataset.matrices ~seed:42 ()) in
+  List.map
+    (fun name ->
+      let graph =
+        lazy
+          (Tt_ordering.Graph_adj.of_pattern
+             (Tt_sparse.Csr.symmetrize_pattern (List.assoc name (Lazy.force matrices))))
+      in
+      {
+        Tt_profile.Microbench.kernel = "pipeline/mindeg";
+        instance = name;
+        p = (Lazy.force graph).Tt_ordering.Graph_adj.n;
+        max_reps = 0;
+        run =
+          (fun () ->
+            let buf = Buffer.create 8192 in
+            buf_ints buf (Tt_ordering.Min_degree.order (Lazy.force graph));
+            Buffer.contents buf);
+      })
+    [ "rand-1500-3.5"; "arrow-1200"; "grid3d-10" ]
+
 let specs mode =
   let quick = mode = Quick in
   let chain = sized "chain-stair" (fun () -> chain_stair (if quick then 2_000 else 40_000)) in
@@ -329,5 +358,6 @@ let specs mode =
       sched_family sched_cat;
       sched_family sched_rand;
       sched_family ~pareto:false sched_star;
+      pipeline_family ();
       huge_family mode;
     ]

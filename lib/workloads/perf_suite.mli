@@ -34,6 +34,10 @@
       validate: its heavy leaves rank first but few fit at once, the
       case where a greedy scan that revisits passed-over tasks turns
       quadratic.
+    - [pipeline/mindeg] — {!Tt_ordering.Min_degree.order} on three
+      scale-1 corpus matrices ({!Dataset.matrices}, seed 42):
+      [rand-1500-3.5], [arrow-1200] and [grid3d-10]; the payload is the
+      permutation.
 
     Every spec's payload encodes the kernel's {e full} result (traversal,
     tau vector, I/O volume…), so the digests in [BENCH_CORE.json] are

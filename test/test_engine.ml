@@ -590,6 +590,100 @@ let test_manifest_approx_errors () =
   check_error "gen grid2d :: minmem-approx tol=-0.5" "tol must be >= 0";
   check_error "gen grid2d :: minmem-approx steps=3" "unknown key"
 
+(* An entry the pipeline or a generator would refuse is a manifest
+   error: [parse] returns it as [Error] and raises nothing. *)
+let test_manifest_source_ranges () =
+  let refused text =
+    match Tt_engine.Manifest.parse text with
+    | Ok _ -> Alcotest.failf "%S: accepted" text
+    | Error _ -> ()
+    | exception e -> Alcotest.failf "%S: raised %s" text (Printexc.to_string e)
+  in
+  List.iter refused
+    [ "gen grid2d size=8 amalgamation=0 :: liu";
+      "gen grid2d size=8 amalgamation=-5 :: liu";
+      "gen arrow size=1 :: liu";
+      "gen arrow size=2 :: liu";
+      "gen grid3d size=-2 :: liu";
+      "gen grid2d size=-3 :: liu";
+      "gen random size=-1 :: liu"
+    ];
+  (* the smallest sizes each generator takes still parse *)
+  List.iter
+    (fun text ->
+      match Tt_engine.Manifest.parse text with
+      | Ok [ _ ] -> ()
+      | Ok _ -> Alcotest.failf "%S: expected one job" text
+      | Error e -> Alcotest.failf "%S: %s" text e)
+    [ "gen arrow size=3 :: liu";
+      "gen grid2d size=0 :: liu";
+      "gen grid3d size=1 amalgamation=1 :: liu"
+    ]
+
+(* Every memory key at 0, -1, 1e300, nan and inf: a typed error, or a
+   job whose budget is what the factor asks for, saturated at max_int
+   and never wrapped. *)
+let test_manifest_memory_ranges () =
+  let values = [ "0"; "-1"; "1e300"; "nan"; "inf" ] in
+  (* a tree whose in-core optimum lies above its working-set floor, so a
+     percentage budget scales a positive gap *)
+  let tree =
+    List.find
+      (fun t -> Tt_core.Minmem.min_memory t > T.max_mem_req t)
+      (H.tree_list ~seed:5 ~count:50 ~size_max:30 ~max_f:12 ~max_n:6)
+  in
+  let outcome job_text =
+    let text = Printf.sprintf "tree \"%s\" :: %s" (T.to_string tree) job_text in
+    match Tt_engine.Manifest.parse text with
+    | Error _ -> None
+    | Ok [ job ] -> (
+        match J.compute job with
+        | J.Sched { memory; _ } | J.Par_sched { memory; _ } | J.Io { memory; _ } ->
+            Some (memory, job.J.tree)
+        | _ -> Alcotest.failf "%S: unexpected outcome" text)
+    | Ok _ -> Alcotest.failf "%S: expected one job" text
+  in
+  let expect job_text want =
+    match (outcome job_text, want) with
+    | None, `Error -> ()
+    | Some (m, _), `Words w when m = w -> ()
+    | Some (m, t), `Floor when m = T.max_mem_req t -> ()
+    | Some (m, _), _ -> Alcotest.failf "%S: budget %d" job_text m
+    | None, _ -> Alcotest.failf "%S: refused" job_text
+  in
+  let factor_wants = [ `Words 0; `Error; `Words max_int; `Error; `Error ] in
+  List.iter
+    (fun job ->
+      List.iter2 (fun v want -> expect (job ^ v) want) values factor_wants)
+    [ "schedule procs=2 mem=";
+      "par-schedule algo=greedy procs=2 mem=";
+      "par-schedule algo=booking procs=2 mem=";
+      "par-schedule algo=split procs=2 mem="
+    ];
+  List.iter2
+    (fun v want -> expect ("minio budget=" ^ v ^ "%") want)
+    values
+    [ `Floor; `Error; `Words max_int; `Error; `Error ];
+  List.iter2
+    (fun v want -> expect ("minio budget=" ^ v) want)
+    values
+    [ `Words 0; `Error; `Error; `Error; `Error ];
+  (* pareto steps: at least 1, at most the documented cap *)
+  List.iter
+    (fun (steps, ok) ->
+      let text = Printf.sprintf "gen grid2d size=4 :: pareto procs=2 steps=%d" steps in
+      match (Tt_engine.Manifest.parse text, ok) with
+      | Ok _, true | Error _, false -> ()
+      | Ok _, false -> Alcotest.failf "%S: accepted" text
+      | Error e, true -> Alcotest.failf "%S: %s" text e)
+    [ (0, false);
+      (-1, false);
+      (1, true);
+      (Tt_engine.Manifest.max_steps, true);
+      (Tt_engine.Manifest.max_steps + 1, false);
+      (max_int, false)
+    ]
+
 let () =
   H.run "engine"
     [ ( "job",
@@ -622,6 +716,8 @@ let () =
           H.case "end to end" test_manifest_runs_through_engine;
           H.case "sched jobs" test_manifest_sched_jobs;
           H.case "minmem-approx jobs" test_manifest_approx_jobs;
-          H.case "minmem-approx errors" test_manifest_approx_errors
+          H.case "minmem-approx errors" test_manifest_approx_errors;
+          H.case "gen sizes and amalgamation" test_manifest_source_ranges;
+          H.case "memory keys saturate or refuse" test_manifest_memory_ranges
         ] )
     ]

@@ -1,7 +1,9 @@
 (* Differential tests for the hot-path optimizations: the indexed MinIO
    candidate set, the array-backed segment calculus, the postorder
-   child-sort reuse, the Explore cut compaction and the exact-size tree
-   encoder must be {e behaviour-identical} to the straightforward
+   child-sort reuse, the Explore cut compaction, the exact-size tree
+   encoder and the symbolic pipeline's front end (minimum degree, nested
+   dissection's subgraphs, the CSR pattern builders) must be
+   {e behaviour-identical} to the straightforward
    implementations they replaced — same traversals, same tau vectors,
    same I/O volumes, same floats, same bytes — since the benchmark
    digests in BENCH_CORE.json and the job ids are compared
@@ -1573,6 +1575,413 @@ let test_minio_alloc_bound () =
           (Minio.policy_name policy) leaves extra)
     [ Minio.Best_fit; Minio.Best_fill ]
 
+(* --- reference symbolic pipeline: Dynarray lists, Triplet builders ------- *)
+
+module Csr = Tt_sparse.Csr
+module Graph_adj = Tt_ordering.Graph_adj
+
+let ref_min_degree (g : Graph_adj.t) =
+  let module D = Tt_util.Dynarray_compat in
+  let n = g.Graph_adj.n in
+  let avars = Array.map (fun a -> D.of_array a) g.Graph_adj.adj in
+  let aelts : int D.t array = Array.init n (fun _ -> D.create ()) in
+  let boundary : int array array = Array.make n [||] in
+  let eliminated = Array.make n false in
+  let mark = Array.make n 0 in
+  let stamp = ref 0 in
+  let next_stamp () =
+    incr stamp;
+    !stamp
+  in
+  (* exact external degree of v *)
+  let compute_degree v =
+    let s = next_stamp () in
+    mark.(v) <- s;
+    let count = ref 0 in
+    let visit u =
+      if (not eliminated.(u)) && mark.(u) <> s then begin
+        mark.(u) <- s;
+        incr count
+      end
+    in
+    D.iter (fun u -> if not eliminated.(u) then visit u) avars.(v);
+    D.iter (fun e -> Array.iter visit boundary.(e)) aelts.(v);
+    !count
+  in
+  let heap = Tt_util.Int_heap.create n in
+  for v = 0 to n - 1 do
+    Tt_util.Int_heap.insert heap v (compute_degree v)
+  done;
+  let perm = Array.make n (-1) in
+  for step = 0 to n - 1 do
+    let p, _deg = Tt_util.Int_heap.pop_min heap in
+    perm.(step) <- p;
+    eliminated.(p) <- true;
+    (* boundary of the new element: live variable neighbors plus the
+       boundaries of adjacent (now absorbed) elements *)
+    let s = next_stamp () in
+    mark.(p) <- s;
+    let bnd = D.create () in
+    let visit u =
+      if (not eliminated.(u)) && mark.(u) <> s then begin
+        mark.(u) <- s;
+        D.add_last bnd u
+      end
+    in
+    D.iter (fun u -> if not eliminated.(u) then visit u) avars.(p);
+    let absorbed = D.to_array aelts.(p) in
+    Array.iter (fun e -> Array.iter visit boundary.(e)) absorbed;
+    let bnd = D.to_array bnd in
+    boundary.(p) <- bnd;
+    (* release the absorbed elements *)
+    Array.iter (fun e -> boundary.(e) <- [||]) absorbed;
+    avars.(p) <- D.create ();
+    aelts.(p) <- D.create ();
+    (* update each boundary variable: drop dead variable neighbors and
+       absorbed elements, gain element p, refresh its degree *)
+    let absorbed_set = next_stamp () in
+    Array.iter (fun e -> mark.(e) <- absorbed_set) absorbed;
+    Array.iter
+      (fun v ->
+        (* avars v: keep live neighbors outside the new clique; members of
+           the clique are reachable through element p *)
+        let s2 = next_stamp () in
+        Array.iter (fun u -> mark.(u) <- s2) bnd;
+        let keep = D.create () in
+        D.iter
+          (fun u -> if (not eliminated.(u)) && mark.(u) <> s2 then D.add_last keep u)
+          avars.(v);
+        avars.(v) <- keep;
+        let kept_elts = D.create () in
+        D.iter
+          (fun e -> if mark.(e) <> absorbed_set && e <> p then D.add_last kept_elts e)
+          aelts.(v);
+        D.add_last kept_elts p;
+        aelts.(v) <- kept_elts;
+        Tt_util.Int_heap.update heap v (compute_degree v))
+      bnd
+  done;
+  perm
+
+(* [Csr.t] is private, so the reference returns the pattern's arrays *)
+let ref_symmetrize_pattern (a : Csr.t) =
+  let open Tt_sparse in
+  if a.Csr.nrows <> a.Csr.ncols then invalid_arg "Csr.symmetrize_pattern: not square";
+  let n = a.Csr.nrows in
+  let t = Triplet.create ~nrows:n ~ncols:n in
+  for i = 0 to n - 1 do
+    Triplet.add t i i 1.;
+    for k = a.Csr.row_ptr.(i) to a.Csr.row_ptr.(i + 1) - 1 do
+      let j = a.Csr.col_idx.(k) in
+      Triplet.add t i j 1.;
+      Triplet.add t j i 1.
+    done
+  done;
+  let b = Csr.of_triplet t in
+  (* collapse summed duplicates back to pattern value 1 *)
+  (b.Csr.row_ptr, b.Csr.col_idx, Array.map (fun _ -> 1.) b.Csr.values)
+
+let ref_permute_sym (a : Csr.t) perm =
+  let open Tt_sparse in
+  if a.Csr.nrows <> a.Csr.ncols then invalid_arg "Csr.permute_sym: not square";
+  let n = a.Csr.nrows in
+  if Array.length perm <> n then invalid_arg "Csr.permute_sym: wrong length";
+  let inv = Array.make n (-1) in
+  Array.iteri
+    (fun newi oldi ->
+      if oldi < 0 || oldi >= n || inv.(oldi) <> -1 then
+        invalid_arg "Csr.permute_sym: not a permutation";
+      inv.(oldi) <- newi)
+    perm;
+  let t = Triplet.create ~nrows:n ~ncols:n in
+  for i = 0 to n - 1 do
+    for k = a.Csr.row_ptr.(i) to a.Csr.row_ptr.(i + 1) - 1 do
+      Triplet.add t inv.(i) inv.(a.Csr.col_idx.(k)) a.Csr.values.(k)
+    done
+  done;
+  Csr.of_triplet t
+
+(* [Graph_adj.t] is private too: the reference cleans the lists and the
+   reference dissection wraps them with [of_adjacency], which is the
+   identity on clean lists (checked against this reference below) *)
+let ref_of_adjacency adj =
+  let n = Array.length adj in
+  Array.mapi
+    (fun i neighbors ->
+      Array.iter
+        (fun v ->
+          if v < 0 || v >= n then invalid_arg "Graph_adj.of_adjacency: out of range")
+        neighbors;
+      let l = List.filter (fun v -> v <> i) (Array.to_list neighbors) in
+      let l = List.sort_uniq compare l in
+      Array.of_list l)
+    adj
+
+let ref_induced (g : Graph_adj.t) vertices =
+  let module D = Tt_util.Dynarray_compat in
+  let map_back = Array.of_list vertices in
+  let n' = Array.length map_back in
+  let local = Hashtbl.create (2 * n') in
+  Array.iteri (fun li v -> Hashtbl.replace local v li) map_back;
+  let parent = g.Graph_adj.adj in
+  let adj =
+    Array.map
+      (fun v ->
+        let ns = D.create () in
+        Array.iter
+          (fun u ->
+            match Hashtbl.find_opt local u with
+            | Some lu -> D.add_last ns lu
+            | None -> ())
+          parent.(v);
+        D.to_array ns)
+      map_back
+  in
+  (Graph_adj.of_adjacency (ref_of_adjacency adj), map_back)
+
+let ref_nested_dissection ?(small = 24) (g : Graph_adj.t) =
+  let module D = Tt_util.Dynarray_compat in
+  let out = D.create () in
+  let rec dissect (sub : Graph_adj.t) (map_back : int array) =
+    let n = sub.Graph_adj.n in
+    if n = 0 then ()
+    else if n <= small then
+      Array.iter (fun li -> D.add_last out map_back.(li)) (ref_min_degree sub)
+    else begin
+      let comp, count = Graph_adj.components sub in
+      if count > 1 then begin
+        for c = 0 to count - 1 do
+          let part = ref [] in
+          for v = n - 1 downto 0 do
+            if comp.(v) = c then part := v :: !part
+          done;
+          let subsub, mb = ref_induced sub !part in
+          let mb = Array.map (fun v -> map_back.(v)) mb in
+          dissect subsub mb
+        done
+      end
+      else begin
+        let start = Graph_adj.pseudo_peripheral sub 0 in
+        let level = Graph_adj.bfs_levels sub start in
+        let max_level = Array.fold_left max 0 level in
+        if max_level < 2 then
+          Array.iter (fun li -> D.add_last out map_back.(li)) (ref_min_degree sub)
+        else begin
+          let mid = max_level / 2 in
+          let below = ref [] and above = ref [] and sep = ref [] in
+          for v = n - 1 downto 0 do
+            if level.(v) < mid then below := v :: !below
+            else if level.(v) > mid then above := v :: !above
+            else sep := v :: !sep
+          done;
+          let sub_b, mb_b = ref_induced sub !below in
+          let sub_a, mb_a = ref_induced sub !above in
+          dissect sub_b (Array.map (fun v -> map_back.(v)) mb_b);
+          dissect sub_a (Array.map (fun v -> map_back.(v)) mb_a);
+          List.iter (fun v -> D.add_last out map_back.(v)) !sep
+        end
+      end
+    end
+  in
+  dissect g (Array.init g.Graph_adj.n (fun i -> i));
+  D.to_array out
+
+(* values compared by their bits: no summation may change a float *)
+let same_csr (a : Csr.t) (b : Csr.t) =
+  a.Csr.nrows = b.Csr.nrows && a.Csr.ncols = b.Csr.ncols
+  && a.Csr.row_ptr = b.Csr.row_ptr && a.Csr.col_idx = b.Csr.col_idx
+  && Array.length a.Csr.values = Array.length b.Csr.values
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a.Csr.values b.Csr.values
+
+(* the whole front end on one matrix: pattern, both permutations and
+   the permuted patterns *)
+let check_front_end name (m : Csr.t) =
+  let pattern = Csr.symmetrize_pattern m in
+  let rp, rc, rv = ref_symmetrize_pattern m in
+  if not (pattern.Csr.row_ptr = rp && pattern.Csr.col_idx = rc && pattern.Csr.values = rv)
+  then Alcotest.failf "%s: symmetrize_pattern differs" name;
+  let g = Graph_adj.of_pattern pattern in
+  List.iter
+    (fun (what, perm, ref_perm) ->
+      if perm <> ref_perm then Alcotest.failf "%s: %s permutation differs" name what;
+      if not (same_csr (Csr.permute_sym pattern perm) (ref_permute_sym pattern perm)) then
+        Alcotest.failf "%s: permute_sym by %s differs" name what)
+    [ ("mindeg", Tt_ordering.Min_degree.order g, ref_min_degree g);
+      ("nd", Tt_ordering.Nested_dissection.order g, ref_nested_dissection g)
+    ]
+
+let test_pipeline_corpus () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (name, m) -> check_front_end (Printf.sprintf "seed %d %s" seed name) m)
+        (Tt_workloads.Dataset.matrices ~seed ()))
+    [ 1; 2; 3; 7 ]
+
+let test_pipeline_spgen () =
+  let module G = Tt_sparse.Spgen in
+  let rng seed = Tt_util.Rng.create seed in
+  List.iter
+    (fun (name, m) -> check_front_end name m)
+    [ ("grid2d-0", G.grid2d 0);
+      ("grid2d-1", G.grid2d 1);
+      ("grid2d-19", G.grid2d 19);
+      ("rect-5x40", G.grid2d_rect 5 40);
+      ("grid9-17", G.grid2d_9pt 17);
+      ("grid3d-8", G.grid3d 8);
+      ("banded-500", G.banded ~rng:(rng 3) ~n:500 ~bandwidth:10 ~fill:0.4);
+      ("random-700", G.random_sym ~rng:(rng 4) ~n:700 ~nnz_per_row:3.0);
+      ("random-1", G.random_sym ~rng:(rng 5) ~n:1 ~nnz_per_row:3.0);
+      ("arrow-3", G.block_arrow ~n:3 ~blocks:8 ~border:2);
+      ("arrow-600", G.block_arrow ~n:600 ~blocks:8 ~border:15);
+      ("powerlaw-600", G.power_law ~rng:(rng 6) ~n:600 ~edges_per_node:2);
+      ("tridiagonal-300", G.tridiagonal 300)
+    ]
+
+(* symmetric graphs of the shapes that stress the tail shortcut, the
+   in-place lists and the supervariables: complete graphs, stars,
+   disjoint cliques, paths, n = 0 and n = 1, seeded random graphs, and
+   blow-ups of random graphs, where each vertex becomes a clique or an
+   independent set of copies with its neighbors (twins from the
+   start) *)
+(* a seeded permutation of [0, n) *)
+let shuffled rng n =
+  let perm = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Tt_util.Rng.int rng (i + 1) in
+    let x = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- x
+  done;
+  perm
+
+let arb_sym_graph =
+  let open QCheck.Gen in
+  let edges n pairs =
+    let adj = Array.make n [] in
+    List.iter
+      (fun (u, v) ->
+        if u <> v then begin
+          adj.(u) <- v :: adj.(u);
+          adj.(v) <- u :: adj.(v)
+        end)
+      pairs;
+    Array.map Array.of_list adj
+  in
+  let pairs_within n keep =
+    List.filter keep (List.concat (List.init n (fun u -> List.init n (fun v -> (u, v)))))
+  in
+  let random_pairs n m = list_size (return m) (pair (int_bound (n - 1)) (int_bound (n - 1))) in
+  (* base vertex [v] becomes [copies.(v)] vertices, adjacent to every
+     copy of its base neighbors and, for cliques, to each other *)
+  let blow_up k base copies clique =
+    let off = Array.make (k + 1) 0 in
+    Array.iteri (fun v c -> off.(v + 1) <- off.(v) + c) copies;
+    let members v = List.init copies.(v) (fun i -> off.(v) + i) in
+    let cross (a, b) =
+      List.concat_map (fun x -> List.map (fun y -> (x, y)) (members b)) (members a)
+    in
+    let inside = if clique then List.concat (List.init k (fun v -> cross (v, v))) else [] in
+    ( (if clique then "blow-up cliques" else "blow-up sets"),
+      edges off.(k) (inside @ List.concat_map cross base) )
+  in
+  let shape =
+    oneof
+      [ map (fun n -> ("complete", edges n (pairs_within n (fun _ -> true)))) (int_range 0 30);
+        map (fun n -> ("star", edges n (List.init n (fun v -> (0, v))))) (int_range 1 60);
+        map2
+          (fun k c ->
+            ("cliques", edges (k * c) (pairs_within (k * c) (fun (u, v) -> u / c = v / c))))
+          (int_range 1 5) (int_range 1 8);
+        map
+          (fun n -> ("path", edges n (List.init (max 0 (n - 1)) (fun v -> (v, v + 1)))))
+          (int_range 0 80);
+        map (fun n -> ("tiny", edges n [])) (int_range 0 1);
+        ( int_range 2 120 >>= fun n ->
+          int_range 0 (4 * n) >>= fun m ->
+          map (fun pairs -> ("random", edges n pairs)) (random_pairs n m) );
+        ( int_range 2 30 >>= fun k ->
+          int_range 0 (3 * k) >>= fun m ->
+          random_pairs k m >>= fun base ->
+          array_size (return k) (int_range 1 4) >>= fun copies ->
+          map (blow_up k base copies) bool )
+      ]
+  in
+  QCheck.make
+    ~print:(fun (kind, adj) -> Printf.sprintf "%s n=%d" kind (Array.length adj))
+    (* relabel so the tie rule meets every shape in every position *)
+    ( pair shape (int_bound 1_000_000) >|= fun ((kind, adj), seed) ->
+      let n = Array.length adj in
+      let relabel = shuffled (Tt_util.Rng.create seed) n in
+      let out = Array.make n [||] in
+      Array.iteri (fun v a -> out.(relabel.(v)) <- Array.map (fun u -> relabel.(u)) a) adj;
+      (kind, out) )
+
+let prop_pipeline_graphs =
+  H.qcheck ~count:400 "min degree, nd and of_adjacency equal the reference" arb_sym_graph
+    (fun (_, adj) ->
+      let g = Graph_adj.of_adjacency adj in
+      g.Graph_adj.adj = ref_of_adjacency adj
+      && Tt_ordering.Min_degree.order g = ref_min_degree g
+      && Tt_ordering.Nested_dissection.order ~small:6 g = ref_nested_dissection ~small:6 g)
+
+(* raw lists: duplicates, self-loops and one-sided edges *)
+let arb_raw_lists =
+  QCheck.make
+    ~print:(fun adj -> Printf.sprintf "n=%d" (Array.length adj))
+    QCheck.Gen.(
+      int_range 1 30 >>= fun n ->
+      array_size (return n) (array_size (int_bound 12) (int_bound (n - 1))))
+
+let prop_of_adjacency_raw =
+  H.qcheck ~count:300 "of_adjacency cleans raw lists like the reference" arb_raw_lists
+    (fun adj -> (Graph_adj.of_adjacency adj).Graph_adj.adj = ref_of_adjacency adj)
+
+(* a one-sided edge counts both ways: min degree orders a graph as its
+   symmetric closure *)
+let prop_min_degree_closure =
+  H.qcheck ~count:300 "min degree reads one-sided lists as their symmetric closure"
+    arb_raw_lists (fun adj ->
+      let closure = Array.map Array.to_list adj in
+      Array.iteri (fun v a -> Array.iter (fun u -> closure.(u) <- v :: closure.(u)) a) adj;
+      let sym = Graph_adj.of_adjacency (Array.map Array.of_list closure) in
+      Tt_ordering.Min_degree.order (Graph_adj.of_adjacency adj) = ref_min_degree sym)
+
+(* seeded non-symmetric matrices with repeated coordinates, so the rows
+   hold summed values, and a seeded permutation *)
+let arb_csr_perm =
+  QCheck.make
+    ~print:(fun (a, _) -> Printf.sprintf "n=%d nnz=%d" a.Csr.nrows (Csr.nnz a))
+    QCheck.Gen.(
+      pair (int_range 0 40) (int_bound 1_000_000) >|= fun (n, seed) ->
+      let rng = Tt_util.Rng.create seed in
+      let t = Tt_sparse.Triplet.create ~nrows:n ~ncols:n in
+      if n > 0 then
+        for _ = 1 to Tt_util.Rng.int rng (4 * n + 1) do
+          Tt_sparse.Triplet.add t (Tt_util.Rng.int rng n) (Tt_util.Rng.int rng n)
+            (Tt_util.Rng.float rng 2.0 -. 1.0)
+        done;
+      (Csr.of_triplet t, shuffled rng n))
+
+let prop_csr_builders =
+  H.qcheck ~count:300 "permute_sym and symmetrize_pattern equal the reference, values bit for bit"
+    arb_csr_perm (fun (a, perm) ->
+      let rp, rc, rv = ref_symmetrize_pattern a in
+      let p = Csr.symmetrize_pattern a in
+      same_csr (Csr.permute_sym a perm) (ref_permute_sym a perm)
+      && p.Csr.row_ptr = rp && p.Csr.col_idx = rc && p.Csr.values = rv)
+
+(* the pattern behind a manifest's [gen random size=3000]: the Dynarray
+   lists allocated 243 MB on it *)
+let test_min_degree_alloc_bound () =
+  let m = Tt_sparse.Spgen.random_sym ~rng:(Tt_util.Rng.create 42) ~n:3000 ~nnz_per_row:3.0 in
+  let g = Graph_adj.of_pattern (Csr.symmetrize_pattern m) in
+  let perm, bytes = allocated (fun () -> Tt_ordering.Min_degree.order g) in
+  Alcotest.(check int) "a permutation" 3000 (Array.length perm);
+  if bytes >= 16e6 then
+    Alcotest.failf "Min_degree.order allocated %.1f MB (bound 16 MB)" (bytes /. 1e6)
 let () =
   H.run "perf_parity"
     [ ( "minio",
@@ -1599,6 +2008,15 @@ let () =
         ] );
       ( "encoding",
         [ H.case "edge weights" test_tree_encoding_edges; prop_tree_encoding_reference ] );
+      ( "pipeline",
+        [ H.case "corpus matrices, seeds 1/2/3/7" test_pipeline_corpus;
+          H.case "every Spgen family" test_pipeline_spgen;
+          prop_pipeline_graphs;
+          prop_of_adjacency_raw;
+          prop_min_degree_closure;
+          prop_csr_builders;
+          H.case "gen random size=3000 allocates under 16 MB" test_min_degree_alloc_bound
+        ] );
       ( "structures",
         [ prop_ordered_set_model;
           H.case "pred clamp at word-size bounds" test_ordered_set_pred_clamp;

@@ -148,6 +148,86 @@ let prop_pareto_budgets_span =
               (fun (ok, prev) v -> ((ok && v > prev), v))
               (true, lo - 1) b))
 
+(* the budget grid before it was computed without overflow, verbatim *)
+let ref_budgets_from ~lo t ~steps =
+  if steps < 1 then invalid_arg "Pareto.budgets: steps < 1";
+  let hi = max lo (T.total_f t) in
+  if steps = 1 || hi = lo then [| lo |]
+  else begin
+    let out = Array.make steps lo in
+    for k = 0 to steps - 1 do
+      out.(k) <- lo + ((hi - lo) * k / (steps - 1))
+    done;
+    (* the integer grid can repeat budgets on tiny ranges; keep firsts *)
+    let seen = Hashtbl.create steps in
+    Array.to_list out
+    |> List.filter (fun b ->
+           if Hashtbl.mem seen b then false
+           else begin
+             Hashtbl.add seen b ();
+             true
+           end)
+    |> Array.of_list
+  end
+
+let prop_pareto_budgets_reference =
+  H.qcheck ~count:300 "budgets equal the reference grid wherever it does not wrap"
+    (QCheck.triple
+       (H.arb_tree ~size_max:10 ~max_f:1000 ())
+       (QCheck.int_range 1 3000) (QCheck.int_range 0 30))
+    (fun (t, steps, scale) ->
+      (* scale the files so spans range from a few words to 2^40 *)
+      let t = T.map_weights ~f:(fun i -> t.T.f.(i) lsl scale) ~n:(fun i -> t.T.n.(i)) t in
+      let lo = Tt_core.Minmem.min_memory t in
+      let span = max lo (T.total_f t) - lo in
+      QCheck.assume (steps = 1 || span <= max_int / (steps - 1));
+      S.Pareto.budgets t ~steps = ref_budgets_from ~lo t ~steps)
+
+(* a five-node tree with 2^60-word files: the interpolation product
+   passes max_int on an 8-step grid *)
+let huge_file_tree () =
+  let big = 1 lsl 60 in
+  T.make ~parent:[| -1; 0; 0; 0; 3 |] ~f:[| 0; big; big; 0; big |] ~n:[| 0; 0; 0; 0; 0 |]
+
+let test_pareto_budgets_huge_files () =
+  let t = huge_file_tree () in
+  let lo = Tt_core.Minmem.min_memory t and hi = T.total_f t in
+  Alcotest.(check bool) "the product wraps" true (hi - lo > max_int / 7);
+  let b = S.Pareto.budgets t ~steps:8 in
+  Alcotest.(check int) "eight budgets" 8 (Array.length b);
+  Alcotest.(check int) "first is the optimum" lo b.(0);
+  Alcotest.(check int) "last is total_f" hi b.(7);
+  Array.iteri
+    (fun k v ->
+      let exact = float_of_int lo +. (float_of_int (hi - lo) *. float_of_int k /. 7.) in
+      if Float.abs (float_of_int v -. exact) > 1e3 then
+        Alcotest.failf "budget %d is %d, not near %.0f" k v exact;
+      if k > 0 && v <= b.(k - 1) then Alcotest.failf "budget %d does not rise" k)
+    b;
+  let points = S.Pareto.sweep ~steps:8 t ~procs:2 ~work:(S.Work.default t) in
+  Alcotest.(check bool) "the sweep reaches total_f" true
+    (List.exists (fun (p : S.Pareto.point) -> p.budget = hi) points)
+
+(* a million steps over a few distinct budgets allocate those budgets,
+   not the grid *)
+let test_pareto_steps_allocation () =
+  let t = T.make ~parent:[| -1; 0; 0; 1; 1 |] ~f:[| 3; 5; 7; 4; 9 |] ~n:[| 1; 2; 0; 1; 0 |] in
+  let lo = Tt_core.Minmem.min_memory t in
+  let span = T.total_f t - lo in
+  let bytes f =
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    let r = f () in
+    (r, Gc.allocated_bytes () -. before)
+  in
+  let b, alloc = bytes (fun () -> S.Pareto.budgets t ~steps:1_000_000) in
+  Alcotest.(check int) "every budget in the range" (span + 1) (Array.length b);
+  if alloc >= 1e6 then Alcotest.failf "budgets at steps=10^6 allocated %.0f bytes" alloc;
+  let _, alloc =
+    bytes (fun () -> S.Pareto.sweep ~steps:1_000_000 t ~procs:2 ~work:(S.Work.default t))
+  in
+  if alloc >= 1e6 then Alcotest.failf "sweep at steps=10^6 allocated %.0f bytes" alloc
+
 (* --- the validator under mutation ----------------------------------------
    Each property takes a schedule the validator accepts, applies one
    mutation class, and demands rejection — ideally with the violation
@@ -324,7 +404,10 @@ let () =
       ( "pareto",
         [ prop_pareto_deterministic;
           prop_pareto_frontier_non_dominated;
-          prop_pareto_budgets_span
+          prop_pareto_budgets_span;
+          prop_pareto_budgets_reference;
+          H.case "2^60-word files reach total_f" test_pareto_budgets_huge_files;
+          H.case "steps = 10^6 allocates under 1 MB" test_pareto_steps_allocation
         ] );
       ( "validator mutations",
         [ prop_validator_rejects_precedence_break;
