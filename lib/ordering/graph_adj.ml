@@ -1,44 +1,71 @@
 type t = { n : int; adj : int array array }
 
+(* [a] sorted, deduplicated and without [i] *)
+let clean i a =
+  let a = Array.copy a in
+  Array.sort Int.compare a;
+  (* keep the first of each run, dropping [i]; writes trail reads *)
+  let k = ref 0 and prev = ref (-1) in
+  Array.iter
+    (fun v ->
+      if v <> !prev then begin
+        prev := v;
+        if v <> i then begin
+          a.(!k) <- v;
+          incr k
+        end
+      end)
+    a;
+  if !k = Array.length a then a else Array.sub a 0 !k
+
+(* Whether [u] in [v]'s list always means [v] in [u]'s, for sorted
+   lists. Visiting the lists in order meets the entries naming [u] in
+   ascending order, as [u]'s list holds them, so one cursor per list
+   matches each entry with its reverse. If every entry is matched, every
+   cursor has reached its list's end. *)
+let symmetric adj =
+  let cur = Array.make (Array.length adj) 0 in
+  let ok = ref true in
+  Array.iteri
+    (fun v a ->
+      Array.iter
+        (fun u ->
+          let c = cur.(u) in
+          if c < Array.length adj.(u) && adj.(u).(c) = v then cur.(u) <- c + 1
+          else ok := false)
+        a)
+    adj;
+  !ok
+
+(* each list joined with the vertices whose lists name it, cleaned *)
+let close adj =
+  let named_by = Array.make (Array.length adj) [] in
+  Array.iteri (fun v a -> Array.iter (fun u -> named_by.(u) <- v :: named_by.(u)) a) adj;
+  Array.mapi (fun v a -> clean v (Array.append a (Array.of_list named_by.(v)))) adj
+
+let undirected adj = { n = Array.length adj; adj = (if symmetric adj then adj else close adj) }
+
 let of_pattern (a : Tt_sparse.Csr.t) =
   let open Tt_sparse.Csr in
   if a.nrows <> a.ncols then invalid_arg "Graph_adj.of_pattern: not square";
-  let adj =
-    Array.init a.nrows (fun i ->
-        let lo = a.row_ptr.(i) and hi = a.row_ptr.(i + 1) in
-        (* rows are sorted and duplicate-free: skip the diagonal entry *)
-        let d = ref lo in
-        while !d < hi && a.col_idx.(!d) < i do incr d done;
-        if !d < hi && a.col_idx.(!d) = i then
-          Array.init (hi - lo - 1) (fun j ->
-              a.col_idx.(if lo + j < !d then lo + j else lo + j + 1))
-        else Array.sub a.col_idx lo (hi - lo))
-  in
-  { n = a.nrows; adj }
+  undirected
+    (Array.init a.nrows (fun i ->
+         let lo = a.row_ptr.(i) and hi = a.row_ptr.(i + 1) in
+         (* rows are sorted and duplicate-free: skip the diagonal entry *)
+         let d = ref lo in
+         while !d < hi && a.col_idx.(!d) < i do incr d done;
+         if !d < hi && a.col_idx.(!d) = i then
+           Array.init (hi - lo - 1) (fun j ->
+               a.col_idx.(if lo + j < !d then lo + j else lo + j + 1))
+         else Array.sub a.col_idx lo (hi - lo)))
 
 let of_adjacency adj =
   let n = Array.length adj in
-  let clean i neighbors =
-    Array.iter
-      (fun v -> if v < 0 || v >= n then invalid_arg "Graph_adj.of_adjacency: out of range")
-      neighbors;
-    let a = Array.copy neighbors in
-    Array.sort Int.compare a;
-    (* keep the first of each run, dropping [i]; writes trail reads *)
-    let k = ref 0 and prev = ref (-1) in
-    Array.iter
-      (fun v ->
-        if v <> !prev then begin
-          prev := v;
-          if v <> i then begin
-            a.(!k) <- v;
-            incr k
-          end
-        end)
-      a;
-    if !k = Array.length a then a else Array.sub a 0 !k
-  in
-  { n; adj = Array.mapi clean adj }
+  Array.iter
+    (Array.iter (fun v ->
+         if v < 0 || v >= n then invalid_arg "Graph_adj.of_adjacency: out of range"))
+    adj;
+  undirected (Array.mapi clean adj)
 
 let degree g i = Array.length g.adj.(i)
 

@@ -1,20 +1,24 @@
-(** Undirected adjacency view of a structurally symmetric sparse pattern
-    (diagonal dropped). The shared substrate of every ordering. *)
+(** Undirected adjacency view of a sparse pattern (diagonal dropped).
+    The shared substrate of every ordering. *)
 
 type t = private {
   n : int;  (** Number of vertices. *)
-  adj : int array array;  (** Sorted neighbor lists, no self-loops. *)
+  adj : int array array;
+      (** Sorted neighbor lists, no self-loops, symmetric: [u] is in
+          [v]'s list exactly when [v] is in [u]'s. *)
 }
 
 val of_pattern : Tt_sparse.Csr.t -> t
-(** Build from a structurally symmetric matrix (the caller is expected to
-    have applied {!Tt_sparse.Csr.symmetrize_pattern}).
+(** Build from a square matrix: [u] and [v] are neighbors when [(u, v)]
+    or [(v, u)] is stored. Callers normally pass
+    {!Tt_sparse.Csr.symmetrize_pattern}'s result, whose rows are used as
+    they are after one O(nnz) symmetry check.
     @raise Invalid_argument if the matrix is not square. *)
 
 val of_adjacency : int array array -> t
 (** Build directly from neighbor lists (used for induced subgraphs).
-    Lists are sorted and deduplicated; self-loops are dropped. Lists are
-    not symmetrized.
+    Lists are sorted and deduplicated, self-loops are dropped, and a
+    one-sided edge is added to the other list too.
     @raise Invalid_argument if an index is out of range. *)
 
 val degree : t -> int -> int

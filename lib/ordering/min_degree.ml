@@ -21,61 +21,29 @@
    keep every update in place:
    - a live element's boundary names only live variables (eliminating
      any member absorbs the element);
-   - adjacency is symmetric, so each variable on a new element's
-     boundary drops at least one entry (the pivot, or an element the
-     pivot absorbed) for the one it gains, the new element. Its slice
-     never grows.
+   - adjacency is symmetric (every [Graph_adj.t] is), so each variable
+     on a new element's boundary drops at least one entry (the pivot, or
+     an element the pivot absorbed) for the one it gains, the new
+     element. Its slice never grows.
    [mark] holds stamps: the new boundary keeps one stamp for the whole
    step, and each comparison or degree count takes a fresh, larger
    one. *)
 
-(* The symmetric closure of [g]'s lists as one flat array: [u] and [v]
-   are adjacent when either list names the other. On a symmetric graph
-   these are [g]'s lists themselves. *)
-let symmetric_lists (g : Graph_adj.t) =
+(* [g]'s lists as one flat array: [v]'s list is [iw.(pe.(v) ..
+   pe.(v + 1) - 1)] *)
+let flatten (g : Graph_adj.t) =
   let n = g.Graph_adj.n and adj = g.Graph_adj.adj in
-  (* transposed lists, ascending by construction *)
-  let tp = Array.make (n + 1) 0 in
-  Array.iter (Array.iter (fun u -> tp.(u + 1) <- tp.(u + 1) + 1)) adj;
-  for v = 0 to n - 1 do
-    tp.(v + 1) <- tp.(v + 1) + tp.(v)
-  done;
-  let tw = Array.make tp.(n) 0 and fill = Array.sub tp 0 n in
-  Array.iteri
-    (fun v a ->
-      Array.iter
-        (fun u ->
-          tw.(fill.(u)) <- v;
-          fill.(u) <- fill.(u) + 1)
-        a)
-    adj;
-  (* [union v f] calls [f] on each neighbor of [v], ascending *)
-  let union v f =
-    let a = adj.(v) and i = ref 0 and j = ref tp.(v) in
-    let la = Array.length a and hj = tp.(v + 1) in
-    while !i < la || !j < hj do
-      let x = if !j >= hj || (!i < la && a.(!i) <= tw.(!j)) then a.(!i) else tw.(!j) in
-      if !i < la && a.(!i) = x then incr i;
-      if !j < hj && tw.(!j) = x then incr j;
-      f x
-    done
-  in
   let pe = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
-    pe.(v + 1) <- pe.(v);
-    union v (fun _ -> pe.(v + 1) <- pe.(v + 1) + 1)
+    pe.(v + 1) <- pe.(v) + Array.length adj.(v)
   done;
-  let iw = Array.make pe.(n) 0 and k = ref 0 in
-  for v = 0 to n - 1 do
-    union v (fun x ->
-        iw.(!k) <- x;
-        incr k)
-  done;
+  let iw = Array.make pe.(n) 0 in
+  Array.iteri (fun v a -> Array.blit a 0 iw pe.(v) (Array.length a)) adj;
   (pe, iw)
 
 let order (g : Graph_adj.t) =
   let n = g.Graph_adj.n in
-  let pe, iw = symmetric_lists g in
+  let pe, iw = flatten g in
   let len = Array.init n (fun v -> pe.(v + 1) - pe.(v)) in
   let nv = Array.copy len in
   let size = Array.make n 1 and mnext = Array.make n (-1) and mlast = Array.init n Fun.id in

@@ -24,6 +24,4 @@
 
 val order : Graph_adj.t -> int array
 (** [order g] is the elimination permutation,
-    [perm.(new_index) = old_index]. Adjacency is read as undirected: [u]
-    and [v] are neighbors when either list names the other. Extra space
-    is O(n + nnz) words. *)
+    [perm.(new_index) = old_index]. Extra space is O(n + nnz) words. *)

@@ -110,19 +110,32 @@ let row a i =
   in
   gen lo
 
+(* Rows of a [t] are sorted and duplicate-free, so the builders below
+   need no sort and sum nothing: a counting pass over the rows in order
+   fills each column with its rows sorted, and merging sorted rows keeps
+   them sorted. *)
+
 let transpose a =
   let m = nnz a in
-  let rows = Array.make m 0 and cols = Array.make m 0 and vals = Array.make m 0. in
-  let k = ref 0 in
+  let row_ptr = Array.make (a.ncols + 1) 0 in
+  for k = 0 to m - 1 do
+    let j = a.col_idx.(k) in
+    row_ptr.(j + 1) <- row_ptr.(j + 1) + 1
+  done;
+  for j = 0 to a.ncols - 1 do
+    row_ptr.(j + 1) <- row_ptr.(j + 1) + row_ptr.(j)
+  done;
+  let col_idx = Array.make m 0 and values = Array.make m 0. in
+  let fill = Array.sub row_ptr 0 a.ncols in
   for i = 0 to a.nrows - 1 do
-    for e = a.row_ptr.(i) to a.row_ptr.(i + 1) - 1 do
-      rows.(!k) <- a.col_idx.(e);
-      cols.(!k) <- i;
-      vals.(!k) <- a.values.(e);
-      incr k
+    for k = a.row_ptr.(i) to a.row_ptr.(i + 1) - 1 do
+      let j = a.col_idx.(k) in
+      col_idx.(fill.(j)) <- i;
+      values.(fill.(j)) <- a.values.(k);
+      fill.(j) <- fill.(j) + 1
     done
   done;
-  compress ~nrows:a.ncols ~ncols:a.nrows rows cols vals
+  { nrows = a.ncols; ncols = a.nrows; row_ptr; col_idx; values }
 
 let is_symmetric ?(tol = 0.) a =
   if a.nrows <> a.ncols then false
@@ -138,42 +151,20 @@ let is_symmetric ?(tol = 0.) a =
     end
   end
 
-(* Rows of a [t] are sorted and duplicate-free, so the pattern builders
-   below need no sort and sum nothing: a counting pass over the rows in
-   order fills each column with its rows sorted, and merging sorted rows
-   keeps them sorted. *)
-
 let symmetrize_pattern a =
   if a.nrows <> a.ncols then invalid_arg "Csr.symmetrize_pattern: not square";
-  let n = a.nrows and m = nnz a in
-  (* the pattern of [a^T] *)
-  let tptr = Array.make (n + 1) 0 in
-  for k = 0 to m - 1 do
-    let j = a.col_idx.(k) in
-    tptr.(j + 1) <- tptr.(j + 1) + 1
-  done;
-  for j = 0 to n - 1 do
-    tptr.(j + 1) <- tptr.(j + 1) + tptr.(j)
-  done;
-  let tidx = Array.make m 0 and fill = Array.sub tptr 0 n in
-  for i = 0 to n - 1 do
-    for k = a.row_ptr.(i) to a.row_ptr.(i + 1) - 1 do
-      let j = a.col_idx.(k) in
-      tidx.(fill.(j)) <- i;
-      fill.(j) <- fill.(j) + 1
-    done
-  done;
+  let n = a.nrows and at = transpose a in
   (* [union i f] calls [f] on each column of row [i] of [a], row [i] of
      [a^T] and [i], ascending *)
   let union i f =
-    let k = ref a.row_ptr.(i) and t = ref tptr.(i) and d = ref i in
-    let ke = a.row_ptr.(i + 1) and te = tptr.(i + 1) in
-    while !k < ke || !t < te || !d < max_int do
+    let k = ref a.row_ptr.(i) and q = ref at.row_ptr.(i) and d = ref i in
+    let ke = a.row_ptr.(i + 1) and qe = at.row_ptr.(i + 1) in
+    while !k < ke || !q < qe || !d < max_int do
       let ck = if !k < ke then a.col_idx.(!k) else max_int in
-      let ct = if !t < te then tidx.(!t) else max_int in
-      let c = min !d (min ck ct) in
+      let cq = if !q < qe then at.col_idx.(!q) else max_int in
+      let c = min !d (min ck cq) in
       if ck = c then incr k;
-      if ct = c then incr t;
+      if cq = c then incr q;
       if !d = c then d := max_int;
       f c
     done

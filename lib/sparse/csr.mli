@@ -34,7 +34,8 @@ val row : t -> int -> (int * float) Seq.t
 (** Entries of row [i] as [(column, value)] pairs, ascending columns. *)
 
 val transpose : t -> t
-(** The transposed matrix (O(nnz)). *)
+(** The transposed matrix, by one counting pass (O(nrows + ncols +
+    nnz)). *)
 
 val is_symmetric : ?tol:float -> t -> bool
 (** Whether the matrix equals its transpose up to [tol] (default 0:
@@ -43,8 +44,8 @@ val is_symmetric : ?tol:float -> t -> bool
 val symmetrize_pattern : t -> t
 (** The paper's preprocessing: the pattern of [|A| + |A^T| + I], with
     value [1.] on every entry. The result is square, structurally
-    symmetric, with a full diagonal. O(n + nnz): a counting pass builds
-    the transposed pattern and each row is one merge.
+    symmetric, with a full diagonal. O(n + nnz): each row is one merge
+    with the same row of {!transpose}.
     @raise Invalid_argument if the matrix is not square. *)
 
 val symmetrize_values : t -> t

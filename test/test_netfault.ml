@@ -136,23 +136,6 @@ let test_transparent_passthrough () =
           Alcotest.(check bool) "bytes actually flowed" true
             (st.N.forwarded_bytes > 0)))
 
-let wait_until ?(timeout_s = 5.) pred =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec go () =
-    if pred () then true
-    else if Unix.gettimeofday () > deadline then false
-    else begin
-      Unix.sleepf 0.02;
-      go ()
-    end
-  in
-  go ()
-
-let no_leaked_connections srv =
-  wait_until (fun () ->
-      (Tt_server.Metrics.snapshot (Srv.metrics srv)).Tt_server.Metrics
-        .connections_active = 0)
-
 (* The headline invariant: a seeded load run through an injecting
    proxy, with retries and idempotency keys, converges to the same
    value digest as a clean run — and the proxy really did inject. *)
@@ -200,12 +183,28 @@ let test_chaos_digest_parity () =
       | Some st ->
           Alcotest.(check bool) "faults were actually injected" true
             (N.injected st >= 1));
-      (* The server never saw a half-open mess it couldn't clean up. It
-         counts a connection closed once its I/O loop reads the EOF, so
-         wait for that as the gate tests do. *)
-      Alcotest.(check bool) "no connections leaked" true (no_leaked_connections srv))
+      (* The server never saw a half-open mess it couldn't clean up. *)
+      let m = Tt_server.Metrics.snapshot (Srv.metrics srv) in
+      Alcotest.(check int) "no connections leaked" 0 m.connections_active)
 
 (* ------------------------------------------------------------- gates *)
+
+let wait_until ?(timeout_s = 5.) pred =
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  let rec go () =
+    if pred () then true
+    else if Unix.gettimeofday () > deadline then false
+    else begin
+      Unix.sleepf 0.02;
+      go ()
+    end
+  in
+  go ()
+
+let no_leaked_connections srv =
+  wait_until (fun () ->
+      (Tt_server.Metrics.snapshot (Srv.metrics srv)).Tt_server.Metrics
+        .connections_active = 0)
 
 (* Severing is symmetric by construction — one gate cuts both
    directions at once. While severed every request dies as a transport

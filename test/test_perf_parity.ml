@@ -1703,7 +1703,8 @@ let ref_permute_sym (a : Csr.t) perm =
 
 (* [Graph_adj.t] is private too: the reference cleans the lists and the
    reference dissection wraps them with [of_adjacency], which is the
-   identity on clean lists (checked against this reference below) *)
+   identity on clean symmetric lists (checked against this reference
+   below) *)
 let ref_of_adjacency adj =
   let n = Array.length adj in
   Array.mapi
@@ -1935,18 +1936,22 @@ let arb_raw_lists =
       int_range 1 30 >>= fun n ->
       array_size (return n) (array_size (int_bound 12) (int_bound (n - 1))))
 
+(* each list joined with the vertices whose lists name it *)
+let closure adj =
+  let both = Array.map Array.to_list adj in
+  Array.iteri (fun v a -> Array.iter (fun u -> both.(u) <- v :: both.(u)) a) adj;
+  Array.map Array.of_list both
+
 let prop_of_adjacency_raw =
-  H.qcheck ~count:300 "of_adjacency cleans raw lists like the reference" arb_raw_lists
-    (fun adj -> (Graph_adj.of_adjacency adj).Graph_adj.adj = ref_of_adjacency adj)
+  H.qcheck ~count:300 "of_adjacency cleans raw lists into their symmetric closure" arb_raw_lists
+    (fun adj -> (Graph_adj.of_adjacency adj).Graph_adj.adj = ref_of_adjacency (closure adj))
 
 (* a one-sided edge counts both ways: min degree orders a graph as its
    symmetric closure *)
 let prop_min_degree_closure =
   H.qcheck ~count:300 "min degree reads one-sided lists as their symmetric closure"
     arb_raw_lists (fun adj ->
-      let closure = Array.map Array.to_list adj in
-      Array.iteri (fun v a -> Array.iter (fun u -> closure.(u) <- v :: closure.(u)) a) adj;
-      let sym = Graph_adj.of_adjacency (Array.map Array.of_list closure) in
+      let sym = Graph_adj.of_adjacency (closure adj) in
       Tt_ordering.Min_degree.order (Graph_adj.of_adjacency adj) = ref_min_degree sym)
 
 (* seeded non-symmetric matrices with repeated coordinates, so the rows
@@ -1965,13 +1970,26 @@ let arb_csr_perm =
         done;
       (Csr.of_triplet t, shuffled rng n))
 
+let ref_transpose (a : Csr.t) =
+  let t = Tt_sparse.Triplet.create ~nrows:a.Csr.ncols ~ncols:a.Csr.nrows in
+  for i = 0 to a.Csr.nrows - 1 do
+    for k = a.Csr.row_ptr.(i) to a.Csr.row_ptr.(i + 1) - 1 do
+      Tt_sparse.Triplet.add t a.Csr.col_idx.(k) i a.Csr.values.(k)
+    done
+  done;
+  Csr.of_triplet t
+
+(* [of_pattern] reads a non-symmetric pattern as its symmetric closure *)
 let prop_csr_builders =
-  H.qcheck ~count:300 "permute_sym and symmetrize_pattern equal the reference, values bit for bit"
+  H.qcheck ~count:300
+    "transpose, permute_sym, symmetrize_pattern and of_pattern equal the reference, values bit for bit"
     arb_csr_perm (fun (a, perm) ->
       let rp, rc, rv = ref_symmetrize_pattern a in
       let p = Csr.symmetrize_pattern a in
-      same_csr (Csr.permute_sym a perm) (ref_permute_sym a perm)
-      && p.Csr.row_ptr = rp && p.Csr.col_idx = rc && p.Csr.values = rv)
+      same_csr (Csr.transpose a) (ref_transpose a)
+      && same_csr (Csr.permute_sym a perm) (ref_permute_sym a perm)
+      && p.Csr.row_ptr = rp && p.Csr.col_idx = rc && p.Csr.values = rv
+      && (Graph_adj.of_pattern a).Graph_adj.adj = (Graph_adj.of_pattern p).Graph_adj.adj)
 
 (* the pattern behind a manifest's [gen random size=3000]: the Dynarray
    lists allocated 243 MB on it *)
