@@ -184,31 +184,53 @@ let symmetrize_pattern a =
 
 let symmetrize_values a =
   if a.nrows <> a.ncols then invalid_arg "Csr.symmetrize_values: not square";
-  let n = a.nrows in
-  let t = Triplet.create ~nrows:n ~ncols:n in
-  for i = 0 to n - 1 do
-    for k = a.row_ptr.(i) to a.row_ptr.(i + 1) - 1 do
-      let j = a.col_idx.(k) in
-      if i <> j then begin
-        Triplet.add t i j (0.5 *. a.values.(k));
-        Triplet.add t j i (0.5 *. a.values.(k))
-      end
+  let n = a.nrows and at = transpose a in
+  (* [halves i f] calls [f c v] on each column [c <> i] of row [i] of
+     [(A + A^T) / 2], ascending: [v] is half the entry of [a], half the
+     entry of [a^T], or the sum of the two halves where both exist. No
+     coordinate has a third term, and a sum of two is the same in either
+     order, so this is the value summing triplets gave. *)
+  let halves i f =
+    let k = ref a.row_ptr.(i) and q = ref at.row_ptr.(i) in
+    let ke = a.row_ptr.(i + 1) and qe = at.row_ptr.(i + 1) in
+    while !k < ke || !q < qe do
+      let ck = if !k < ke then a.col_idx.(!k) else max_int in
+      let cq = if !q < qe then at.col_idx.(!q) else max_int in
+      let c = min ck cq in
+      let v =
+        if ck = cq then (0.5 *. a.values.(!k)) +. (0.5 *. at.values.(!q))
+        else if ck = c then 0.5 *. a.values.(!k)
+        else 0.5 *. at.values.(!q)
+      in
+      if ck = c then incr k;
+      if cq = c then incr q;
+      if c <> i then f c v
     done
-  done;
-  let sym = of_triplet t in
-  (* diagonal shift: 1 + sum of absolute off-diagonal values per row *)
-  let t2 = Triplet.create ~nrows:n ~ncols:n in
+  in
+  let row_ptr = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
-    let s = ref 1. in
-    for k = sym.row_ptr.(i) to sym.row_ptr.(i + 1) - 1 do
-      if sym.col_idx.(k) <> i then begin
-        s := !s +. Float.abs sym.values.(k);
-        Triplet.add t2 i sym.col_idx.(k) sym.values.(k)
-      end
-    done;
-    Triplet.add t2 i i !s
+    row_ptr.(i + 1) <- row_ptr.(i) + 1;
+    halves i (fun _ _ -> row_ptr.(i + 1) <- row_ptr.(i + 1) + 1)
   done;
-  of_triplet t2
+  let col_idx = Array.make row_ptr.(n) 0 and values = Array.make row_ptr.(n) 0. in
+  for i = 0 to n - 1 do
+    (* the diagonal shift, 1 + the absolute off-diagonal values summed in
+       column order, goes in the slot after the columns below [i] *)
+    let pos = ref row_ptr.(i) and diag = ref (-1) and s = ref 1. in
+    halves i (fun c v ->
+        if c > i && !diag < 0 then begin
+          diag := !pos;
+          incr pos
+        end;
+        col_idx.(!pos) <- c;
+        values.(!pos) <- v;
+        s := !s +. Float.abs v;
+        incr pos);
+    let d = if !diag < 0 then !pos else !diag in
+    col_idx.(d) <- i;
+    values.(d) <- !s
+  done;
+  { nrows = n; ncols = n; row_ptr; col_idx; values }
 
 let lower ?(strict = false) a =
   let t = Triplet.create ~nrows:a.nrows ~ncols:a.ncols in

@@ -51,7 +51,9 @@ val symmetrize_pattern : t -> t
 val symmetrize_values : t -> t
 (** [(A + A^T) / 2] plus a diagonal shift making the result strictly
     diagonally dominant (hence SPD) — used to build numeric test problems
-    from arbitrary patterns. *)
+    from arbitrary patterns. O(n + nnz): each row is one merge with the
+    same row of {!transpose}.
+    @raise Invalid_argument if the matrix is not square. *)
 
 val lower : ?strict:bool -> t -> t
 (** The lower triangle (including the diagonal unless [strict]). *)

@@ -1979,6 +1979,35 @@ let ref_transpose (a : Csr.t) =
   done;
   Csr.of_triplet t
 
+let ref_symmetrize_values (a : Csr.t) =
+  let open Tt_sparse in
+  if a.Csr.nrows <> a.Csr.ncols then invalid_arg "Csr.symmetrize_values: not square";
+  let n = a.Csr.nrows in
+  let t = Triplet.create ~nrows:n ~ncols:n in
+  for i = 0 to n - 1 do
+    for k = a.Csr.row_ptr.(i) to a.Csr.row_ptr.(i + 1) - 1 do
+      let j = a.Csr.col_idx.(k) in
+      if i <> j then begin
+        Triplet.add t i j (0.5 *. a.Csr.values.(k));
+        Triplet.add t j i (0.5 *. a.Csr.values.(k))
+      end
+    done
+  done;
+  let sym = Csr.of_triplet t in
+  (* diagonal shift: 1 + sum of absolute off-diagonal values per row *)
+  let t2 = Triplet.create ~nrows:n ~ncols:n in
+  for i = 0 to n - 1 do
+    let s = ref 1. in
+    for k = sym.Csr.row_ptr.(i) to sym.Csr.row_ptr.(i + 1) - 1 do
+      if sym.Csr.col_idx.(k) <> i then begin
+        s := !s +. Float.abs sym.Csr.values.(k);
+        Triplet.add t2 i sym.Csr.col_idx.(k) sym.Csr.values.(k)
+      end
+    done;
+    Triplet.add t2 i i !s
+  done;
+  Csr.of_triplet t2
+
 (* [of_pattern] reads a non-symmetric pattern as its symmetric closure *)
 let prop_csr_builders =
   H.qcheck ~count:300
@@ -1990,6 +2019,13 @@ let prop_csr_builders =
       && same_csr (Csr.permute_sym a perm) (ref_permute_sym a perm)
       && p.Csr.row_ptr = rp && p.Csr.col_idx = rc && p.Csr.values = rv
       && (Graph_adj.of_pattern a).Graph_adj.adj = (Graph_adj.of_pattern p).Graph_adj.adj)
+
+(* every Spgen matrix is [symmetrize_values] of its raw stencil, so the
+   Spgen digests hold when these do; the raw matrices here carry
+   diagonals, summed duplicates and one-sided entries *)
+let prop_symmetrize_values =
+  H.qcheck ~count:300 "symmetrize_values equals the triplet reference, values bit for bit"
+    arb_csr_perm (fun (a, _) -> same_csr (Csr.symmetrize_values a) (ref_symmetrize_values a))
 
 (* the pattern behind a manifest's [gen random size=3000]: the Dynarray
    lists allocated 243 MB on it *)
@@ -2033,6 +2069,7 @@ let () =
           prop_of_adjacency_raw;
           prop_min_degree_closure;
           prop_csr_builders;
+          prop_symmetrize_values;
           H.case "gen random size=3000 allocates under 16 MB" test_min_degree_alloc_bound
         ] );
       ( "structures",
