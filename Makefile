@@ -32,7 +32,22 @@ batch-smoke:
 # must be present too, as must the sched/validate rows, the
 # sched-star rows (a half-heavy star on which a greedy scheduler that
 # rescans passed-over tasks turns quadratic) and the pipeline/mindeg
-# rows (minimum-degree permutations of three corpus matrices).
+# rows (minimum-degree permutations of three corpus matrices). The
+# nine huge rows' result digests are pinned (HUGE_DIGESTS, entries
+# kernel:instance:digest): the generated trees, the best postorder's
+# peak and full order, and minmem-approx's bounds, rounds and full
+# order at p = 1M must not change.
+HUGE_DIGESTS = \
+  gen:caterpillar-1m:18babaab971a2c10ee652fb6e42a215b \
+  gen:binary-1m:20e94513e836c3880b5dce4e32bb8ef9 \
+  gen:random-1m:ced5af4becd214182d11249a320c23bf \
+  postorder:caterpillar-1m:885df003f53913a25dc0693320f0d9b5 \
+  postorder:binary-1m:af5f0f1dbce1cf0e8625c83911b1cb7d \
+  postorder:random-1m:0c5c4509414af3d7564eb5cf753f8d2c \
+  minmem-approx:caterpillar-1m:17b4484aa42eee9981a1e3690606940b \
+  minmem-approx:binary-1m:96d81d43a7557e25f6fb4c350467fbd4 \
+  minmem-approx:random-1m:a81f00d9b9ff21cad10ee626f9ee5ebb
+
 perf-smoke: build
 	timeout 600 dune exec bin/treetrav.exe -- perf --quick --out BENCH_CORE.json
 	grep -q '"kernel": "huge/minmem-approx"' BENCH_CORE.json \
@@ -49,6 +64,11 @@ perf-smoke: build
 	for i in rand-1500-3.5 arrow-1200 grid3d-10; do \
 	  grep -q "\"kernel\": \"pipeline/mindeg\", \"instance\": \"$$i\"" BENCH_CORE.json \
 	    || { echo "perf-smoke: pipeline/mindeg $$i row missing from BENCH_CORE.json"; exit 1; }; \
+	done
+	for pin in $(HUGE_DIGESTS); do \
+	  k=$${pin%%:*}; rest=$${pin#*:}; i=$${rest%%:*}; d=$${rest#*:}; \
+	  grep -q "\"kernel\": \"huge/$$k\", \"instance\": \"$$i\".*\"result_digest\": \"$$d\"" BENCH_CORE.json \
+	    || { echo "perf-smoke: huge/$$k $$i result_digest differs from the pinned $$d"; exit 1; }; \
 	done
 
 # Scheduling-tier smoke gate. The same par-schedule/pareto manifest

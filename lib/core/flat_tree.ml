@@ -6,26 +6,31 @@ let peak = Traversal.peak
 (* ------------------------------------------------------------------ *)
 (* Chunked digests: ints are folded through MD5 in 64 KiB slices, chained
    by hashing the previous digest with the next slice, so memory stays
-   O(1) regardless of p. *)
+   O(1) regardless of p. One buffer holds [acc ^ slice] (the 16-byte
+   digest, then the slice) and is hashed in place, so a slice costs one
+   16-byte digest string and no copies. *)
 
 let chunk_bytes = 65536
 
 let digest_chunked feed =
-  let buf = Buffer.create chunk_bytes in
-  let acc = ref (Digest.string "tt-flat/1") in
+  let d = 16 (* [Digest.t] bytes *) in
+  let buf = Bytes.create (d + chunk_bytes) in
+  Bytes.blit_string (Digest.string "tt-flat/1") 0 buf 0 d;
+  let len = ref 0 in
   let flush () =
-    if Buffer.length buf > 0 then begin
-      acc := Digest.string (!acc ^ Buffer.contents buf);
-      Buffer.clear buf
+    if !len > 0 then begin
+      Bytes.blit_string (Digest.subbytes buf 0 (d + !len)) 0 buf 0 d;
+      len := 0
     end
   in
   let add x =
-    Buffer.add_int64_le buf (Int64.of_int x);
-    if Buffer.length buf >= chunk_bytes then flush ()
+    Bytes.set_int64_le buf (d + !len) (Int64.of_int x);
+    len := !len + 8;
+    if !len >= chunk_bytes then flush ()
   in
   feed add;
   flush ();
-  Digest.to_hex !acc
+  Digest.to_hex (Bytes.sub_string buf 0 d)
 
 let digest_ints a =
   digest_chunked (fun add ->

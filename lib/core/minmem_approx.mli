@@ -29,6 +29,22 @@
     most [exact_threshold] nodes bypass all of this and get the exact
     Liu answer (gap 0).
 
+    {b Memory.} A solve works in a few flat int arrays allocated once
+    and reused by every pass and round. One children-first order
+    ({!Tree.children_first_order}) drives both passes. Profiles are
+    packed segments on one growable int stack: since each subtree is
+    contiguous in that order, a node's children's profiles are the top
+    [deg] profiles of the stack. The majorant threads each segment's
+    nodes through one [next] array (a fused segment links the last node
+    of the first part to the first node of the second), so the root's
+    profile reads out the traversal; [next] and a spare order buffer
+    are reused across rounds, and the returned [order] is never a
+    buffer a later round writes. Beyond the tree, a solve allocates
+    about 6 words per node (the best postorder's three arrays, the
+    order, [next] and the spare), plus the stack, which holds the
+    profiles waiting along one root path. The truncations are those of
+    {!Segments}, which the tests keep as the reference.
+
     The contract, pinned by the property tests: for every result,
     [lower <= opt <= upper] where [opt] is the exact MinMemory, and
     [order] is a valid traversal with simulated peak exactly [upper]. *)

@@ -12,7 +12,13 @@
     when all files have equal size; the general keyed rule implemented
     here is validated against exhaustive enumeration in the tests.)
 
-    Complexity: O(p log p). *)
+    Complexity: O(p log p). {!run} allocates three arrays of [p] words
+    and nothing per node: one copy of the CSR [child] array whose
+    per-node slices are sorted in place (by a transcription of
+    [Array.sort], so equal keys fall as [Array.sort] leaves them), the
+    peaks, and the order, which first holds the children-first
+    processing order and then receives the traversal, emitted from an
+    explicit stack kept in its own unused tail. *)
 
 val subtree_peaks : Tree.t -> int array
 (** [.(i)] is the minimal postorder peak of the subtree rooted at [i]

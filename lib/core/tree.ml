@@ -168,6 +168,28 @@ let bottom_up_order t =
   done;
   order
 
+(* The reverse of a preorder that visits each node's children last
+   first is the children-first order with children first to last. The
+   preorder is written from the end of [order] down while its stack
+   grows from the front: every node is either written or on the stack,
+   never both, so the two regions never meet. *)
+let children_first_order t =
+  let p = size t in
+  let order = Array.make p 0 in
+  order.(0) <- t.root;
+  let s = ref 1 and k = ref p in
+  while !s > 0 do
+    decr s;
+    let i = order.(!s) in
+    decr k;
+    order.(!k) <- i;
+    for j = t.child_off.(i) to t.child_off.(i + 1) - 1 do
+      order.(!s) <- t.child.(j);
+      incr s
+    done
+  done;
+  order
+
 let subtree_sizes t =
   let p = size t in
   let sz = Array.make p 1 in

@@ -102,6 +102,12 @@ val bottom_up_order : t -> int array
     level), so children are always processed before their parent without
     recursion. Counting sort, O(p). *)
 
+val children_first_order : t -> int array
+(** All nodes in depth-first order, each node right after its whole
+    subtree and the children of a node in increasing index order, so
+    every subtree is a contiguous slice ending at its root. One array
+    of [p] words and nothing else, O(p); no recursion. *)
+
 val height : t -> int
 (** Longest root-to-leaf path length (in edges); 0 for a single node. *)
 

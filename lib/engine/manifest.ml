@@ -82,6 +82,8 @@ let parse_source text =
       let m =
         match S.Matrix_market.read_file path with
         | exception Sys_error e -> bad "cannot read %s: %s" path e
+        | exception S.Matrix_market.Parse_error { line; message } ->
+            bad "%s: line %d: %s" path line message
         | _header, t -> S.Csr.of_triplet t
       in
       (Filename.remove_extension (Filename.basename path), tree_of_matrix pairs m)
@@ -138,6 +140,12 @@ let budget_of s =
 
 let max_steps = 1024
 
+(* the schedulers refuse fewer than one processor *)
+let procs_of pairs =
+  let procs = int_of ~what:"procs" (lookup pairs "procs") in
+  if procs < 1 then bad "procs must be >= 1, got %d" procs;
+  procs
+
 let parse_job_spec text =
   match tokens text with
   | [ "minmem" ] -> Job.Min_memory Job.Minmem
@@ -154,7 +162,7 @@ let parse_job_spec text =
       let pairs = kv_pairs rest in
       check_keys pairs [ "procs"; "mem" ];
       Job.Schedule
-        { procs = int_of ~what:"procs" (lookup pairs "procs");
+        { procs = procs_of pairs;
           mem_factor = amount_of ~what:"mem" (lookup ~default:"1.5" pairs "mem")
         }
   | "par-schedule" :: rest ->
@@ -168,7 +176,7 @@ let parse_job_spec text =
       in
       Job.Par_schedule
         { algo;
-          procs = int_of ~what:"procs" (lookup pairs "procs");
+          procs = procs_of pairs;
           mem_factor = amount_of ~what:"mem" (lookup ~default:"1.5" pairs "mem")
         }
   | "pareto" :: rest ->
@@ -177,7 +185,7 @@ let parse_job_spec text =
       let steps = int_of ~what:"steps" (lookup ~default:"8" pairs "steps") in
       if steps < 1 || steps > max_steps then
         bad "steps must be in [1, %d], got %d" max_steps steps;
-      Job.Pareto_sweep { procs = int_of ~what:"procs" (lookup pairs "procs"); steps }
+      Job.Pareto_sweep { procs = procs_of pairs; steps }
   | "minmem-approx" :: rest ->
       let pairs = kv_pairs rest in
       check_keys pairs [ "cap"; "tol" ];

@@ -96,4 +96,10 @@ let pop_min h =
   remove_at h 0;
   (x, k)
 
+let pop h =
+  if h.size = 0 then raise Not_found;
+  let x = h.elts.(0) in
+  remove_at h 0;
+  x
+
 let remove h x = if mem h x then remove_at h h.pos.(x)

@@ -41,5 +41,9 @@ val min_elt : t -> int * int
 val pop_min : t -> int * int
 (** Remove and return the minimum binding. @raise Not_found if empty. *)
 
+val pop : t -> int
+(** {!pop_min}'s element alone, without allocating the pair — for hot
+    loops that pop every element in turn. @raise Not_found if empty. *)
+
 val remove : t -> int -> unit
 (** [remove h x] deletes element [x] if present (no-op otherwise). *)

@@ -6,7 +6,8 @@
     independent of the OCaml stdlib [Random] state. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the 64-bit SplitMix word, kept unboxed, so
+    the draws returning an [int] or a [bool] allocate nothing. *)
 
 val create : int -> t
 (** [create seed] builds a generator from a 63-bit seed. *)

@@ -620,6 +620,46 @@ let test_manifest_source_ranges () =
       "gen grid3d size=1 amalgamation=1 :: liu"
     ]
 
+(* A processor count below 1 is a manifest error naming the line, not a
+   job that crashes in the scheduler; one processor still parses. *)
+let test_manifest_procs_range () =
+  let text =
+    "gen grid2d size=6 :: par-schedule procs=0\n\
+     gen grid2d size=6 :: pareto procs=-5\n\
+     gen grid2d size=6 :: schedule procs=-1 mem=1\n\
+     gen grid2d size=6 :: par-schedule algo=split procs=0 mem=2.0\n"
+  in
+  (match Tt_engine.Manifest.parse text with
+  | Ok _ -> Alcotest.fail "procs < 1 accepted"
+  | Error e ->
+      List.iter
+        (fun line ->
+          Alcotest.(check bool) (Printf.sprintf "%S names %s" e line) true (H.contains e line))
+        [ "line 1"; "line 2"; "line 3"; "line 4"; "procs must be >= 1" ]);
+  match
+    Tt_engine.Manifest.parse
+      "gen grid2d size=6 :: par-schedule procs=1; pareto procs=1; schedule procs=1"
+  with
+  | Ok [ _; _; _ ] -> ()
+  | Ok _ -> Alcotest.fail "expected three jobs"
+  | Error e -> Alcotest.failf "procs=1 refused: %s" e
+
+(* A [file] source that is not Matrix Market is a manifest error with
+   the file's line, not an exception out of [parse]. *)
+let test_manifest_file_not_matrix_market () =
+  let path = Filename.temp_file "tt_manifest" ".mtx" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc -> output_string oc "not a matrix\n1 2 3\n");
+      let text = Printf.sprintf "file %s :: minmem\n" path in
+      match Tt_engine.Manifest.parse text with
+      | Ok _ -> Alcotest.fail "a malformed file was accepted"
+      | Error e ->
+          Alcotest.(check bool) (Printf.sprintf "%S names the banner" e) true
+            (H.contains e "line 1" && H.contains e "banner")
+      | exception e -> Alcotest.failf "parse raised %s" (Printexc.to_string e))
+
 (* Every memory key at 0, -1, 1e300, nan and inf: a typed error, or a
    job whose budget is what the factor asks for, saturated at max_int
    and never wrapped. *)
@@ -718,6 +758,8 @@ let () =
           H.case "minmem-approx jobs" test_manifest_approx_jobs;
           H.case "minmem-approx errors" test_manifest_approx_errors;
           H.case "gen sizes and amalgamation" test_manifest_source_ranges;
-          H.case "memory keys saturate or refuse" test_manifest_memory_ranges
+          H.case "memory keys saturate or refuse" test_manifest_memory_ranges;
+          H.case "procs below 1 refused" test_manifest_procs_range;
+          H.case "file that is not Matrix Market" test_manifest_file_not_matrix_market
         ] )
     ]

@@ -2036,6 +2036,566 @@ let test_min_degree_alloc_bound () =
   Alcotest.(check int) "a permutation" 3000 (Array.length perm);
   if bytes >= 16e6 then
     Alcotest.failf "Min_degree.order allocated %.1f MB (bound 16 MB)" (bytes /. 1e6)
+(* --- huge tier: the per-node-array code the flat arrays replaced -------- *)
+
+(* Verbatim copies of [Rng], [Postorder_opt.run], [Minmem_approx] and
+   [Flat_tree]'s chunked digest as they were before their state moved
+   into flat, reused arrays: boxed SplitMix state, one sorted child
+   array per node and a list stack, per-node profile arrays and
+   [Segments] ropes, and two fresh strings per digested slice. *)
+
+module Ref_rng = struct
+  type t = { mutable state : int64 }
+
+  let golden_gamma = 0x9E3779B97F4A7C15L
+
+  let mix z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let create seed = { state = mix (Int64.of_int seed) }
+
+  let int64 t =
+    t.state <- Int64.add t.state golden_gamma;
+    mix t.state
+
+  let split t = { state = int64 t }
+
+  let int t bound =
+    if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
+    (* 62 uniform nonnegative bits ([Int64.to_int] keeps the low 63 bits,
+       masking with [max_int] clears the sign), then a rejection loop to
+       remove the modulo bias exactly. *)
+    let rec draw () =
+      let r = Int64.to_int (int64 t) land max_int in
+      let v = r mod bound in
+      if r - v > max_int - bound + 1 then draw () else v
+    in
+    draw ()
+
+  let int_incl t lo hi =
+    if hi < lo then invalid_arg "Rng.int_incl: empty range";
+    lo + int t (hi - lo + 1)
+
+  let float t bound =
+    let r = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
+    bound *. (r /. 9007199254740992.0 (* 2^53 *))
+
+  let bool t = Int64.logand (int64 t) 1L = 1L
+
+  let shuffle t a =
+    for i = Array.length a - 1 downto 1 do
+      let j = int t (i + 1) in
+      let tmp = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- tmp
+    done
+
+  let pick t a =
+    if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
+    a.(int t (Array.length a))
+end
+
+module Ref_postorder = struct
+  module Tree = T
+
+  (* Children of [i] sorted by increasing P(c) - f(c): the child processed
+     first suffers the largest pending-sibling sum, so it must be the one
+     whose peak exceeds its own file the least. (This is the reversal of
+     Liu's decreasing rule for bottom-up in-trees.) *)
+  let sorted_children t peaks i =
+    let cs = Tree.children t i in
+    Array.sort
+      (fun a b -> Int.compare (peaks.(a) - t.Tree.f.(a)) (peaks.(b) - t.Tree.f.(b)))
+      cs;
+    cs
+
+  (* Bottom-up computation of the optimal subtree peaks: the children must
+     be sorted with the peaks computed so far, so the array is filled in
+     place (children strictly before parents). The sorted children arrays
+     are kept so that traversal emission reuses them instead of sorting
+     every child list a second time. *)
+  let subtree_peaks_sorted t =
+    let p = Tree.size t in
+    let peaks = Array.make p 0 in
+    let sorted = Array.make p [||] in
+    Array.iter
+      (fun i ->
+        let cs = sorted_children t peaks i in
+        sorted.(i) <- cs;
+        let pending = ref (Array.fold_left (fun acc c -> acc + t.Tree.f.(c)) 0 cs) in
+        let best = ref (t.Tree.f.(i) + t.Tree.n.(i) + !pending) in
+        Array.iter
+          (fun c ->
+            pending := !pending - t.Tree.f.(c);
+            let v = peaks.(c) + !pending in
+            if v > !best then best := v)
+          cs;
+        peaks.(i) <- !best)
+      (Tree.bottom_up_order t);
+    (peaks, sorted)
+
+
+  let run t =
+    let p = Tree.size t in
+    let peaks, sorted = subtree_peaks_sorted t in
+    (* emit the traversal: explicit stack to survive deep chains *)
+    let order = Array.make p (-1) in
+    let k = ref 0 in
+    let stack = ref [ t.Tree.root ] in
+    while !stack <> [] do
+      match !stack with
+      | [] -> ()
+      | i :: rest ->
+          stack := rest;
+          order.(!k) <- i;
+          incr k;
+          let cs = sorted.(i) in
+          (* children must be popped in sorted order: push in reverse *)
+          for j = Array.length cs - 1 downto 0 do
+            stack := cs.(j) :: !stack
+          done
+    done;
+    (peaks.(t.Tree.root), order)
+end
+
+module Ref_approx = struct
+  module Tree = T
+  module Segments = Tt_core.Segments
+  module Liu_exact = Tt_core.Liu_exact
+  module Traversal = Tt_core.Traversal
+  module Postorder_opt = Ref_postorder
+
+  type bounds = Tt_core.Minmem_approx.bounds = {
+    lower : int;
+    upper : int;
+    order : int array;
+    seg_cap : int;
+    rounds : int;
+    exact : bool;
+  }
+
+  (* push (h, v) onto the canonical stack [buf.(0 .. 2n-1)], fusing while
+     costs fail to strictly decrease or valleys fail to strictly increase;
+     returns the new segment count *)
+  let npush buf n h v =
+    let n = ref n and h = ref h in
+    let continue_ = ref true in
+    while !continue_ && !n > 0 do
+      let th = buf.(2 * !n - 2) and tv = buf.(2 * !n - 1) in
+      if !h - v >= th - tv || tv >= v then begin
+        decr n;
+        if th > !h then h := th
+      end
+      else continue_ := false
+    done;
+    buf.(2 * !n) <- !h;
+    buf.(2 * !n + 1) <- v;
+    !n + 1
+
+  let nmerge2 a b buf =
+    let la = Array.length a / 2 and lb = Array.length b / 2 in
+    let n = ref 0 in
+    let ia = ref 0 and ib = ref 0 in
+    let ca = ref 0 and cb = ref 0 in
+    let total = ref 0 in
+    while !ia < la || !ib < lb do
+      let from_a =
+        !ia < la
+        && (!ib >= lb
+           || a.(2 * !ia) - a.((2 * !ia) + 1) >= b.(2 * !ib) - b.((2 * !ib) + 1))
+      in
+      let h, v, contrib =
+        if from_a then (a.(2 * !ia), a.((2 * !ia) + 1), ca)
+        else (b.(2 * !ib), b.((2 * !ib) + 1), cb)
+      in
+      let base = !total - !contrib in
+      n := npush buf !n (h + base) (v + base);
+      total := base + v;
+      contrib := v;
+      if from_a then incr ia else incr ib
+    done;
+    !n
+
+  let nmerge_k arr buf =
+    let k = Array.length arr in
+    let idx = Array.make k 0 in
+    let contrib = Array.make k 0 in
+    let total = ref 0 in
+    let segs c = Array.length arr.(c) / 2 in
+    let cost_of c i = arr.(c).(2 * i) - arr.(c).((2 * i) + 1) in
+    let heap = Tt_util.Int_heap.create k in
+    for c = 0 to k - 1 do
+      if segs c > 0 then Tt_util.Int_heap.insert heap c (-cost_of c 0)
+    done;
+    let n = ref 0 in
+    while not (Tt_util.Int_heap.is_empty heap) do
+      let c, _ = Tt_util.Int_heap.pop_min heap in
+      let i = idx.(c) in
+      let h = arr.(c).(2 * i) and v = arr.(c).((2 * i) + 1) in
+      let base = !total - contrib.(c) in
+      n := npush buf !n (h + base) (v + base);
+      total := base + v;
+      contrib.(c) <- v;
+      idx.(c) <- i + 1;
+      if idx.(c) < segs c then Tt_util.Int_heap.insert heap c (-cost_of c idx.(c))
+    done;
+    !n
+
+  (* returns (certified lower bound, whether any truncation happened) *)
+  let lower_bound t ~cap =
+    let p = Tree.size t in
+    let { Tree.child_off; child; f; _ } = t in
+    let prof : int array array = Array.make p [||] in
+    let truncated = ref false in
+    let peak = ref 0 in
+    (* shared scratch, regrown on demand: one merge is live at a time *)
+    let scratch = ref (Array.make 64 0) in
+    let ensure len = if Array.length !scratch < len then scratch := Array.make len 0 in
+    Array.iter
+      (fun i ->
+        let off = child_off.(i) in
+        let deg = child_off.(i + 1) - off in
+        let total_segs = ref 1 in
+        for k = off to off + deg - 1 do
+          total_segs := !total_segs + (Array.length prof.(child.(k)) / 2)
+        done;
+        ensure (2 * !total_segs);
+        let buf = !scratch in
+        let n =
+          match deg with
+          | 0 -> 0
+          | 1 ->
+              let a = prof.(child.(off)) in
+              Array.blit a 0 buf 0 (Array.length a);
+              Array.length a / 2
+          | 2 -> nmerge2 prof.(child.(off)) prof.(child.(off + 1)) buf
+          | _ -> nmerge_k (Array.init deg (fun k -> prof.(child.(off + k)))) buf
+        in
+        let hill = Tree.mem_req t i and valley = f.(i) in
+        if hill < valley then
+          invalid_arg "Minmem_approx.lower_bound: mem_req < f";
+        let n = npush buf n hill valley in
+        if i = t.Tree.root then
+          (* the relaxed optimum is the root's pre-truncation peak *)
+          for j = 0 to n - 1 do
+            if buf.(2 * j) > !peak then peak := buf.(2 * j)
+          done
+        else begin
+          let m = if n <= cap then n else cap in
+          let out = Array.make (2 * m) 0 in
+          if n <= cap then Array.blit buf 0 out 0 (2 * n)
+          else begin
+            (* minorant truncation: keep the cap-1 costliest segments, park
+               the tail at the final valley with a zero-cost segment *)
+            truncated := true;
+            Array.blit buf 0 out 0 (2 * (cap - 1));
+            let vm = buf.((2 * n) - 1) in
+            out.((2 * cap) - 2) <- vm;
+            out.((2 * cap) - 1) <- vm
+          end;
+          prof.(i) <- out;
+          for k = off to off + deg - 1 do
+            prof.(child.(k)) <- [||]
+          done
+        end)
+      (Tree.bottom_up_order t);
+    (!peak, !truncated)
+
+  (* ------------------------------------------------------------------ *)
+  (* Upper bound refinement: bounded-profile Liu with majorant truncation,
+     carrying real node ropes so a concrete traversal can be emitted. The
+     emitted order is valid by construction (truncation only concatenates
+     adjacent segments, preserving the children-before-parent in-tree
+     order), and its peak is measured by simulation — the certificate does
+     not rest on the truncation argument. *)
+
+  let bounded_upper_order t ~cap =
+    let p = Tree.size t in
+    let { Tree.child_off; child; _ } = t in
+    let prof : Segments.t array = Array.make p Segments.empty in
+    Array.iter
+      (fun i ->
+        let off = child_off.(i) in
+        let deg = child_off.(i + 1) - off in
+        let merged =
+          Segments.merge_array (Array.init deg (fun k -> prof.(child.(off + k))))
+        in
+        let appended =
+          Segments.append_parent merged ~hill:(Tree.mem_req t i)
+            ~valley:t.Tree.f.(i) ~node:i
+        in
+        prof.(i) <- Segments.truncate_upper appended ~cap;
+        if i <> t.Tree.root then
+          for k = off to off + deg - 1 do
+            prof.(child.(k)) <- Segments.empty
+          done)
+      (Tree.bottom_up_order t);
+    let order = Array.make p 0 in
+    let k = ref p in
+    Segments.iter_nodes prof.(t.Tree.root) (fun i ->
+        decr k;
+        order.(!k) <- i);
+    order
+
+  (* ------------------------------------------------------------------ *)
+
+  let run ?(seg_cap = 8) ?(tol = 0.01) ?(max_rounds = 3)
+      ?(exact_threshold = 20_000) t =
+    if seg_cap < 2 then invalid_arg "Minmem_approx.run: seg_cap < 2";
+    if tol < 0. then invalid_arg "Minmem_approx.run: tol < 0";
+    if max_rounds < 0 then invalid_arg "Minmem_approx.run: max_rounds < 0";
+    let p = Tree.size t in
+    if p <= exact_threshold then begin
+      let peak, order = Liu_exact.run t in
+      { lower = peak; upper = peak; order; seg_cap = 0; rounds = 0; exact = true }
+    end
+    else begin
+      let cap = ref seg_cap in
+      let lb, lb_truncated =
+        let l, tr = lower_bound t ~cap:!cap in
+        (ref l, ref tr)
+      in
+      let ub, order0 = Postorder_opt.run t in
+      let best_ub = ref ub and best_order = ref order0 in
+      let gap_ok () =
+        float_of_int (!best_ub - !lb) <= tol *. float_of_int !best_ub
+      in
+      let rounds = ref 0 in
+      while (not (gap_ok ())) && !rounds < max_rounds do
+        incr rounds;
+        (* try a certified traversal from the majorant pass at this cap *)
+        let order' = bounded_upper_order t ~cap:!cap in
+        let pk = Traversal.peak t order' in
+        if pk < !best_ub then begin
+          best_ub := pk;
+          best_order := order'
+        end;
+        if not (gap_ok ()) then begin
+          cap := !cap * 4;
+          if !lb_truncated then begin
+            let l, tr = lower_bound t ~cap:!cap in
+            if l > !lb then lb := l;
+            lb_truncated := tr
+          end
+        end
+      done;
+      {
+        lower = !lb;
+        upper = !best_ub;
+        order = !best_order;
+        seg_cap = !cap;
+        rounds = !rounds;
+        exact = (not !lb_truncated) && !lb = !best_ub;
+      }
+    end
+end
+
+module Ref_flat = struct
+  module Tree = T
+
+  let chunk_bytes = 65536
+
+  let digest_chunked feed =
+    let buf = Buffer.create chunk_bytes in
+    let acc = ref (Digest.string "tt-flat/1") in
+    let flush () =
+      if Buffer.length buf > 0 then begin
+        acc := Digest.string (!acc ^ Buffer.contents buf);
+        Buffer.clear buf
+      end
+    in
+    let add x =
+      Buffer.add_int64_le buf (Int64.of_int x);
+      if Buffer.length buf >= chunk_bytes then flush ()
+    in
+    feed add;
+    flush ();
+    Digest.to_hex !acc
+
+  let digest_ints a =
+    digest_chunked (fun add ->
+        add (Array.length a);
+        Array.iter add a)
+
+  let digest t =
+    digest_chunked (fun add ->
+        add (Tree.size t);
+        add t.Tree.root;
+        Array.iter add t.Tree.parent;
+        Array.iter add t.Tree.f;
+        Array.iter add t.Tree.n)
+end
+
+module Ma = Tt_core.Minmem_approx
+module Huge = Tt_workloads.Huge
+
+let huge_families =
+  [ ("caterpillar", Huge.caterpillar); ("binary", Huge.binary); ("random", Huge.random_attach) ]
+
+let same_bounds label (e : Ma.bounds) (g : Ma.bounds) =
+  Alcotest.(check int) (label ^ " lower") e.Ma.lower g.Ma.lower;
+  Alcotest.(check int) (label ^ " upper") e.Ma.upper g.Ma.upper;
+  Alcotest.(check int) (label ^ " rounds") e.Ma.rounds g.Ma.rounds;
+  Alcotest.(check int) (label ^ " seg_cap") e.Ma.seg_cap g.Ma.seg_cap;
+  Alcotest.(check bool) (label ^ " exact") e.Ma.exact g.Ma.exact;
+  Alcotest.(check bool) (label ^ " order") true (e.Ma.order = g.Ma.order)
+
+(* The three [Huge] families over several sizes and seeds: the bounds
+   and the full orders at the default tolerance, and with [tol = 0] so
+   that refinement rounds run; the best postorder; the input digest. *)
+let test_huge_families () =
+  List.iter
+    (fun (name, build) ->
+      List.iter
+        (fun (p, seed) ->
+          let t = build ?domains:None ~p ~seed () in
+          let label = Printf.sprintf "%s p=%d seed=%d" name p seed in
+          same_bounds label (Ref_approx.run t) (Ma.run t);
+          same_bounds (label ^ " tol=0") (Ref_approx.run ~tol:0. t) (Ma.run ~tol:0. t);
+          let em, eo = Ref_postorder.run t and gm, go = Tt_core.Postorder_opt.run t in
+          Alcotest.(check int) (label ^ " postorder mem") em gm;
+          Alcotest.(check bool) (label ^ " postorder order") true (eo = go);
+          Alcotest.(check string) (label ^ " digest") (Ref_flat.digest t) (Tt_core.Flat_tree.digest t);
+          Alcotest.(check string) (label ^ " order digest") (Ref_flat.digest_ints eo)
+            (Tt_core.Flat_tree.digest_ints go))
+        [ (50_000, 1); (50_000, 2); (100_000, 3); (200_000, 4) ])
+    huge_families
+
+(* Shapes the families miss: stars (one merge over every leaf), deep
+   chains with a leaf hanging off every few links (long stacks of live
+   profiles) and random shapes, on the approximate path at caps 2-6
+   with [tol = 0], so every round and truncation runs. *)
+let arb_approx_case =
+  let gen =
+    QCheck.Gen.map3
+      (fun seed shape cap ->
+        let rng = Tt_util.Rng.create seed in
+        let size = Tt_util.Rng.int_incl rng 1 80 in
+        let parent =
+          Array.init size (fun i ->
+              if i = 0 then -1
+              else
+                match shape with
+                | 0 -> 0
+                | 1 -> if i mod 4 = 3 then i - 1 - Tt_util.Rng.int rng 2 else i - 1
+                | _ -> Tt_util.Rng.int rng i)
+        in
+        let f = Array.init size (fun _ -> Tt_util.Rng.int_incl rng 1 30) in
+        let n = Array.init size (fun _ -> Tt_util.Rng.int_incl rng 0 9) in
+        (T.make ~parent ~f ~n, cap))
+      (QCheck.Gen.int_bound 1_000_000) (QCheck.Gen.int_bound 2) (QCheck.Gen.int_range 2 6)
+  in
+  QCheck.make ~print:(fun (t, cap) -> Printf.sprintf "cap %d: %s" cap (T.to_string t)) gen
+
+let prop_approx_shapes =
+  H.qcheck ~count:400 "Minmem_approx equals the per-node-array reference"
+    arb_approx_case (fun (t, cap) ->
+      Ref_approx.run ~exact_threshold:0 ~tol:0. ~seg_cap:cap t
+      = Ma.run ~exact_threshold:0 ~tol:0. ~seg_cap:cap t
+      && Ref_postorder.run t = Tt_core.Postorder_opt.run t)
+
+(* Every draw of the unboxed generator equals the boxed one's, bound
+   after bound; bounds just above [max_int / 2] reject about half of
+   the raw words, so the rejection loop runs. *)
+let test_rng_streams () =
+  let module R = Tt_util.Rng in
+  let bounds = [ 1; 2; 3; 7; 1000; (1 lsl 40) + 3; (max_int / 2) + 2; max_int - 1; max_int ] in
+  List.iter
+    (fun seed ->
+      let e = Ref_rng.create seed and g = R.create seed in
+      let label what = Printf.sprintf "seed %d %s" seed what in
+      for _ = 1 to 200 do
+        Alcotest.(check int64) (label "int64") (Ref_rng.int64 e) (R.int64 g)
+      done;
+      List.iter
+        (fun b ->
+          for _ = 1 to 200 do
+            Alcotest.(check int) (label (Printf.sprintf "int %d" b)) (Ref_rng.int e b) (R.int g b)
+          done)
+        bounds;
+      List.iter
+        (fun (lo, hi) ->
+          for _ = 1 to 100 do
+            Alcotest.(check int) (label "int_incl") (Ref_rng.int_incl e lo hi) (R.int_incl g lo hi)
+          done)
+        [ (0, 0); (-5, 5); (1, 64); (0, max_int - 1); (min_int / 4, max_int / 4) ];
+      List.iter
+        (fun b ->
+          for _ = 1 to 100 do
+            Alcotest.(check (float 0.)) (label "float") (Ref_rng.float e b) (R.float g b)
+          done)
+        [ 1.; 1e9; 0.5 ];
+      for _ = 1 to 100 do
+        Alcotest.(check bool) (label "bool") (Ref_rng.bool e) (R.bool g)
+      done;
+      let es = Ref_rng.split e and gs = R.split g in
+      for _ = 1 to 50 do
+        Alcotest.(check int64) (label "split child") (Ref_rng.int64 es) (R.int64 gs);
+        Alcotest.(check int64) (label "split parent") (Ref_rng.int64 e) (R.int64 g)
+      done;
+      List.iter
+        (fun len ->
+          let a = Array.init len Fun.id and b = Array.init len Fun.id in
+          Ref_rng.shuffle e a;
+          R.shuffle g b;
+          Alcotest.(check (array int)) (label (Printf.sprintf "shuffle %d" len)) a b;
+          if len > 0 then Alcotest.(check int) (label "pick") (Ref_rng.pick e a) (R.pick g b))
+        [ 0; 1; 2; 50; 1000 ])
+    [ 0; 1; 42; -7; max_int; min_int ];
+  (* the rejection loop really ran: 1000 draws at a bound just above
+     max_int / 2 used more than 1000 raw words *)
+  let e = Ref_rng.create 5 and raw = Ref_rng.create 5 in
+  for _ = 1 to 1000 do
+    ignore (Ref_rng.int e ((max_int / 2) + 2))
+  done;
+  let words = ref 0 in
+  while raw.Ref_rng.state <> e.Ref_rng.state do
+    ignore (Ref_rng.int64 raw);
+    incr words
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d raw words for 1000 draws" !words) true (!words > 1000)
+
+(* Words allocated per node, minor and major heaps together. *)
+let words_per_node p f =
+  let r, bytes = allocated f in
+  (r, bytes /. float_of_int (Sys.word_size / 8) /. float_of_int p)
+
+(* The solve allocates its order, the best postorder's three arrays, the
+   [next] links and a spare order once, and profiles on a stack that
+   only grows: about 6.1 words per node (the per-node arrays and ropes
+   took 114.7 on a 100k-node binary tree). At p = 200k, a minor heap's
+   worth of miscount (256k words) stays under the bound's margin. *)
+let test_approx_alloc_bound () =
+  List.iter
+    (fun (name, build) ->
+      let p = 200_000 in
+      let t = build ?domains:None ~p ~seed:7 () in
+      let b, w = words_per_node p (fun () -> Ma.run ~tol:0. t) in
+      Alcotest.(check bool) (name ^ " refined") true (b.Ma.rounds > 0);
+      if w >= 8. then Alcotest.failf "%s: Minmem_approx.run allocated %.1f words per node (bound 8)" name w)
+    [ ("binary", Huge.binary); ("random", Huge.random_attach) ]
+
+(* The generator writes the tree's arrays and draws without allocating:
+   6.13 words per node (boxed draws and a closure per draw took 28.1 on
+   the caterpillar). *)
+let test_generate_alloc_bound () =
+  List.iter
+    (fun (name, build) ->
+      let p = 200_000 in
+      let _, w = words_per_node p (fun () -> build ?domains:None ~p ~seed:3 ()) in
+      if w >= 8. then Alcotest.failf "%s: Huge generation allocated %.1f words per node (bound 8)" name w)
+    huge_families
+
+(* The digest hashes each slice out of one reused buffer: 67 KB on a
+   1M-node tree (two fresh 64 KB strings per slice took 48 MB). *)
+let test_digest_alloc_bound () =
+  let t = Huge.binary ~p:1_000_000 ~seed:1 () in
+  let d, bytes = allocated (fun () -> Tt_core.Flat_tree.digest t) in
+  Alcotest.(check string) "same digest" (Ref_flat.digest t) d;
+  if bytes >= 1e6 then Alcotest.failf "Flat_tree.digest allocated %.0f bytes (bound 1 MB)" bytes
+
 let () =
   H.run "perf_parity"
     [ ( "minio",
@@ -2071,6 +2631,14 @@ let () =
           prop_csr_builders;
           prop_symmetrize_values;
           H.case "gen random size=3000 allocates under 16 MB" test_min_degree_alloc_bound
+        ] );
+      ( "huge",
+        [ H.case "Huge families, p = 50k-200k" test_huge_families;
+          prop_approx_shapes;
+          H.case "Rng streams" test_rng_streams;
+          H.case "Minmem_approx.run under 8 words per node" test_approx_alloc_bound;
+          H.case "Huge generation under 8 words per node" test_generate_alloc_bound;
+          H.case "Flat_tree.digest of 1M nodes under 1 MB" test_digest_alloc_bound
         ] );
       ( "structures",
         [ prop_ordered_set_model;

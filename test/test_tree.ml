@@ -92,6 +92,14 @@ let prop_subtree_sizes =
       done;
       !ok)
 
+(* the children-first order is the recursive postorder with children in
+   increasing index order *)
+let prop_children_first_order =
+  H.qcheck "children_first_order is the recursive postorder" (H.arb_tree ~size_max:40 ())
+    (fun t ->
+      let rec post i = List.concat_map post (Array.to_list (T.children t i)) @ [ i ] in
+      Array.to_list (T.children_first_order t) = post t.T.root)
+
 (* --- hostile input ------------------------------------------------------- *)
 
 module Rng = Tt_util.Rng
@@ -219,7 +227,9 @@ let test_deep_tree_is_stack_safe () =
   let p = 200_000 in
   let t = Tt_core.Instances.chain ~length:p ~f:1 ~n:0 in
   Alcotest.(check int) "height" (p - 1) (T.height t);
-  Alcotest.(check int) "subtree size at root" p (T.subtree_sizes t).(t.T.root)
+  Alcotest.(check int) "subtree size at root" p (T.subtree_sizes t).(t.T.root);
+  Alcotest.(check (array int)) "children-first order" (Array.init p (fun k -> p - 1 - k))
+    (T.children_first_order t)
 
 let () =
   H.run "tree"
@@ -232,7 +242,8 @@ let () =
         [ H.case "mem_req" test_mem_req;
           H.case "depth/height" test_depth_height;
           H.case "map_weights" test_map_weights;
-          prop_subtree_sizes
+          prop_subtree_sizes;
+          prop_children_first_order
         ] );
       ( "serialization",
         [ H.case "round trip" test_string_round_trip;
