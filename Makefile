@@ -31,8 +31,10 @@ batch-smoke:
 # digest the canonical tree encoding that every job id hashes, so they
 # must be present too, as must the sched/validate rows, the
 # sched-star rows (a half-heavy star on which a greedy scheduler that
-# rescans passed-over tasks turns quadratic) and the pipeline/mindeg
-# rows (minimum-degree permutations of three corpus matrices). The
+# rescans passed-over tasks turns quadratic), the pipeline/mindeg
+# rows (minimum-degree permutations of three corpus matrices) and the
+# minio/fig7 row (the paper's Fig. 7 MinIO mix, where most traversals
+# fit in memory and take the in-core shortcut). The
 # nine huge rows' result digests are pinned (HUGE_DIGESTS, entries
 # kernel:instance:digest): the generated trees, the best postorder's
 # peak and full order, and minmem-approx's bounds, rounds and full
@@ -61,6 +63,8 @@ perf-smoke: build
 	done
 	grep -q '"kernel": "sched/validate", "instance": "sched-random"' BENCH_CORE.json \
 	  || { echo "perf-smoke: sched/validate rows missing from BENCH_CORE.json"; exit 1; }
+	grep -q '"kernel": "minio/fig7", "instance": "corpus"' BENCH_CORE.json \
+	  || { echo "perf-smoke: minio/fig7 row missing from BENCH_CORE.json"; exit 1; }
 	for i in rand-1500-3.5 arrow-1200 grid3d-10; do \
 	  grep -q "\"kernel\": \"pipeline/mindeg\", \"instance\": \"$$i\"" BENCH_CORE.json \
 	    || { echo "perf-smoke: pipeline/mindeg $$i row missing from BENCH_CORE.json"; exit 1; }; \

@@ -257,12 +257,15 @@ let evict c policy deficit apply =
       done;
       if !rem > 0 then lsnf_rest ()
 
-(* --- simulation --------------------------------------------------------- *)
+(* --- simulation ---------------------------------------------------------
+   Without evictions, step [k] has a deficit exactly when Algorithm 1's
+   usage at [k] exceeds [memory], so a deficit-free run is an in-core
+   one. [run] therefore makes one Algorithm 1 pass first: a traversal
+   that fits needs no candidate index and evicts nothing. Only one that
+   overflows is simulated, from the start, with the index. *)
 
-let run tree ~memory ~order policy =
+let simulate tree ~memory ~order policy =
   let p = Tree.size tree in
-  if not (Traversal.is_valid_order tree order) then
-    invalid_arg "Minio.run: invalid traversal";
   let pos = Array.make p 0 in
   Array.iteri (fun step i -> pos.(i) <- step) order;
   let tau = Array.make p Io_schedule.never in
@@ -312,6 +315,17 @@ let run tree ~memory ~order policy =
     end
   done;
   if !feasible then Some { Io_schedule.order; tau } else None
+
+let run tree ~memory ~order policy =
+  let invalid () = invalid_arg "Minio.run: invalid traversal" in
+  match Traversal.check tree ~memory order with
+  | Traversal.Feasible _ -> Some (Io_schedule.in_core order)
+  | Traversal.Invalid_order _ -> invalid ()
+  | Traversal.Infeasible_at _ ->
+      (* the check stopped at the first overflow: the rest of the order
+         is still unchecked *)
+      if not (Traversal.is_valid_order tree order) then invalid ();
+      simulate tree ~memory ~order policy
 
 let io_volume tree ~memory ~order policy =
   Option.map (Io_schedule.io_volume tree) (run tree ~memory ~order policy)

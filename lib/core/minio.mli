@@ -29,7 +29,13 @@
     zero-size files) by falling back to LSNF, so they terminate whenever
     the instance is feasible, i.e. [memory >= max_mem_req].
 
-    {b Cost.} One {!run} takes O(p) words for a [p]-node tree, whatever
+    {b Cost.} A policy acts only at a deficit step, and a traversal
+    whose in-core peak is at most [memory] has none. So {!run} first
+    makes one O(p) Algorithm 1 pass ({!Traversal.check}); a traversal
+    that fits returns {!Io_schedule.in_core} at once, for the cost of
+    that pass and the [tau] array, about one word per node. Only a
+    traversal that overflows builds the candidate index and simulates
+    the policy. That run takes O(p) words for a [p]-node tree, whatever
     the file sizes: the candidate files are indexed by position (and,
     for Best Fit and Best Fill, by rank in (size, position) order), never
     by size value. Each eviction choice costs O(log p), or O(2^K) for
@@ -53,8 +59,12 @@ val run : Tree.t -> memory:int -> order:int array -> policy -> Io_schedule.t opt
 (** Simulate the traversal with the given policy. Returns the full
     out-of-core schedule (feasible by construction, checkable with
     {!Io_schedule.check}), or [None] when the instance is infeasible
-    ([memory < max_mem_req] along this traversal).
-    @raise Invalid_argument if [order] is not a valid traversal. *)
+    ([memory < max_mem_req] along this traversal). When the traversal
+    fits in [memory] ({!Traversal.check} gives [Feasible]), the result is
+    [Some (Io_schedule.in_core order)], for every policy: no file is
+    ever evicted.
+    @raise Invalid_argument if [order] is not a valid traversal, at any
+    [memory]. *)
 
 val io_volume : Tree.t -> memory:int -> order:int array -> policy -> int option
 (** I/O volume of {!run}'s schedule. *)

@@ -28,8 +28,9 @@
     {b Cost.} Given [order], both schedulers run in O(p log p) time and
     O(p) words for a [p]-node tree, whatever [procs] is. (Without it,
     booking and greedy's fallback first run {!Minmem.run}, O(p²) in the
-    worst case.) At most [p] tasks run at once, so they keep
-    [min procs p] processor slots, and since a finished task's
+    worst case, with no cancel token; the served jobs always pass the
+    order they computed under the job's token.) At most [p] tasks run
+    at once, so they keep [min procs p] processor slots, and since a finished task's
     processor is the next one handed out, a processor is first used
     only when every lower-numbered one is busy — the schedule is the
     same as with [procs] slots. Working sets are computed once per

@@ -71,6 +71,15 @@ let result_pairs reports =
 let results_digest reports = Job.digest_of_results (result_pairs reports)
 let value_digest reports = Job.value_digest_of_results (result_pairs reports)
 
+(* The content addresses of one tree: its canonical encoding, and the
+   id of its MinMem preprocessing ([Job.id_of_encoding] of the
+   equivalent [Min_memory Minmem] job), hashed on first use. *)
+type addresses = { encoding : string; pre_id : string Lazy.t }
+
+let tree_addresses tree =
+  let encoding = Tt_core.Tree.to_string tree in
+  { encoding; pre_id = lazy (Job.id_of_encoding encoding (Job.Min_memory Job.Minmem)) }
+
 (* One job, through the cache, under its id [id]. [Min_io] and
    [Schedule] jobs route their MinMem preprocessing through the cache
    under [pre_id], the id of the equivalent [Min_memory Minmem] job, so
@@ -127,11 +136,11 @@ let notify t (r : report) =
    budget. Injected faults and genuine crashes consult [Retry.classify_exn]
    and, while backoff delays remain, sleep and re-roll; the re-roll is
    keyed by the attempt number, so an injected crash does not doom the
-   job forever. [encoding] is the canonical serialization of the job's
-   tree; the job's id and its preprocessing id are derived from it once
-   each, outside the retry loop. *)
-let run_one t ~slot ~encoding (job : Job.t) =
-  let id = Job.id_of_encoding encoding job.Job.spec in
+   job forever. [addr] holds the content addresses of the job's tree
+   ({!tree_addresses}); the job's id is derived from its encoding once,
+   outside the retry loop. *)
+let run_one t ~slot ~addr (job : Job.t) =
+  let id = Job.id_of_encoding addr.encoding job.Job.spec in
   let resumed_result =
     match t.completed with
     | Some tbl -> Hashtbl.find_opt tbl id
@@ -146,11 +155,7 @@ let run_one t ~slot ~encoding (job : Job.t) =
       notify t r;
       r
   | None ->
-      let pre_id =
-        if Job.needs_minmem job then
-          Some (Job.id_of_encoding encoding (Job.Min_memory Job.Minmem))
-        else None
-      in
+      let pre_id = if Job.needs_minmem job then Some (Lazy.force addr.pre_id) else None in
       let t0 = Unix.gettimeofday () in
       let delays =
         if t.retry.Retry.retries = 0 then []
@@ -218,24 +223,25 @@ let run_batch t jobs =
   let hits0 = Cache.hits t.cache and misses0 = Cache.misses t.cache in
   let t0 = Unix.gettimeofday () in
   let worker slot =
-    (* A one-entry memo of the last tree this worker encoded: the jobs
-       of one manifest line share their tree, so each such run of jobs
-       encodes it once. Keyed by physical identity and local to this
-       worker and batch, so no encoding outlives [run_batch]. *)
+    (* A one-entry memo of the last tree this worker addressed: the
+       jobs of one manifest line share their tree, so each such run of
+       jobs encodes it, and hashes its preprocessing id, once. Keyed by
+       physical identity and local to this worker and batch, so no
+       encoding outlives [run_batch]. *)
     let last = ref None in
-    let encode tree =
+    let addresses tree =
       match !last with
-      | Some (tree', encoding) when tree' == tree -> encoding
+      | Some (tree', addr) when tree' == tree -> addr
       | _ ->
-          let encoding = Tt_core.Tree.to_string tree in
-          last := Some (tree, encoding);
-          encoding
+          let addr = tree_addresses tree in
+          last := Some (tree, addr);
+          addr
     in
     let rec loop () =
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
         let job = jobs.(i) in
-        let r = run_one t ~slot ~encoding:(encode job.Job.tree) job in
+        let r = run_one t ~slot ~addr:(addresses job.Job.tree) job in
         reports.(i) <- Some r;
         busy.(slot) <- busy.(slot) +. r.wall;
         loop ()

@@ -41,9 +41,10 @@
     policies on one tree share a single MinMem run — and a later
     explicit MinMem job on that tree is a hit, too. A worker serializes
     a tree once for a run of consecutive jobs on it (a one-entry memo
-    keyed by the physical tree, dropped when the batch returns) and
-    derives each job's id and preprocessing id from that encoding with
-    {!Job.id_of_encoding}, once per job. *)
+    keyed by the physical tree, dropped when the batch returns). From
+    that encoding it derives each job's id with {!Job.id_of_encoding},
+    once per job, and the tree's preprocessing id once per such run,
+    when its first job that needs it starts. *)
 
 type t
 

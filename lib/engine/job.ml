@@ -174,7 +174,7 @@ let compute ?(cancel = Tt_util.Cancel.never) ?minmem job =
                   peak = Some s.P.peak_memory }
           | None -> Par_sched { algo = name; memory; makespan = None; peak = None })
       | Split ->
-          let s = Tt_sched.Split.run job.tree ~procs ~work in
+          let s = Tt_sched.Split.run ~cancel job.tree ~procs ~work in
           Tt_sched.Validate.check_exn job.tree
             ~memory:(max memory s.P.peak_memory) ~work s;
           (* splitting ignores the budget; it is infeasible when its
@@ -186,7 +186,7 @@ let compute ?(cancel = Tt_util.Cancel.never) ?minmem job =
             { algo = name; memory; makespan; peak = Some s.P.peak_memory })
   | Pareto_sweep { procs; steps } ->
       let work = work_of job.tree in
-      let points = Tt_sched.Pareto.sweep ~steps job.tree ~procs ~work in
+      let points = Tt_sched.Pareto.sweep ~cancel ~steps job.tree ~procs ~work in
       Pareto { procs; steps; points }
   | Approx_memory { seg_cap; tol } ->
       let b = Tt_core.Minmem_approx.run ~seg_cap ~tol job.tree in

@@ -73,9 +73,12 @@ let tree_of_matrix pairs m =
   if amalgamation < 1 then bad "amalgamation must be >= 1, got %d" amalgamation;
   (Tt_workloads.Pipeline.assembly_tree ~ordering ~amalgamation m).Tt_etree.Assembly.tree
 
-(* Returns [(short_label, tree)]. *)
-let parse_source text =
+(* Returns [(short_label, tree)]. Without [files], a [file] source is
+   refused before its path is looked at. *)
+let parse_source ~files text =
   match tokens text with
+  | "file" :: _ when not files ->
+      bad "file sources are not accepted here (expected gen or tree)"
   | "file" :: path :: rest ->
       let pairs = kv_pairs rest in
       check_keys pairs [ "ordering"; "amalgamation" ];
@@ -222,11 +225,11 @@ let strip_comment line =
   | Some i -> String.sub line 0 i
   | None -> line
 
-let parse_line line =
+let parse_line ~files line =
   match split_on_sep ~sep:"::" line with
   | None -> bad "expected '<source> :: <job> [; <job>]*'"
   | Some (source, jobs) ->
-      let name, tree = parse_source source in
+      let name, tree = parse_source ~files source in
       let specs =
         String.split_on_char ';' jobs
         |> List.map String.trim
@@ -241,7 +244,7 @@ let parse_line line =
 
 (* All malformed lines are reported at once — fixing a manifest should
    take one round trip, not one per bad line. *)
-let parse text =
+let parse_with ~files text =
   let lines = String.split_on_char '\n' text in
   let rec go acc errs lineno = function
     | [] -> (
@@ -252,12 +255,15 @@ let parse text =
         let line = String.trim (strip_comment line) in
         if line = "" then go acc errs (lineno + 1) rest
         else
-          match parse_line line with
+          match parse_line ~files line with
           | jobs -> go (jobs :: acc) errs (lineno + 1) rest
           | exception Bad msg ->
               go acc (Printf.sprintf "line %d: %s" lineno msg :: errs) (lineno + 1) rest)
   in
   go [] [] 1 lines
+
+let parse = parse_with ~files:true
+let parse_wire = parse_with ~files:false
 
 let load path =
   match open_in path with

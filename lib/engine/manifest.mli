@@ -62,5 +62,12 @@ val parse : string -> (Job.t list, string) Stdlib.result
     malformed line, one ["line N: message"] entry per line, joined by
     newlines — one fix round trip, not one per bad line. *)
 
+val parse_wire : string -> (Job.t list, string) Stdlib.result
+(** {!parse} for an entry that arrived over the network: [gen] and
+    [tree] sources only. A [file] source is a parse error, raised before
+    its path is opened, so no client can make a server read a file it
+    names. [treetrav batch] reads manifests with {!load}, which keeps
+    [file] sources. *)
+
 val load : string -> (Job.t list, string) Stdlib.result
 (** {!parse} the contents of a file. *)

@@ -36,10 +36,10 @@ let fail_invalid algo v =
     (Printf.sprintf "Pareto.sweep: %s produced an invalid schedule: %s" algo
        (Validate.violation_to_string v))
 
-let sweep ?(steps = 8) t ~procs ~work =
+let sweep ?cancel ?(steps = 8) t ~procs ~work =
   (* one MinMem run gives both the lowest budget and the activation
      order of booking and of greedy's fallback *)
-  let lo, order = Tt_core.Minmem.run t in
+  let lo, order = Tt_core.Minmem.run ?cancel t in
   let points = ref [] in
   let push p = points := p :: !points in
   Array.iter
@@ -64,7 +64,7 @@ let sweep ?(steps = 8) t ~procs ~work =
           | Error v -> fail_invalid "booking" v))
     (budgets_from ~lo t ~steps);
   (* splitting is budget-free: one point at its own peak *)
-  let s = Split.run t ~procs ~work in
+  let s = Split.run ?cancel t ~procs ~work in
   (match Validate.check t ~memory:s.P.peak_memory ~work s with
   | Ok () ->
       push

@@ -27,6 +27,7 @@ val budgets : Tt_core.Tree.t -> steps:int -> int array
     (a negative [min_memory] far below zero). *)
 
 val sweep :
+  ?cancel:Tt_util.Cancel.t ->
   ?steps:int ->
   Tt_core.Tree.t ->
   procs:int ->
@@ -36,8 +37,12 @@ val sweep :
     at every budget — both always feasible here since budgets start at
     the sequential optimum — plus one budget-free [split] point at its
     own peak. Points appear in deterministic order (budget-major).
+    [cancel] (default {!Tt_util.Cancel.never}) is passed to the sweep's
+    {!Tt_core.Minmem.run} and to {!Split.run}.
     @raise Invalid_argument if any schedule fails validation — a
-    scheduler bug must not produce a plot. *)
+    scheduler bug must not produce a plot.
+    @raise Tt_util.Cancel.Cancelled when [cancel] fires during a MinMem
+    run. *)
 
 val frontier : point list -> point list
 (** The non-dominated points by [(peak, makespan)], sorted by

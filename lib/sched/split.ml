@@ -119,7 +119,7 @@ let plan t ~procs ~work =
    the parent tree's node ids. [index] maps a node to its id within its
    subtree; subtrees are disjoint and every lookup is for a node of the
    current subtree, so one array serves them all. *)
-let subtree_order t ~index r =
+let subtree_order ?cancel t ~index r =
   let nodes = ref [] in
   let count = ref 0 in
   let rec visit i =
@@ -141,11 +141,11 @@ let subtree_order t ~index r =
     let f = Array.map (fun i -> t.T.f.(i)) nodes in
     let n = Array.map (fun i -> t.T.n.(i)) nodes in
     let sub = T.make ~parent ~f ~n in
-    let _, order = Tt_core.Minmem.run sub in
+    let _, order = Tt_core.Minmem.run ?cancel sub in
     Array.map (fun k -> nodes.(k)) order
   end
 
-let run t ~procs ~work =
+let run ?cancel t ~procs ~work =
   let pl = plan t ~procs ~work in
   let p = T.size t in
   let proc = Array.make p 0 and start = Array.make p 0 and finish = Array.make p 0 in
@@ -167,7 +167,9 @@ let run t ~procs ~work =
   Array.iteri
     (fun k r ->
       let q = pl.assignment.(k) in
-      Array.iter (fun i -> cursor.(q) <- run_at i q cursor.(q)) (subtree_order t ~index r))
+      Array.iter
+        (fun i -> cursor.(q) <- run_at i q cursor.(q))
+        (subtree_order ?cancel t ~index r))
     pl.subtrees;
   let draft = P.of_runs ~proc ~start ~finish ~peak_memory:0 in
   { draft with P.peak_memory = Validate.peak_usage t draft }

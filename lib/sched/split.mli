@@ -18,17 +18,27 @@
 
     {b Cost.} Apart from the per-subtree MinMem runs, O(p log p) time
     and O(p) words whatever [procs] is. Those runs are O(q²) in the
-    worst case for a q-node subtree ({!Tt_core.Minmem}) and poll no
-    cancel token. A frontier never holds more than [p] subtrees, so
-    [procs] is clamped to [p]: the split estimate does not change (the
+    worst case for a q-node subtree ({!Tt_core.Minmem}); they poll the
+    caller's cancel token, so a served split stops near its deadline.
+    A frontier never holds more than [p] subtrees, so [procs] is
+    clamped to [p]: the split estimate does not change (the
     heaviest subtree already bounds it), and the longest-processing-time
     assignment keeps its loads in a heap over only the processors it
     can reach. The subtrees' MinMem inputs are indexed through one
     array shared by all of them. *)
 
-val run : Tt_core.Tree.t -> procs:int -> work:(int -> int) -> Tt_core.Parallel.schedule
+val run :
+  ?cancel:Tt_util.Cancel.t ->
+  Tt_core.Tree.t ->
+  procs:int ->
+  work:(int -> int) ->
+  Tt_core.Parallel.schedule
 (** Deterministic split of the tree for [procs] processors, materialized
     as a schedule. Always succeeds — with one processor it degenerates
     to a sequential traversal. [peak_memory] is the measured
-    {!Validate.peak_usage} of the events.
-    @raise Invalid_argument if [procs < 1] or some [work i < 1]. *)
+    {!Validate.peak_usage} of the events. [cancel] (default
+    {!Tt_util.Cancel.never}) is passed to every subtree's
+    {!Tt_core.Minmem.run}.
+    @raise Invalid_argument if [procs < 1] or some [work i < 1].
+    @raise Tt_util.Cancel.Cancelled when [cancel] fires during a
+    subtree's MinMem run. *)

@@ -19,8 +19,10 @@
     {"v":1,"id":"r4","op":"shutdown"}
     v}
     A [solve] entry is one line of the `treetrav batch` manifest
-    grammar (see {!Tt_engine.Manifest}); its jobs run in order on one
-    worker. [timeout_s] is the per-request deadline (seconds; 0 means
+    grammar (see {!Tt_engine.Manifest}) with a [gen] or [tree] source:
+    a [file] source is refused with [bad_request] before its path is
+    opened ({!Tt_engine.Manifest.parse_wire}). Its jobs run in order on
+    one worker. [timeout_s] is the per-request deadline (seconds; 0 means
     already expired), clamped below the server's configured maximum.
 
     {b Responses.}

@@ -538,7 +538,7 @@ let handle_solve t conn ~id ~entry ~timeout_s ~idem ~priority ~received =
                 refuse P.Overloaded
                   (Printf.sprintf "concurrency limit (%d) reached" limit))
         | None -> (
-            match Tt_engine.Manifest.parse entry with
+            match Tt_engine.Manifest.parse_wire entry with
             | Error e -> refuse P.Bad_request e
             | Ok [] -> refuse P.Bad_request "entry contains no jobs"
             | Ok jobs ->

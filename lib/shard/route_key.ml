@@ -1,5 +1,5 @@
 let compute entry =
-  match Tt_engine.Manifest.parse entry with
+  match Tt_engine.Manifest.parse_wire entry with
   | Error e -> Error e
   | Ok [] -> Error "entry resolves to no jobs"
   | Ok (job :: _) -> Ok (Tt_engine.Job.id job)

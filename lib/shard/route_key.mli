@@ -18,9 +18,11 @@ val max_route_memo : int
 val create : unit -> memo
 
 val find : memo -> string -> (string, string) result
-(** [find memo entry] parses [entry] and returns its first job's id, or
+(** [find memo entry] parses [entry] with
+    {!Tt_engine.Manifest.parse_wire} and returns its first job's id, or
     [Error] with the manifest parser's message (or a note that the entry
-    has no jobs). Results are memoized under the MD5 of [entry]: the
+    has no jobs). A [file] source is such an error: the router refuses
+    it with [bad_request] and never opens the path. Results are memoized under the MD5 of [entry]: the
     memo holds 16-byte digests, never the entries themselves, which may
     be up to a frame (1 MiB) each. *)
 

@@ -14,15 +14,23 @@ let create n =
   done;
   { a = Array.make (2 * !m) max_int; m = !m }
 
+(* Climbing stops at the first ancestor whose minimum is unchanged:
+   every node above it keeps its value too, so the array is the same as
+   after a full climb. *)
 let set t q v =
   if q < 0 || q >= t.m then invalid_arg "Min_tree.set: out of range";
+  let a = t.a in
   let i = ref (t.m + q) in
-  t.a.(!i) <- v;
+  a.(!i) <- v;
   i := !i lsr 1;
   while !i >= 1 do
-    let l = t.a.(2 * !i) and r = t.a.((2 * !i) + 1) in
-    t.a.(!i) <- (if l <= r then l else r);
-    i := !i lsr 1
+    let l = a.(2 * !i) and r = a.((2 * !i) + 1) in
+    let least = if l <= r then l else r in
+    if a.(!i) = least then i := 0
+    else begin
+      a.(!i) <- least;
+      i := !i lsr 1
+    end
   done
 
 let remove t q = set t q max_int

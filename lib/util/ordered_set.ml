@@ -34,38 +34,44 @@ let mem t i =
   i >= 0 && i < t.n
   && t.levels.(0).(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
 
+(* [add] and [remove] walk the levels bottom-up in a plain loop: MinIO
+   calls them once per produced file, so they allocate nothing. *)
 let add t i =
   check t i "add";
   if not (mem t i) then begin
     t.card <- t.card + 1;
-    let idx = ref i in
-    (try
-       Array.iter
-         (fun words ->
-           let w = !idx / bits_per_word and b = !idx mod bits_per_word in
-           let before = words.(w) in
-           words.(w) <- before lor (1 lsl b);
-           (* a word that was already non-empty is already summarized *)
-           if before <> 0 then raise Exit;
-           idx := w)
-         t.levels
-     with Exit -> ())
+    let levels = t.levels in
+    let l = ref 0 and idx = ref i in
+    while !l < Array.length levels do
+      let words = levels.(!l) in
+      let w = !idx / bits_per_word and b = !idx mod bits_per_word in
+      let before = words.(w) in
+      words.(w) <- before lor (1 lsl b);
+      (* a word that was already non-empty is already summarized *)
+      if before <> 0 then l := Array.length levels
+      else begin
+        idx := w;
+        incr l
+      end
+    done
   end
 
 let remove t i =
   if mem t i then begin
     t.card <- t.card - 1;
-    let idx = ref i in
-    (try
-       Array.iter
-         (fun words ->
-           let w = !idx / bits_per_word and b = !idx mod bits_per_word in
-           words.(w) <- words.(w) land lnot (1 lsl b);
-           (* summaries above stay valid while the word is non-empty *)
-           if words.(w) <> 0 then raise Exit;
-           idx := w)
-         t.levels
-     with Exit -> ())
+    let levels = t.levels in
+    let l = ref 0 and idx = ref i in
+    while !l < Array.length levels do
+      let words = levels.(!l) in
+      let w = !idx / bits_per_word and b = !idx mod bits_per_word in
+      words.(w) <- words.(w) land lnot (1 lsl b);
+      (* summaries above stay valid while the word is non-empty *)
+      if words.(w) <> 0 then l := Array.length levels
+      else begin
+        idx := w;
+        incr l
+      end
+    done
   end
 
 (* index of the highest set bit; [x] must be non-zero *)

@@ -130,6 +130,66 @@ let corpus_instances mode =
   |> List.map (fun (inst : Dataset.instance) ->
          { name = "corpus/" ^ inst.name; tree = Lazy.from_val inst.tree })
 
+(* --- Fig. 7 mix -------------------------------------------------------------
+   The paper's MinIO evaluation as one row: every scale-1 corpus tree
+   (corpus seed 42) along its MinMem traversal, the six policies at the
+   four Fig. 7 budgets, positions 0, 1/4, 1/2 and 3/4 of the gap between
+   the working-set floor and the in-core optimum (the engine's
+   [budget=P%]). On most trees the gap is empty and the traversal fits,
+   so the row weighs the in-core shortcut against the deficit runs the
+   [minio/<policy>] rows time alone. The corpus and its MinMem orders
+   are built once, outside the timed runs; the payload is every I/O
+   volume, tree by tree. Same corpus in both modes. *)
+
+let fig7_fractions = [ 0.0; 0.25; 0.5; 0.75 ]
+
+let fig7_spec () =
+  let corpus = lazy (Dataset.corpus ~scale:1 ~seed:42 ()) in
+  let cases =
+    lazy
+      (List.map
+         (fun (inst : Dataset.instance) ->
+           let t = inst.tree in
+           let in_core, order = Minmem.run t in
+           let floor = Tree.max_mem_req t in
+           let budgets =
+             List.map
+               (fun x -> floor + int_of_float (x *. float_of_int (in_core - floor)))
+               fig7_fractions
+           in
+           (inst.name, t, order, budgets))
+         (Lazy.force corpus))
+  in
+  {
+    Tt_profile.Microbench.kernel = "minio/fig7";
+    instance = "corpus";
+    p =
+      List.fold_left
+        (fun a (i : Dataset.instance) -> a + Tree.size i.tree)
+        0 (Lazy.force corpus);
+    max_reps = 0;
+    run =
+      (fun () ->
+        let buf = Buffer.create 65536 in
+        List.iter
+          (fun (name, t, order, budgets) ->
+            Buffer.add_string buf name;
+            Buffer.add_char buf ':';
+            List.iter
+              (fun memory ->
+                List.iter
+                  (fun (_, policy) ->
+                    (match Minio.io_volume t ~memory ~order policy with
+                    | Some io -> Buffer.add_string buf (string_of_int io)
+                    | None -> Buffer.add_string buf "infeasible");
+                    Buffer.add_char buf ';')
+                  Minio.all_policies)
+              budgets;
+            Buffer.add_char buf '\n')
+          (Lazy.force cases);
+        Buffer.contents buf);
+  }
+
 (* --- huge family --------------------------------------------------------
    Instances at p = 1M (both modes) and 10M (full mode), generated by
    the streaming [Huge] generators and measured once each
@@ -355,6 +415,7 @@ let specs mode =
       List.map encode (rand :: corpus);
       minio_family ~order_seed:13 cat;
       minio_family ~order_seed:11 rand;
+      [ fig7_spec () ];
       sched_family sched_cat;
       sched_family sched_rand;
       sched_family ~pareto:false sched_star;

@@ -13,6 +13,13 @@
       eviction heuristics, on a seeded-random traversal with memory a
       quarter of the way between the feasibility floor and the traversal
       peak, so deficit events fire throughout;
+    - [minio/fig7] — the paper's Fig. 7 mix in one row: the six
+      policies at the four Fig. 7 budgets (0, 1/4, 1/2 and 3/4 of the
+      way from the working-set floor to the in-core optimum) along
+      each tree's MinMem traversal, over [Dataset.corpus ~scale:1
+      ~seed:42] in both modes. Most of those traversals fit, so unlike
+      the rows above this one weighs the in-core shortcut too; the
+      payload is every I/O volume;
     - [divisible-lb] — {!Tt_core.Minio.divisible_lower_bound};
     - [tree/encode] — {!Tt_core.Tree.to_string} on the random and corpus
       trees, the canonical encoding every content address is computed

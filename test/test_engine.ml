@@ -724,10 +724,43 @@ let test_manifest_memory_ranges () =
       (max_int, false)
     ]
 
+(* [Job.compute] polls its token on entry, so an expired token proves
+   nothing about the solvers below it. This token expires between its
+   first poll, which reads the clock before the deadline, and its 64th,
+   the next clock read ({!Tt_util.Cancel} amortizes them): the entry
+   check passes, and only a solver that polls it many times inside the
+   job sees it expire. A split job given its MinMem preprocessing, and a
+   Pareto job, poll it only through [Split.run] and [Pareto.sweep]. *)
+let test_compute_passes_cancel () =
+  let module Cancel = Tt_util.Cancel in
+  let rec late_token () =
+    let tok = Cancel.create ~deadline_after:0.2 () in
+    if Cancel.cancelled tok then late_token () else tok
+  in
+  let t = T.random ~rng:(Tt_util.Rng.create 29) ~size:2_000 ~max_f:50 ~max_n:9 in
+  let minmem = Tt_core.Minmem.run t in
+  let cases =
+    [ ( "par-schedule algo=split",
+        Some minmem,
+        J.Par_schedule { algo = J.Split; procs = 3; mem_factor = 1.5 } );
+      ("pareto", None, J.Pareto_sweep { procs = 3; steps = 2 })
+    ]
+  in
+  let tokens = List.map (fun _ -> late_token ()) cases in
+  Unix.sleepf 0.3;
+  List.iter2
+    (fun (name, minmem, spec) cancel ->
+      match J.compute ~cancel ?minmem (J.make t spec) with
+      | _ -> Alcotest.failf "%s: ran to completion past its deadline" name
+      | exception Cancel.Cancelled -> ())
+    cases tokens
+
 let () =
   H.run "engine"
     [ ( "job",
-        [ H.case "content addressing" test_job_id_content_addressing ] );
+        [ H.case "content addressing" test_job_id_content_addressing;
+          H.case "compute passes its token to split and pareto" test_compute_passes_cancel
+        ] );
       ( "cache",
         [ H.case "hit/miss counters" test_cache_hit_miss_counters;
           H.case "exception not inserted" test_cache_exception_not_inserted;

@@ -1,6 +1,7 @@
 (* Differential tests for the hot-path optimizations: the indexed MinIO
-   candidate set, the array-backed segment calculus, the postorder
-   child-sort reuse, the Explore cut compaction, the exact-size tree
+   candidate set and MinIO's in-core shortcut, the array-backed segment
+   calculus, the postorder child-sort reuse, the Explore cut
+   compaction, the exact-size tree
    encoder and the symbolic pipeline's front end (minimum degree, nested
    dissection's subgraphs, the CSR pattern builders) must be
    {e behaviour-identical} to the straightforward
@@ -243,6 +244,529 @@ let ref_divisible_lower_bound tree ~memory ~order =
     end
   done;
   if !feasible then Some !io else None
+
+(* --- reference MinIO: the parent's indexed simulation -------------------
+   A verbatim copy of [Minio.run] before the in-core shortcut: a validity
+   pre-pass, then the candidate index built and maintained on every
+   call, fitting traversal or not. It runs on verbatim copies of the
+   [Ordered_set] and [Min_tree] of that time (the functions MinIO
+   calls), whose [add]/[remove] walked the levels through a closure
+   that raised to stop, and whose [set] climbed to the root on every
+   update. *)
+
+module Parent_minio = struct
+  module Ordered_set = struct
+    (* A set of integers over a fixed universe [0, n), stored as a tower of
+       bitset levels: level 0 holds one bit per element and each level above
+       holds one summary bit per word below. All navigation operations touch
+       one word per level, so they cost O(log n) with a base of
+       [Sys.int_size] — three levels cover every tree this repo handles. *)
+
+    let bits_per_word = Sys.int_size
+
+    type t = {
+      levels : int array array; (* levels.(0) = element bits, then summaries *)
+      n : int;
+      mutable card : int;
+    }
+
+    let words_for n = ((n + bits_per_word) - 1) / bits_per_word
+
+    let create n =
+      if n < 0 then invalid_arg "Ordered_set.create";
+      let rec build acc len =
+        let words = max 1 (words_for len) in
+        let acc = Array.make words 0 :: acc in
+        if words = 1 then List.rev acc else build acc words
+      in
+      { levels = Array.of_list (build [] n); n; card = 0 }
+
+    let is_empty t = t.card = 0
+
+    let check t i name =
+      if i < 0 || i >= t.n then invalid_arg ("Ordered_set." ^ name ^ ": out of range")
+
+    let mem t i =
+      i >= 0 && i < t.n
+      && t.levels.(0).(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
+
+    let add t i =
+      check t i "add";
+      if not (mem t i) then begin
+        t.card <- t.card + 1;
+        let idx = ref i in
+        (try
+           Array.iter
+             (fun words ->
+               let w = !idx / bits_per_word and b = !idx mod bits_per_word in
+               let before = words.(w) in
+               words.(w) <- before lor (1 lsl b);
+               (* a word that was already non-empty is already summarized *)
+               if before <> 0 then raise Exit;
+               idx := w)
+             t.levels
+         with Exit -> ())
+      end
+
+    let remove t i =
+      if mem t i then begin
+        t.card <- t.card - 1;
+        let idx = ref i in
+        (try
+           Array.iter
+             (fun words ->
+               let w = !idx / bits_per_word and b = !idx mod bits_per_word in
+               words.(w) <- words.(w) land lnot (1 lsl b);
+               (* summaries above stay valid while the word is non-empty *)
+               if words.(w) <> 0 then raise Exit;
+               idx := w)
+             t.levels
+         with Exit -> ())
+      end
+
+    (* index of the highest set bit; [x] must be non-zero *)
+    let top_bit x =
+      let r = ref 0 and x = ref x in
+      if !x lsr 32 <> 0 then begin r := !r + 32; x := !x lsr 32 end;
+      if !x lsr 16 <> 0 then begin r := !r + 16; x := !x lsr 16 end;
+      if !x lsr 8 <> 0 then begin r := !r + 8; x := !x lsr 8 end;
+      if !x lsr 4 <> 0 then begin r := !r + 4; x := !x lsr 4 end;
+      if !x lsr 2 <> 0 then begin r := !r + 2; x := !x lsr 2 end;
+      if !x lsr 1 <> 0 then r := !r + 1;
+      !r
+
+    (* index of the lowest set bit; [x] must be non-zero *)
+    let bottom_bit x = top_bit (x land -x)
+
+    (* largest element of level [l] whose word-path runs through word [w];
+       every level at or below [l] is guaranteed non-empty under [w] *)
+    let rec descend t l w =
+      let b = top_bit t.levels.(l).(w) in
+      let pos = (w * bits_per_word) + b in
+      if l = 0 then pos else descend t (l - 1) pos
+
+    (* smallest element, same shape *)
+    let rec descend_min t l w =
+      let b = bottom_bit t.levels.(l).(w) in
+      let pos = (w * bits_per_word) + b in
+      if l = 0 then pos else descend_min t (l - 1) pos
+
+    let max_elt t =
+      if t.card = 0 then None
+      else begin
+        let top = Array.length t.levels - 1 in
+        Some (descend t top 0)
+      end
+
+    let min_elt t =
+      if t.card = 0 then None
+      else begin
+        let top = Array.length t.levels - 1 in
+        Some (descend_min t top 0)
+      end
+
+    let pred t i =
+      if t.card = 0 then None
+      else if i >= t.n then max_elt t (* every member is strictly below [n] *)
+      else begin
+        if i <= 0 then None
+        else begin
+          (* climb until a level has a set bit strictly below the path, then
+             descend taking the highest bit at each level *)
+          let rec climb l idx =
+            if l >= Array.length t.levels then None
+            else begin
+              let w = idx / bits_per_word and b = idx mod bits_per_word in
+              let mask = t.levels.(l).(w) land ((1 lsl b) - 1) in
+              if mask <> 0 then begin
+                let pos = (w * bits_per_word) + top_bit mask in
+                Some (if l = 0 then pos else descend t (l - 1) pos)
+              end
+              else climb (l + 1) w
+            end
+          in
+          climb 0 i
+        end
+      end
+
+    let succ t i =
+      if t.card = 0 || i >= t.n - 1 then None
+      else begin
+        let i = max i (-1) in
+        (* mirror of [pred]: mask the bits strictly above the path, else climb *)
+        let rec climb l idx =
+          if l >= Array.length t.levels then None
+          else begin
+            let w = idx / bits_per_word and b = idx mod bits_per_word in
+            (* [b] can be the top bit of the word: shifting by b+1 would be
+               out of range, but the mask is then simply empty *)
+            let mask =
+              if b = bits_per_word - 1 then 0
+              else t.levels.(l).(w) land lnot ((1 lsl (b + 1)) - 1)
+            in
+            if mask <> 0 then begin
+              let pos = (w * bits_per_word) + bottom_bit mask in
+              Some (if l = 0 then pos else descend_min t (l - 1) pos)
+            end
+            else climb (l + 1) w
+          end
+        in
+        if i < 0 then min_elt t else climb 0 i
+      end
+  end
+
+  module Min_tree = struct
+    (* A perfect binary tree over positions [0, m), [m] the next power of
+       two at or above the capacity, stored in one array: node [i] has
+       children [2i] and [2i+1], the leaves sit at [m + q]. Each node holds
+       the minimum of its leaves; an absent position holds [max_int], so no
+       query ever matches it. *)
+
+    type t = { a : int array; m : int }
+
+    let create n =
+      if n < 0 then invalid_arg "Min_tree.create";
+      let m = ref 1 in
+      while !m < n do
+        m := !m * 2
+      done;
+      { a = Array.make (2 * !m) max_int; m = !m }
+
+    let set t q v =
+      if q < 0 || q >= t.m then invalid_arg "Min_tree.set: out of range";
+      let i = ref (t.m + q) in
+      t.a.(!i) <- v;
+      i := !i lsr 1;
+      while !i >= 1 do
+        let l = t.a.(2 * !i) and r = t.a.((2 * !i) + 1) in
+        t.a.(!i) <- (if l <= r then l else r);
+        i := !i lsr 1
+      done
+
+    let remove t q = set t q max_int
+
+    let rightmost_lt t thr =
+      if t.a.(1) >= thr then None
+      else begin
+        let i = ref 1 in
+        while !i < t.m do
+          i := if t.a.((2 * !i) + 1) < thr then (2 * !i) + 1 else 2 * !i
+        done;
+        Some (!i - t.m)
+      end
+  end
+
+  module Tree = Tt_core.Tree
+  module Traversal = Tt_core.Traversal
+  module Io_schedule = Tt_core.Io_schedule
+
+  type policy = Minio.policy =
+    | Lsnf
+    | First_fit
+    | Best_fit
+    | First_fill
+    | Best_fill
+    | Best_k of int
+
+  module Os = Ordered_set
+
+  (* --- indexed candidate set ----------------------------------------------
+     The eviction candidates at step [k] are the resident produced files
+     other than the executing node's input, ordered latest next use first —
+     descending traversal position. Rebuilding and re-sorting that list at
+     every deficit event costs O(p log p) per event and makes a traversal
+     quadratic, so the set is maintained incrementally instead, keyed by
+     position (candidates always sit strictly after the current step, so no
+     query needs a range restriction):
+
+     - [os]: the positions themselves, an {!Tt_util.Ordered_set} with
+       O(log p) navigation — enough for LSNF walks and Best-K fronts;
+     - [maxf] / [minf]: {!Tt_util.Min_tree}s over positions answering
+       "rightmost position with f >= d" (First Fit, keyed by [-f]: the
+       rightmost [-f < 1 - d]) and "... with f < d" (First Fill) in
+       O(log p);
+     - [byf]: the positions ranked by (file size, position) and one
+       ordered set over the ranks of the present candidates. A size class
+       is a run of consecutive ranks and its latest-used file the largest
+       present rank of the run, so Best Fit's closest-size and Best
+       Fill's largest-below-deficit searches are a binary search over the
+       ranks plus one floor/ceiling lookup. This takes O(p) words, however
+       large or varied the sizes are.
+
+     Only the parts the active policy needs are allocated. Every query
+     returns the same file the previous linear scans chose, tie-breaks
+     included: those scans ran over descending positions, so "first hit"
+     always meant "largest position". *)
+
+
+  type byf = {
+    f : int array;
+    order : int array;
+    rank_pos : int array; (* rank -> position, sizes non-decreasing *)
+    pos_rank : int array; (* position -> rank *)
+    ranks : Os.t; (* ranks of the present candidates *)
+  }
+
+  let make_byf tree order =
+    let p = Array.length order in
+    let f = tree.Tree.f in
+    let rank_pos = Tt_util.Int_sort.order_by p (fun q -> f.(order.(q))) in
+    let pos_rank = Array.make p 0 in
+    Array.iteri (fun r q -> pos_rank.(q) <- r) rank_pos;
+    { f; order; rank_pos; pos_rank; ranks = Os.create p }
+
+  let size b r = b.f.(b.order.(b.rank_pos.(r)))
+
+  (* The first rank at or after [from] whose size is above [v] — or at
+     least [v] when not [incl]: the end of the ranks with size at most
+     (below) [v]. A galloping search, O(log d) for a distance [d] from
+     [from], so stepping over one size class is nearly free. *)
+  let rank_bound b ~from ~incl v =
+    let n = Array.length b.rank_pos in
+    let past r =
+      let s = size b r in
+      s > v || ((not incl) && s = v)
+    in
+    if from >= n || past from then from
+    else begin
+      (* [lo] is not past; [hi] is past, or [n] *)
+      let lo = ref from and step = ref 1 in
+      while !lo + !step < n && not (past (!lo + !step)) do
+        lo := !lo + !step;
+        step := 2 * !step
+      done;
+      let hi = ref (if !lo + !step < n then !lo + !step else n) in
+      while !hi - !lo > 1 do
+        let mid = (!lo + !hi) lsr 1 in
+        if past mid then hi := mid else lo := mid
+      done;
+      !hi
+    end
+
+  type cands = {
+    order : int array; (* position -> node *)
+    pos : int array; (* node -> position *)
+    f : int array;
+    os : Os.t;
+    mutable total : int;
+    maxf : Min_tree.t option; (* keyed by -f *)
+    minf : Min_tree.t option;
+    byf : byf option;
+  }
+
+  let make_cands tree ~order ~pos policy =
+    let p = Array.length order in
+    let maxf = match policy with First_fit -> Some (Min_tree.create p) | _ -> None in
+    let minf = match policy with First_fill -> Some (Min_tree.create p) | _ -> None in
+    let byf =
+      match policy with Best_fit | Best_fill -> Some (make_byf tree order) | _ -> None
+    in
+    { order; pos; f = tree.Tree.f; os = Os.create p; total = 0; maxf; minf; byf }
+
+  (* register node [i]'s file when it becomes resident (no-op if empty) *)
+  let cand_add c i =
+    let fv = c.f.(i) in
+    if fv > 0 then begin
+      let q = c.pos.(i) in
+      Os.add c.os q;
+      c.total <- c.total + fv;
+      (match c.maxf with Some t -> Min_tree.set t q (-fv) | None -> ());
+      (match c.minf with Some t -> Min_tree.set t q fv | None -> ());
+      match c.byf with Some b -> Os.add b.ranks b.pos_rank.(q) | None -> ()
+    end
+
+  (* retire the candidate at position [q]; it must be a member *)
+  let cand_remove_pos c q =
+    let fv = c.f.(c.order.(q)) in
+    Os.remove c.os q;
+    c.total <- c.total - fv;
+    (match c.maxf with Some t -> Min_tree.remove t q | None -> ());
+    (match c.minf with Some t -> Min_tree.remove t q | None -> ());
+    match c.byf with Some b -> Os.remove b.ranks b.pos_rank.(q) | None -> ()
+
+  let cand_drop c i =
+    let q = c.pos.(i) in
+    if Os.mem c.os q then cand_remove_pos c q
+
+  (* --- policy selection ---------------------------------------------------
+     [evict c policy deficit apply] frees at least [deficit] — the caller
+     has already checked [c.total >= deficit] — calling [apply node size]
+     for each evicted file. *)
+
+  let evict c policy deficit apply =
+    let rem = ref deficit in
+    let take q =
+      let i = c.order.(q) in
+      let fv = c.f.(i) in
+      cand_remove_pos c q;
+      rem := !rem - fv;
+      apply i fv
+    in
+    let take_max () =
+      match Os.max_elt c.os with Some q -> take q | None -> assert false
+    in
+    let lsnf_rest () =
+      while !rem > 0 && not (Os.is_empty c.os) do
+        take_max ()
+      done
+    in
+    match policy with
+    | Lsnf -> lsnf_rest ()
+    | First_fit -> (
+        (* first file at least as large as the deficit; LSNF otherwise *)
+        let maxf = match c.maxf with Some t -> t | None -> assert false in
+        match Min_tree.rightmost_lt maxf (1 - !rem) with
+        | Some q -> take q
+        | None -> lsnf_rest ())
+    | First_fill ->
+        (* repeatedly the first file strictly smaller than the deficit *)
+        let minf = match c.minf with Some t -> t | None -> assert false in
+        let progress = ref true in
+        while !rem > 0 && !progress do
+          match Min_tree.rightmost_lt minf !rem with
+          | Some q -> take q
+          | None -> progress := false
+        done;
+        if !rem > 0 then lsnf_rest ()
+    | Best_fit ->
+        (* repeatedly the file with size closest to the remaining deficit;
+           ties broken towards the latest use — the floor and ceiling size
+           classes cover the two possible distances, and within (and
+           between) classes the largest position wins *)
+        let b = match c.byf with Some b -> b | None -> assert false in
+        while !rem > 0 && not (Os.is_empty c.os) do
+          let ge = rank_bound b ~from:0 ~incl:false !rem in
+          (* the latest-used file of the largest size at most [rem] *)
+          let floor = Os.pred b.ranks (rank_bound b ~from:ge ~incl:true !rem) in
+          (* the latest-used file of the smallest size at least [rem] *)
+          let ceil =
+            match Os.succ b.ranks (ge - 1) with
+            | None -> None
+            | Some r -> Os.pred b.ranks (rank_bound b ~from:r ~incl:true (size b r))
+          in
+          let r =
+            match (floor, ceil) with
+            | Some lo, None -> lo
+            | None, Some hi -> hi
+            | Some lo, Some hi ->
+                let dl = !rem - size b lo and dh = size b hi - !rem in
+                if dl < dh then lo
+                else if dh < dl then hi
+                else if b.rank_pos.(lo) > b.rank_pos.(hi) then lo
+                else hi
+            | None, None -> assert false
+          in
+          take b.rank_pos.(r)
+        done
+        (* candidates exhausted with a residual deficit leave nothing for
+           the LSNF fallback to do *)
+    | Best_fill ->
+        (* repeatedly the largest file strictly smaller than the deficit,
+           the latest-used one among equals *)
+        let b = match c.byf with Some b -> b | None -> assert false in
+        let progress = ref true in
+        while !rem > 0 && !progress do
+          match Os.pred b.ranks (rank_bound b ~from:0 ~incl:false !rem) with
+          | None -> progress := false
+          | Some r -> take b.rank_pos.(r)
+        done;
+        if !rem > 0 then lsnf_rest ()
+    | Best_k k ->
+        (* repeatedly the subset of the k latest-used files whose total is
+           closest to the deficit; ties prefer the larger total so the
+           loop always progresses *)
+        let progress = ref true in
+        while !rem > 0 && !progress do
+          let rec collect q acc cnt =
+            if cnt = k then List.rev acc
+            else
+              match q with
+              | None -> List.rev acc
+              | Some q ->
+                  collect (Os.pred c.os q) ((q, c.f.(c.order.(q))) :: acc) (cnt + 1)
+          in
+          let front = Array.of_list (collect (Os.max_elt c.os) [] 0) in
+          let m = Array.length front in
+          if m = 0 then progress := false
+          else begin
+            let best_mask = ref 0 and best_d = ref max_int and best_sum = ref 0 in
+            for mask = 1 to (1 lsl m) - 1 do
+              let sum = ref 0 in
+              for b = 0 to m - 1 do
+                if mask land (1 lsl b) <> 0 then sum := !sum + snd front.(b)
+              done;
+              let d = abs (!rem - !sum) in
+              if d < !best_d || (d = !best_d && !sum > !best_sum) then begin
+                best_d := d;
+                best_sum := !sum;
+                best_mask := mask
+              end
+            done;
+            if !best_sum = 0 then progress := false
+            else
+              for b = 0 to m - 1 do
+                if !best_mask land (1 lsl b) <> 0 then take (fst front.(b))
+              done
+          end
+        done;
+        if !rem > 0 then lsnf_rest ()
+
+  (* --- simulation --------------------------------------------------------- *)
+
+  let run tree ~memory ~order policy =
+    let p = Tree.size tree in
+    if not (Traversal.is_valid_order tree order) then
+      invalid_arg "Minio.run: invalid traversal";
+    let pos = Array.make p 0 in
+    Array.iteri (fun step i -> pos.(i) <- step) order;
+    let tau = Array.make p Io_schedule.never in
+    (* resident ready files; evicted.(i) set when the file is out *)
+    let resident = Array.make p false in
+    let evicted = Array.make p false in
+    let c = make_cands tree ~order ~pos policy in
+    resident.(tree.Tree.root) <- true;
+    cand_add c tree.Tree.root;
+    let mavail = ref (memory - tree.Tree.f.(tree.Tree.root)) in
+    let feasible = ref true in
+    let step = ref 0 in
+    while !feasible && !step < p do
+      let k = !step in
+      let j = order.(k) in
+      (* j's own input is never an eviction candidate, and the execution
+         below consumes it: retire it from the candidate set up front *)
+      cand_drop c j;
+      (* total free memory that executing j requires: its working set minus
+         its input file if the latter is already resident *)
+      let need = Tree.mem_req tree j - if evicted.(j) then 0 else tree.Tree.f.(j) in
+      if need > !mavail then begin
+        let deficit = need - !mavail in
+        if c.total < deficit then feasible := false
+        else
+          evict c policy deficit (fun i fi ->
+              resident.(i) <- false;
+              evicted.(i) <- true;
+              tau.(i) <- k;
+              mavail := !mavail + fi)
+      end;
+      if !feasible then begin
+        (* read j's input back if needed, execute, produce children files *)
+        if evicted.(j) then begin
+          evicted.(j) <- false;
+          resident.(j) <- false;
+          mavail := !mavail - tree.Tree.f.(j)
+        end
+        else resident.(j) <- false;
+        mavail := !mavail + tree.Tree.f.(j) - Tree.sum_children_f tree j;
+        for k = tree.Tree.child_off.(j) to tree.Tree.child_off.(j + 1) - 1 do
+          let ch = tree.Tree.child.(k) in
+          resident.(ch) <- true;
+          cand_add c ch
+        done;
+        incr step
+      end
+    done;
+    if !feasible then Some { Io_schedule.order; tau } else None
+end
 
 (* --- reference segment calculus: the list-backed implementation --------- *)
 
@@ -606,6 +1130,49 @@ let test_ordered_set_pred_clamp () =
       Alcotest.(check (option int)) "succ at top" None (Os.succ os (n - 1));
       Alcotest.(check (option int)) "succ clamps negative" (Some 0) (Os.succ os (-7)))
     [ 1; 62; 63; 64; 126; 189; 200 ]
+
+(* The model test above stays within two bitset levels (n <= 160). On
+   universes of three and four levels, [Ordered_set] answers every query
+   as the parent's copy does after the same updates. Values fall in
+   eight narrow bands, so whole summary words fill and empty out and
+   [add] and [remove] climb to the top level. *)
+let prop_ordered_set_deep =
+  H.qcheck ~count:30 "Ordered_set = the parent's copy on 3- and 4-level universes"
+    QCheck.(pair (int_bound 1_000_000) bool)
+    (fun (seed, four) ->
+      let module Os = Tt_util.Ordered_set in
+      let module Ref = Parent_minio.Ordered_set in
+      let rng = Tt_util.Rng.create seed in
+      let w = Sys.int_size in
+      let n =
+        if four then (w * w * w) + 1 + Tt_util.Rng.int rng 50_000
+        else (w * w) + 1 + Tt_util.Rng.int rng 100_000
+      in
+      let a = Os.create n and b = Ref.create n in
+      let ok = ref true in
+      for _ = 1 to 3_000 do
+        let x = min (n - 1) ((Tt_util.Rng.int rng 8 * (n / 8)) + Tt_util.Rng.int rng 100) in
+        if Tt_util.Rng.int rng 2 = 0 then begin
+          Os.add a x;
+          Ref.add b x
+        end
+        else begin
+          Os.remove a x;
+          Ref.remove b x
+        end;
+        let q = Tt_util.Rng.int_incl rng (-1) (n + 1) in
+        if
+          Os.mem a x <> Ref.mem b x
+          || Os.is_empty a <> Ref.is_empty b
+          || Os.max_elt a <> Ref.max_elt b
+          || Os.min_elt a <> Ref.min_elt b
+          || Os.pred a q <> Ref.pred b q
+          || Os.succ a q <> Ref.succ b q
+          || Os.pred a (x + 1) <> Ref.pred b (x + 1)
+          || Os.succ a (x - 1) <> Ref.succ b (x - 1)
+        then ok := false
+      done;
+      !ok)
 
 (* Min_tree against a plain array model: random sets and removals, then
    both threshold searches from random cursors *)
@@ -1560,8 +2127,12 @@ let test_minio_alloc_bound () =
   let order = Traversal.top_down_order star in
   let memory = T.max_mem_req star in
   let major policy =
+    (* drained before and after: objects a minor collection promotes
+       during the call would otherwise count as the call's allocation *)
+    Gc.minor ();
     let before = (Gc.quick_stat ()).Gc.major_words in
     let s = Minio.run star ~memory ~order policy in
+    Gc.minor ();
     (s, ((Gc.quick_stat ()).Gc.major_words -. before) *. float_of_int (Sys.word_size / 8))
   in
   let base = snd (major Minio.Lsnf) in
@@ -1574,6 +2145,147 @@ let test_minio_alloc_bound () =
         Alcotest.failf "%s on %d distinct sizes put %.0f bytes more than LSNF on the major heap (bound 1 MB)"
           (Minio.policy_name policy) leaves extra)
     [ Minio.Best_fit; Minio.Best_fill ]
+
+(* --- the in-core shortcut ------------------------------------------------
+   [Minio.run] returns the in-core schedule at once when the traversal
+   fits, and builds its candidate index only for one that overflows.
+   Both paths must give exactly the parent's answer: the same [None], or
+   the same order and the same tau, element by element. *)
+
+let fig7_fractions = [ 0.0; 0.25; 0.5; 0.75 ]
+
+(* the engine's [budget=P%]: a position in the gap between the
+   working-set floor and the in-core optimum *)
+let fig7_budget tree ~in_core frac =
+  let floor = T.max_mem_req tree in
+  floor + int_of_float (frac *. float_of_int (in_core - floor))
+
+let test_minio_shortcut_corpus () =
+  List.iter
+    (fun seed ->
+      let fits = ref 0 and overflows = ref 0 in
+      List.iter
+        (fun (inst : Tt_workloads.Dataset.instance) ->
+          let tree = inst.tree in
+          let in_core, order = Tt_core.Minmem.run tree in
+          List.iter
+            (fun frac ->
+              let memory = fig7_budget tree ~in_core frac in
+              if memory >= in_core then incr fits else incr overflows;
+              List.iter
+                (fun (pname, policy) ->
+                  if
+                    not
+                      (same_schedule
+                         (Parent_minio.run tree ~memory ~order policy)
+                         (Minio.run tree ~memory ~order policy))
+                  then
+                    Alcotest.failf "seed %d, %s, budget %g%%, %s: differs from the parent" seed
+                      inst.name (100. *. frac) pname)
+                Minio.all_policies)
+            fig7_fractions)
+        (Tt_workloads.Dataset.corpus ~scale:1 ~seed ());
+      (* both paths are exercised on every corpus *)
+      Alcotest.(check bool) (Printf.sprintf "seed %d: some traversals fit" seed) true (!fits > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: some traversals overflow" seed)
+        true (!overflows > 0))
+    [ 1; 2; 3 ]
+
+(* Below the floor, at it, around the traversal's own peak (the shortcut
+   switches between [peak - 1] and [peak]) and at [max_int]. *)
+let shortcut_memories tree order =
+  let floor = T.max_mem_req tree and peak = Traversal.peak tree order in
+  [ floor - 1; floor; peak - 1; peak; peak + 1; max_int ]
+
+let prop_minio_shortcut_random =
+  H.qcheck ~count:300 "minio = the parent's indexed run around the in-core peak"
+    (H.arb_tree_with_order ~size_max:40 ())
+    (fun (tree, order) ->
+      List.for_all
+        (fun memory ->
+          List.for_all
+            (fun (_, policy) ->
+              same_schedule
+                (Parent_minio.run tree ~memory ~order policy)
+                (Minio.run tree ~memory ~order policy))
+            Minio.all_policies)
+        (shortcut_memories tree order))
+
+(* Orders that break validity at the start, in the middle or only at the
+   last step, so an overflow earlier in the order does not hide them. *)
+let invalid_orders order =
+  let p = Array.length order in
+  let with_last v =
+    let o = Array.copy order in
+    o.(p - 1) <- v;
+    o
+  in
+  let root_child_first () =
+    let o = Array.copy order in
+    o.(0) <- order.(1);
+    o.(1) <- order.(0);
+    o
+  in
+  [ Array.sub order 0 (p - 1); Array.append order [| order.(0) |]; with_last p; with_last (-1) ]
+  @ if p >= 2 then [ with_last order.(0); root_child_first () ] else []
+
+let prop_minio_invalid_orders =
+  H.qcheck ~count:200 "minio raises Invalid_argument on an invalid order at every memory"
+    (H.arb_tree_with_order ~size_max:40 ())
+    (fun (tree, order) ->
+      List.for_all
+        (fun bad ->
+          List.for_all
+            (fun memory ->
+              List.for_all
+                (fun (_, policy) ->
+                  match Minio.run tree ~memory ~order:bad policy with
+                  | _ -> false
+                  | exception Invalid_argument _ -> true)
+                Minio.all_policies)
+            (shortcut_memories tree order))
+        (invalid_orders order))
+
+(* The corpus and QCheck trees keep the candidate sets within two bitset
+   levels (fewer than 63^2 positions). A 20k-node random tree along a
+   random order has deficits throughout, and its index runs on three. *)
+let test_minio_deep_index () =
+  let tree = T.random ~rng:(Tt_util.Rng.create 31) ~size:20_000 ~max_f:1000 ~max_n:50 in
+  let order = Traversal.random_order ~rng:(Tt_util.Rng.create 37) tree in
+  let floor = T.max_mem_req tree and peak = Traversal.peak tree order in
+  List.iter
+    (fun memory ->
+      List.iter
+        (fun (pname, policy) ->
+          let expect = Parent_minio.run tree ~memory ~order policy in
+          if not (same_schedule expect (Minio.run tree ~memory ~order policy)) then
+            Alcotest.failf "%s at memory %d: differs from the parent" pname memory;
+          if memory < peak then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s at memory %d evicts" pname memory)
+              true
+              (Io_schedule.io_volume tree (Option.get expect) > 0))
+        Minio.all_policies)
+    [ floor; floor + ((peak - floor) / 4); peak - 1 ]
+
+(* A traversal that fits costs one Algorithm 1 pass and the tau array,
+   whatever the policy: under 2 words per node on a 100k-node random
+   tree along its best postorder at its own peak. The parent built the
+   policy's candidate index first. *)
+let test_minio_fits_alloc_bound () =
+  let p = 100_000 in
+  let tree = T.random ~rng:(Tt_util.Rng.create 3) ~size:p ~max_f:1000 ~max_n:50 in
+  let memory, order = Tt_core.Postorder_opt.run tree in
+  List.iter
+    (fun (name, policy) ->
+      let s, bytes = allocated (fun () -> Minio.run tree ~memory ~order policy) in
+      Alcotest.(check bool) (name ^ ": in core") true (s = Some (Io_schedule.in_core order));
+      let words = bytes /. float_of_int (Sys.word_size / 8) /. float_of_int p in
+      if words >= 2. then
+        Alcotest.failf "%s on a fitting traversal allocated %.2f words per node (bound 2)" name
+          words)
+    Minio.all_policies
 
 (* --- reference symbolic pipeline: Dynarray lists, Triplet builders ------- *)
 
@@ -2603,7 +3315,14 @@ let () =
           prop_minio_random;
           prop_minio_schedules_valid;
           prop_minio_extreme_sizes;
-          H.case "Best Fit/Fill allocation is O(p)" test_minio_alloc_bound
+          H.case "Best Fit/Fill allocation is O(p)" test_minio_alloc_bound;
+          H.case "corpus seeds 1/2/3 x Fig. 7 budgets = the parent's run"
+            test_minio_shortcut_corpus;
+          prop_minio_shortcut_random;
+          prop_minio_invalid_orders;
+          H.case "a 20k-node overflowing run on a three-level index" test_minio_deep_index;
+          H.case "a fitting 100k-node traversal under 2 words per node"
+            test_minio_fits_alloc_bound
         ] );
       ("segments", [ prop_segments_merge_reference ]);
       ( "liu",
@@ -2643,6 +3362,7 @@ let () =
       ( "structures",
         [ prop_ordered_set_model;
           H.case "pred clamp at word-size bounds" test_ordered_set_pred_clamp;
+          prop_ordered_set_deep;
           prop_filter_in_place_stable;
           prop_min_tree_model;
           prop_int_sort_order_by

@@ -228,6 +228,22 @@ let test_pareto_steps_allocation () =
   in
   if alloc >= 1e6 then Alcotest.failf "sweep at steps=10^6 allocated %.0f bytes" alloc
 
+(* Split's per-subtree MinMem runs and the sweep's MinMem run take the
+   caller's token: an expired one stops both. *)
+let test_cancel_expired () =
+  let t = T.random ~rng:(Tt_util.Rng.create 23) ~size:200 ~max_f:50 ~max_n:9 in
+  let work = S.Work.default t in
+  let expired = Tt_util.Cancel.create () in
+  Tt_util.Cancel.cancel expired;
+  let cancelled name f =
+    match f () with
+    | _ -> Alcotest.failf "%s ran to completion on an expired token" name
+    | exception Tt_util.Cancel.Cancelled -> ()
+  in
+  cancelled "Split.run" (fun () -> ignore (S.Split.run ~cancel:expired t ~procs:3 ~work));
+  cancelled "Pareto.sweep" (fun () ->
+      ignore (S.Pareto.sweep ~cancel:expired ~steps:4 t ~procs:3 ~work))
+
 (* --- the validator under mutation ----------------------------------------
    Each property takes a schedule the validator accepts, applies one
    mutation class, and demands rejection — ideally with the violation
@@ -409,6 +425,7 @@ let () =
           H.case "2^60-word files reach total_f" test_pareto_budgets_huge_files;
           H.case "steps = 10^6 allocates under 1 MB" test_pareto_steps_allocation
         ] );
+      ("cancel", [ H.case "split and pareto stop on an expired token" test_cancel_expired ]);
       ( "validator mutations",
         [ prop_validator_rejects_precedence_break;
           prop_validator_rejects_budget_shrink;

@@ -492,6 +492,39 @@ let test_frame_cap () =
           | lines -> Alcotest.failf "%s: %d replies, expected one" who (List.length lines))
         [ ("server", Cl.shard_port c 0); ("router", Cl.router_port c) ])
 
+(* A [file] source names a path on the serving host. Neither a server
+   nor the router opens it: both refuse the entry as [bad_request], even
+   for a readable Matrix Market file that [treetrav batch] solves. *)
+let test_file_source_refused () =
+  let path = Filename.temp_file "tt_wire" ".mtx" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Tt_sparse.Matrix_market.write_file path (Tt_sparse.Spgen.grid2d 4);
+      let entry = Printf.sprintf "file %s :: minmem" path in
+      (match Tt_engine.Manifest.parse entry with
+      | Ok [ _ ] -> ()
+      | _ -> Alcotest.fail "the file does not parse as a batch manifest source");
+      let refused who port =
+        C.with_connection ~port (fun conn ->
+            let op = P.Solve { entry; timeout_s = None; idem = None; priority = P.Interactive } in
+            match C.call conn op with
+            | Ok (P.Refused { code = P.Bad_request; _ }) -> ()
+            | Ok body ->
+                Alcotest.failf "%s answered %s" who
+                  (P.encode_response { P.req_id = None; body })
+            | Error e -> Alcotest.failf "%s: %s" who e)
+      in
+      (* the router refuses it itself, before forwarding to a shard *)
+      (match Tt_shard.Route_key.find (Tt_shard.Route_key.create ()) entry with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "the router's route key accepted a file source");
+      let srv = Srv.create () in
+      Srv.start srv;
+      Fun.protect ~finally:(fun () -> Srv.shutdown srv) (fun () -> refused "server" (Srv.port srv));
+      let c = Cl.start ~shards:3 ~workers:1 () in
+      Fun.protect ~finally:(fun () -> Cl.stop c) (fun () -> refused "cluster" (Cl.router_port c)))
+
 (* The router spawns one domain per client, and OCaml 5 allows 128
    domains per process. Past that cap each surplus client gets exactly
    one typed [overloaded] refusal and the router keeps accepting: once
@@ -594,6 +627,7 @@ let () =
       ( "input bounds",
         [ H.case "route memo bounded" test_route_memo_bounded;
           H.case "2 MiB frame cap on server and router" test_frame_cap;
-          H.case "domain cap refuses, then recovers" test_domain_cap
+          H.case "domain cap refuses, then recovers" test_domain_cap;
+          H.case "file sources refused by server and router" test_file_source_refused
         ] )
     ]
