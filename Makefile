@@ -1,6 +1,6 @@
 # Convenience targets; CI runs the same steps (see .github/workflows/ci.yml).
 
-.PHONY: all build test check bench-smoke batch-smoke serve-smoke perf-smoke sched-smoke chaos chaos-net chaos-cluster chaos-nemesis chaos-overload clean
+.PHONY: all build test check bench-smoke batch-smoke examples-smoke serve-smoke perf-smoke sched-smoke chaos chaos-net chaos-cluster chaos-nemesis chaos-overload clean
 
 all: build
 
@@ -19,6 +19,17 @@ batch-smoke:
 	printf 'gen grid2d size=12 :: minmem; liu; minio policy=first-fit budget=50%%\n' > _batch_smoke.manifest
 	dune exec bin/treetrav.exe -- batch _batch_smoke.manifest --jobs 2
 	rm -f _batch_smoke.manifest
+
+# The numeric multifrontal examples, end to end: each must exit 0.
+# out_of_core asserts that planned I/O equals measured I/O for every
+# heuristic and budget, and poisson fails when the out-of-core solve
+# returns an Error. The four take under 2 s together.
+examples-smoke: build
+	for e in factorization out_of_core supernodal_demo poisson; do \
+	  ./_build/default/examples/$$e.exe > /dev/null \
+	    || { echo "examples-smoke: $$e failed"; exit 1; }; \
+	done
+	@echo "examples-smoke: factorization, out_of_core, supernodal_demo and poisson ran"
 
 # Quick seeded pass of the core-solver benchmark harness. Besides the
 # timings, every row of BENCH_CORE.json carries a result digest, so two

@@ -6,8 +6,8 @@
                                  [--jobs N] [--telemetry FILE] [--cache-dir DIR]
                                  [--list]
 
-   Sections: theorem1 theorem2 fig5 table1 fig6 fig7 fig8 fig9 table2
-             ablation-child-order ablation-bestk rounds all (default).
+   [--list] prints the section names. With no [--section], or with
+   [--section all], every section runs except the opt-in [huge].
    Sections run in the order given and may repeat: a repeated section
    demonstrates the engine's result cache (the second run is all hits).
 
@@ -35,9 +35,7 @@ let cache_dir : string option ref = ref None
 let faults_spec : string option ref = ref None
 let retries = ref 0
 let resume_path : string option ref = ref None
-let perf_out = ref "BENCH_CORE.json"
-let perf_quick = ref false
-let perf_reps = ref 0
+let list_sections = ref false
 
 let usage = "dune exec bench/main.exe -- [options]"
 
@@ -67,27 +65,10 @@ let spec =
       Arg.String (fun f -> resume_path := Some f),
       "FILE journal engine results to FILE and skip jobs it already \
        records (crash-resumable benches; keyed by --scale/--seed)" );
-    ( "--perf",
-      Arg.Unit (fun () -> sections := "perf" :: !sections),
-      " run the core-kernel perf section (writes BENCH_CORE.json)" );
-    ( "--perf-out",
-      Arg.Set_string perf_out,
-      "FILE output path of the perf section (default BENCH_CORE.json)" );
-    ("--perf-quick", Arg.Set perf_quick, " perf section: CI-smoke sizes instead of paper-scale");
-    ( "--perf-reps",
-      Arg.Set_int perf_reps,
-      "N perf section: timed repetitions per kernel (default 5 full / 3 quick)" );
     ( "--csv",
       Arg.String (fun d -> csv_dir := Some d),
       "DIR also write every figure's curves as CSV files into DIR" );
-    ( "--list",
-      Arg.Unit
-        (fun () ->
-          print_endline
-            "theorem1 theorem2 fig5 table1 fig6 fig7 fig8 fig9 table2 \
-             ablation-child-order ablation-bestk ablation-amalgamation minio-gap parallel sched rounds serve cluster nemesis perf";
-          exit 0),
-      " list sections" )
+    ("--list", Arg.Set list_sections, " list sections")
   ]
 
 (* ----------------------------------------------------------------- engine *)
@@ -1142,30 +1123,6 @@ let overload_section () =
         (ON.goodput r.ON.interactive) (ON.goodput r.ON.batch) r.ON.hedge_won)
     [ 1.; 2.; 4. ]
 
-(* ----------------------------------------------------------------- perf *)
-
-(* Wall times of the core solvers on the seeded Perf_suite instances,
-   written out as BENCH_CORE.json. The output is machine-readable and
-   digest-carrying, so successive revisions can both diff the timings
-   and prove the kernels still compute the same results. *)
-let perf_section () =
-  header "Perf" "core-kernel wall times -> BENCH_CORE.json";
-  let module MB = Tt_profile.Microbench in
-  let mode =
-    if !perf_quick then Tt_workloads.Perf_suite.Quick else Tt_workloads.Perf_suite.Full
-  in
-  let reps =
-    if !perf_reps > 0 then !perf_reps else Tt_workloads.Perf_suite.default_reps mode
-  in
-  let specs = Tt_workloads.Perf_suite.specs mode in
-  let results =
-    MB.measure ~reps ~progress:(fun l -> Printf.printf "[perf] %s\n%!" l) specs
-  in
-  print_string (MB.render results);
-  MB.write_json !perf_out results;
-  Printf.printf "[perf] wrote %s (%d kernels, %d timed reps each)\n" !perf_out
-    (List.length results) reps
-
 (* ------------------------------------------------------------------ huge *)
 
 (* The huge-tree tier end to end: streaming generation plus certified
@@ -1239,7 +1196,6 @@ let section_runners =
     ("cluster", cluster_section);
     ("nemesis", nemesis_section);
     ("overload", overload_section);
-    ("perf", perf_section);
     ("huge", huge_section)
   ]
 
@@ -1252,6 +1208,10 @@ let default_order () =
 
 let () =
   Arg.parse spec (fun s -> raise (Arg.Bad ("unexpected argument " ^ s))) usage;
+  if !list_sections then begin
+    print_endline (String.concat " " (List.map fst section_runners));
+    exit 0
+  end;
   let t0 = Unix.gettimeofday () in
   (* sections run in the order requested and may repeat — a repeated
      engine section is served from the result cache *)

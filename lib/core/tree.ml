@@ -7,9 +7,13 @@ type t = {
   root : int;
 }
 
-(* CSR adjacency from the parent array: counting pass, prefix sum, fill
-   pass in increasing node index, so children end up sorted increasingly
-   within each parent. *)
+(* CSR adjacency from the parent array: counting pass, prefix sum, then
+   a fill pass in decreasing node index that uses each parent's end
+   offset [child_off.(par + 1)] as its cursor, so children end up sorted
+   increasingly within each parent and no cursor array is allocated. The
+   fill leaves [child_off.(par + 1)] at par's start, so the offsets then
+   shift down by one; the edge count is read first because the last
+   node's cursor moves too. *)
 let csr_of_parents parent =
   let p = Array.length parent in
   let child_off = Array.make (p + 1) 0 in
@@ -20,15 +24,20 @@ let csr_of_parents parent =
   for i = 0 to p - 1 do
     child_off.(i + 1) <- child_off.(i + 1) + child_off.(i)
   done;
+  let edges = child_off.(p) in
   let child = Array.make (max (p - 1) 0) 0 in
-  let cursor = Array.sub child_off 0 p in
-  for i = 0 to p - 1 do
+  for i = p - 1 downto 0 do
     let par = parent.(i) in
     if par >= 0 then begin
-      child.(cursor.(par)) <- i;
-      cursor.(par) <- cursor.(par) + 1
+      let k = child_off.(par + 1) - 1 in
+      child.(k) <- i;
+      child_off.(par + 1) <- k
     end
   done;
+  for i = 0 to p - 1 do
+    child_off.(i) <- child_off.(i + 1)
+  done;
+  child_off.(p) <- edges;
   (child_off, child)
 
 (* The one validator: single root, in-range acyclic parents, [f >= 0].

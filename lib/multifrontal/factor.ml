@@ -1,97 +1,11 @@
-module D = Tt_util.Dynarray_compat
-
 type result = { l : Tt_sparse.Csr.t; peak_words : int; profile : int array }
 
 let default_schedule (sym : Tt_etree.Symbolic.t) =
-  let n = Array.length sym.Tt_etree.Symbolic.parent in
-  let children = Array.make n [] in
-  let roots = ref [] in
-  for j = n - 1 downto 0 do
-    match sym.Tt_etree.Symbolic.parent.(j) with
-    | -1 -> roots := j :: !roots
-    | p -> children.(p) <- j :: children.(p)
-  done;
-  let order = D.create () in
-  (* iterative postorder *)
-  let rec visit j =
-    List.iter visit children.(j);
-    D.add_last order j
-  in
-  List.iter visit !roots;
-  D.to_array order
+  Driver.postorder sym.Tt_etree.Symbolic.parent
 
-let run (a : Tt_sparse.Csr.t) (sym : Tt_etree.Symbolic.t) ~schedule =
-  let n = a.Tt_sparse.Csr.nrows in
-  if Array.length schedule <> n then invalid_arg "Factor.run: wrong schedule length";
-  let parent = sym.Tt_etree.Symbolic.parent in
-  let children = Array.make n [] in
-  for c = n - 1 downto 0 do
-    if parent.(c) >= 0 then children.(parent.(c)) <- c :: children.(parent.(c))
-  done;
-  let processed = Array.make n false in
-  (* pending contribution blocks, one slot per column *)
-  let pending : Front.t option array = Array.make n None in
-  let live = ref 0 in
-  let peak = ref 0 in
-  let profile = Array.make n 0 in
-  (* factor columns, collected as (col, rows, values) *)
-  let l_cols = Array.make n [||] in
-  Array.iteri
-    (fun step j ->
-      if j < 0 || j >= n || processed.(j) then invalid_arg "Factor.run: bad schedule";
-      let structure = sym.Tt_etree.Symbolic.col_struct.(j) in
-      (* children must be done and their blocks pending *)
-      let child_blocks = ref [] in
-      List.iter
-        (fun c ->
-          if not processed.(c) then invalid_arg "Factor.run: child after parent";
-          match pending.(c) with
-          | Some cb -> child_blocks := (c, cb) :: !child_blocks
-          | None -> ())
-        children.(j);
-      (* allocate the front while the children blocks are still live *)
-      let front = Front.create structure in
-      live := !live + Front.words front;
-      if !live > !peak then peak := !live;
-      profile.(step) <- !live;
-      (* assemble original entries of A (lower column j) *)
-      let m = Front.size front in
-      let local = Hashtbl.create (2 * m) in
-      Array.iteri (fun li g -> Hashtbl.replace local g li) structure;
-      Seq.iter
-        (fun (col, v) ->
-          (* row j of A gives column j entries by symmetry *)
-          if col >= j then begin
-            let li = Hashtbl.find local col in
-            Front.add front li 0 v;
-            if li <> 0 then Front.add front 0 li v
-          end)
-        (Tt_sparse.Csr.row a j);
-      (* extend-add the children contribution blocks, then free them *)
-      List.iter
-        (fun (c, cb) ->
-          Front.extend_add ~into:front cb;
-          live := !live - Front.words cb;
-          pending.(c) <- None)
-        !child_blocks;
-      (* eliminate the pivot *)
-      let l_col, cb = Front.eliminate_pivot front in
-      l_cols.(j) <- l_col;
-      live := !live - Front.words front;
-      if Front.size cb > 0 then begin
-        live := !live + Front.words cb;
-        if !live > !peak then peak := !live;
-        pending.(j) <- Some cb
-      end;
-      processed.(j) <- true)
-    schedule;
-  (* assemble L as CSR (row-major lower triangle) *)
-  let t = Tt_sparse.Triplet.create ~nrows:n ~ncols:n in
-  for j = 0 to n - 1 do
-    let structure = sym.Tt_etree.Symbolic.col_struct.(j) in
-    Array.iteri (fun li g -> Tt_sparse.Triplet.add t g j l_cols.(j).(li)) structure
-  done;
-  { l = Tt_sparse.Csr.of_triplet t; peak_words = !peak; profile }
+let run a sym ~schedule =
+  let r = Driver.run_exn "Factor.run" a (Driver.columns sym) Driver.Slots ~schedule in
+  { l = r.Driver.l; peak_words = r.Driver.peak; profile = r.Driver.profile }
 
 let solve (l : Tt_sparse.Csr.t) b =
   let n = l.Tt_sparse.Csr.nrows in

@@ -3,8 +3,8 @@
 
     At column [j] the method allocates the frontal matrix on
     [struct j] (the symbolic column structure), assembles the original
-    entries of A and the children's contribution blocks (extend–add),
-    eliminates the pivot, and stores the resulting contribution block
+    entries of A and the children's contribution blocks (extend–add, in
+    ascending child order), eliminates the pivot, and stores the resulting contribution block
     until the parent column is processed. Live memory = all pending
     contribution blocks + the current front, measured in words; the front
     is allocated {e before} the children blocks are released, matching
@@ -23,8 +23,9 @@ val run : Tt_sparse.Csr.t -> Tt_etree.Symbolic.t -> schedule:int array -> result
 (** [run a sym ~schedule] factors the SPD matrix [a]. [schedule] is a
     bottom-up (children first) ordering of the columns, e.g. the reverse
     of a MinMemory traversal of the assembly tree.
-    @raise Invalid_argument if the schedule is not a valid bottom-up
-    order.
+    @raise Invalid_argument (["Factor.run: wrong schedule length"],
+    ["...: bad schedule entry"] or ["...: child after parent"]) if the
+    schedule is not a valid bottom-up order.
     @raise Failure if a pivot is non-positive (matrix not SPD). *)
 
 val default_schedule : Tt_etree.Symbolic.t -> int array

@@ -36,21 +36,6 @@ let extend_add ~into cb =
     done
   done
 
-let eliminate_pivot f =
-  let m = size f in
-  let a00 = f.a.(0) in
-  if a00 <= 0. then failwith "Front.eliminate_pivot: non-positive pivot";
-  let d = sqrt a00 in
-  let l = Array.init m (fun i -> if i = 0 then d else f.a.(i) /. d) in
-  let cb = create (Array.sub f.rows 1 (m - 1)) in
-  let mc = m - 1 in
-  for j = 1 to m - 1 do
-    for i = 1 to m - 1 do
-      cb.a.(((j - 1) * mc) + (i - 1)) <- f.a.((j * m) + i) -. (l.(i) *. l.(j))
-    done
-  done;
-  (l, cb)
-
 let eliminate_pivots f k =
   let m = size f in
   if k < 0 || k > m then invalid_arg "Front.eliminate_pivots: k out of range";

@@ -33,14 +33,6 @@ val extend_add : into:t -> t -> unit
     [into].
     @raise Invalid_argument otherwise. *)
 
-val eliminate_pivot : t -> float array * t
-(** Eliminate the first variable of the front (its smallest global row):
-    returns the computed factor column (length [m], [l.(0)] the pivot's
-    diagonal entry [sqrt a00]) and the Schur complement on the remaining
-    [m-1] rows.
-    @raise Failure if the pivot is not strictly positive (matrix not
-    SPD). *)
-
 val eliminate_pivots : t -> int -> float array list * t
 (** [eliminate_pivots f k] eliminates the first [k] variables in place
     (right-looking dense factorization of the leading block): returns the

@@ -14,259 +14,58 @@ let min_in_core_words (sym : Tt_etree.Symbolic.t) =
   let asm = raw_assembly sym in
   Tt_core.Tree.max_mem_req asm.Tt_etree.Assembly.tree
 
-(* Bottom-up column schedule -> out-tree traversal of the assembly tree
-   (prepend the virtual root when the matrix is reducible). *)
-let out_tree_order (asm : Tt_etree.Assembly.t) ~schedule =
-  let n = Array.length schedule in
-  let p = Tt_core.Tree.size asm.Tt_etree.Assembly.tree in
-  let rev = Tt_core.Transform.reverse_traversal schedule in
-  if asm.Tt_etree.Assembly.virtual_root then
-    Array.init p (fun k -> if k = 0 then p - 1 else rev.(k - 1))
-  else begin
-    ignore n;
-    rev
-  end
-
-let plan (sym : Tt_etree.Symbolic.t) ~memory_words ~policy ~schedule =
-  let asm = raw_assembly sym in
-  let order = out_tree_order asm ~schedule in
-  Tt_core.Minio.run asm.Tt_etree.Assembly.tree ~memory:memory_words ~order policy
-
-let run (a : Tt_sparse.Csr.t) (sym : Tt_etree.Symbolic.t) ~memory_words ~policy
-    ~schedule =
-  let n = a.Tt_sparse.Csr.nrows in
-  let asm = raw_assembly sym in
-  match plan sym ~memory_words ~policy ~schedule with
-  | None ->
-      Error
-        (Printf.sprintf
-           "memory budget %d words below the multifrontal working set %d" memory_words
-           (min_in_core_words sym))
-  | Some io_plan ->
-      let planned_io =
-        Tt_core.Io_schedule.io_volume asm.Tt_etree.Assembly.tree io_plan
-      in
-      (* tree node = column index for the raw assembly tree; evicted
-         columns are those the plan writes out *)
-      let evicted = Array.make n false in
-      Array.iteri
-        (fun node step ->
-          if step <> Tt_core.Io_schedule.never && node < n then evicted.(node) <- true)
-        io_plan.Tt_core.Io_schedule.tau;
-      (* numeric factorization with a simulated secondary store: pending
-         blocks of evicted columns live in [disk] instead of main memory *)
-      let parent = sym.Tt_etree.Symbolic.parent in
-      let children = Array.make n [] in
-      for c = n - 1 downto 0 do
-        if parent.(c) >= 0 then children.(parent.(c)) <- c :: children.(parent.(c))
-      done;
-      let disk : (int, Front.t) Hashtbl.t = Hashtbl.create 64 in
-      let pending : Front.t option array = Array.make n None in
-      let live = ref 0 in
-      let peak = ref 0 in
-      let measured_io = ref 0 in
-      let profile = Array.make n 0 in
-      let l_cols = Array.make n [||] in
-      let bad = ref None in
-      (try
-         Array.iteri
-           (fun step j ->
-             (* read evicted children blocks back *)
-             let child_blocks =
-               List.filter_map
-                 (fun c ->
-                   match (pending.(c), Hashtbl.find_opt disk c) with
-                   | Some cb, _ -> Some (c, cb)
-                   | None, Some cb ->
-                       Hashtbl.remove disk c;
-                       live := !live + Front.words cb;
-                       Some (c, cb)
-                   | None, None -> None)
-                 children.(j)
-             in
-             let front = Front.create sym.Tt_etree.Symbolic.col_struct.(j) in
-             live := !live + Front.words front;
-             if !live > !peak then peak := !live;
-             profile.(step) <- !live;
-             let m = Front.size front in
-             let local = Hashtbl.create (2 * m) in
-             Array.iteri
-               (fun li g -> Hashtbl.replace local g li)
-               sym.Tt_etree.Symbolic.col_struct.(j);
-             Seq.iter
-               (fun (col, v) ->
-                 if col >= j then begin
-                   let li = Hashtbl.find local col in
-                   Front.add front li 0 v;
-                   if li <> 0 then Front.add front 0 li v
-                 end)
-               (Tt_sparse.Csr.row a j);
-             List.iter
-               (fun (c, cb) ->
-                 Front.extend_add ~into:front cb;
-                 live := !live - Front.words cb;
-                 pending.(c) <- None)
-               child_blocks;
-             let l_col, cb = Front.eliminate_pivot front in
-             l_cols.(j) <- l_col;
-             live := !live - Front.words front;
-             if Front.size cb > 0 then
-               if evicted.(j) then begin
-                 (* write the block out right away *)
-                 Hashtbl.replace disk j cb;
-                 measured_io := !measured_io + Front.words cb
-               end
-               else begin
-                 live := !live + Front.words cb;
-                 if !live > !peak then peak := !live;
-                 pending.(j) <- Some cb
-               end)
-           schedule
-       with Failure msg -> bad := Some msg);
-      (match !bad with
-      | Some msg -> Error msg
-      | None ->
-          let t = Tt_sparse.Triplet.create ~nrows:n ~ncols:n in
-          for j = 0 to n - 1 do
-            Array.iteri
-              (fun li g -> Tt_sparse.Triplet.add t g j l_cols.(j).(li))
-              sym.Tt_etree.Symbolic.col_struct.(j)
-          done;
-          Ok
-            { factor =
-                { Factor.l = Tt_sparse.Csr.of_triplet t;
-                  peak_words = !peak;
-                  profile };
-              planned_io;
-              measured_io = !measured_io;
-              peak_in_core = !peak })
-
-let run_supernodal (a : Tt_sparse.Csr.t) (sym : Tt_etree.Symbolic.t)
-    (amal : Tt_etree.Amalgamation.t) ~memory_words ~policy ~schedule =
-  let asm = Tt_etree.Assembly.of_amalgamation amal in
+(* The eviction plan on an assembly tree whose node [g] is front [g]:
+   the bottom-up schedule, reversed, is an out-tree traversal of it
+   (the virtual root first when the matrix is reducible). *)
+let plan_on (asm : Tt_etree.Assembly.t) ~memory_words ~policy ~schedule =
   let tree = asm.Tt_etree.Assembly.tree in
-  let gcount = Array.length amal.Tt_etree.Amalgamation.groups in
-  if Array.length schedule <> gcount then Error "wrong schedule length"
-  else begin
-    let p = Tt_core.Tree.size tree in
-    let order =
-      if asm.Tt_etree.Assembly.virtual_root then
-        Array.init p (fun k -> if k = 0 then p - 1 else schedule.(gcount - k))
-      else Tt_core.Transform.reverse_traversal schedule
-    in
-    match Tt_core.Minio.run tree ~memory:memory_words ~order policy with
-    | None ->
-        Error
-          (Printf.sprintf "memory budget %d words below the supernodal working set %d"
-             memory_words
-             (Tt_core.Tree.max_mem_req tree))
-    | Some io_plan ->
-        let planned_io = Tt_core.Io_schedule.io_volume tree io_plan in
-        let evicted = Array.make gcount false in
-        Array.iteri
-          (fun node step ->
-            if step <> Tt_core.Io_schedule.never && node < gcount then
-              evicted.(node) <- true)
-          io_plan.Tt_core.Io_schedule.tau;
-        (* supernodal numeric execution with a simulated secondary store *)
-        let plan = Supernodal.plan sym amal in
-        let n = a.Tt_sparse.Csr.nrows in
-        let children = Array.make gcount [] in
-        for g = gcount - 1 downto 0 do
-          if plan.Supernodal.parent.(g) >= 0 then
-            children.(plan.Supernodal.parent.(g)) <-
-              g :: children.(plan.Supernodal.parent.(g))
-        done;
-        let disk : (int, Front.t) Hashtbl.t = Hashtbl.create 64 in
-        let pending : Front.t option array = Array.make gcount None in
-        let live = ref 0 in
-        let peak = ref 0 in
-        let measured_io = ref 0 in
-        let profile = Array.make gcount 0 in
-        let l_cols : (int * float) list array = Array.make n [] in
-        let bad = ref None in
-        (try
-           Array.iteri
-             (fun step g ->
-               let child_blocks =
-                 List.filter_map
-                   (fun c ->
-                     match (pending.(c), Hashtbl.find_opt disk c) with
-                     | Some cb, _ -> Some cb
-                     | None, Some cb ->
-                         Hashtbl.remove disk c;
-                         live := !live + Front.words cb;
-                         Some cb
-                     | None, None -> None)
-                   children.(g)
-               in
-               let rows = plan.Supernodal.rows.(g) in
-               let front = Front.create rows in
-               live := !live + Front.words front;
-               if !live > !peak then peak := !live;
-               profile.(step) <- !live;
-               let m = Array.length rows in
-               let local = Hashtbl.create (2 * m) in
-               Array.iteri (fun li gi -> Hashtbl.replace local gi li) rows;
-               List.iter
-                 (fun col ->
-                   let lcol = Hashtbl.find local col in
-                   Seq.iter
-                     (fun (r, v) ->
-                       if r >= col then
-                         match Hashtbl.find_opt local r with
-                         | Some lr ->
-                             Front.add front lr lcol v;
-                             if lr <> lcol then Front.add front lcol lr v
-                         | None -> ())
-                     (Tt_sparse.Csr.row a col))
-                 plan.Supernodal.amal.Tt_etree.Amalgamation.groups.(g)
-                   .Tt_etree.Amalgamation.members;
-               List.iter
-                 (fun cb ->
-                   Front.extend_add ~into:front cb;
-                   live := !live - Front.words cb)
-                 child_blocks;
-               List.iter (fun c -> pending.(c) <- None) children.(g);
-               let members =
-                 List.sort compare
-                   plan.Supernodal.amal.Tt_etree.Amalgamation.groups.(g)
-                     .Tt_etree.Amalgamation.members
-               in
-               let cols, cb = Front.eliminate_pivots front (List.length members) in
-               List.iteri
-                 (fun k col ->
-                   let l = List.nth cols k in
-                   l_cols.(col) <-
-                     Array.to_list (Array.mapi (fun i v -> (rows.(k + i), v)) l))
-                 members;
-               live := !live - Front.words front;
-               if Front.size cb > 0 then
-                 if evicted.(g) then begin
-                   Hashtbl.replace disk g cb;
-                   measured_io := !measured_io + Front.words cb
-                 end
-                 else begin
-                   live := !live + Front.words cb;
-                   if !live > !peak then peak := !live;
-                   pending.(g) <- Some cb
-                 end)
-             schedule
-         with Failure msg -> bad := Some msg);
-        (match !bad with
-        | Some msg -> Error msg
-        | None ->
-            let t = Tt_sparse.Triplet.create ~nrows:n ~ncols:n in
-            Array.iteri
-              (fun col entries ->
-                List.iter (fun (r, v) -> Tt_sparse.Triplet.add t r col v) entries)
-              l_cols;
-            Ok
+  let order = Tt_core.Transform.reverse_traversal schedule in
+  let order =
+    if asm.Tt_etree.Assembly.virtual_root then
+      Array.append [| Tt_core.Tree.size tree - 1 |] order
+    else order
+  in
+  Tt_core.Minio.run tree ~memory:memory_words ~order policy
+
+let plan sym = plan_on (raw_assembly sym)
+
+(* Check, plan, then factor with the evicted fronts' blocks on the
+   simulated secondary store. *)
+let spill a (asm : Tt_etree.Assembly.t) ~working_set fronts ~memory_words ~policy
+    ~schedule =
+  let tree = asm.Tt_etree.Assembly.tree in
+  match Driver.check fronts schedule with
+  | Error e -> Error e
+  | Ok () -> (
+      match plan_on asm ~memory_words ~policy ~schedule with
+      | None ->
+          Error
+            (Printf.sprintf "memory budget %d words below the %s working set %d"
+               memory_words working_set (Tt_core.Tree.max_mem_req tree))
+      | Some io_plan ->
+          let tau = io_plan.Tt_core.Io_schedule.tau in
+          let out =
+            Array.init (Array.length schedule) (fun g ->
+                tau.(g) <> Tt_core.Io_schedule.never)
+          in
+          Result.map
+            (fun (r : Driver.outcome) ->
               { factor =
-                  { Factor.l = Tt_sparse.Csr.of_triplet t;
-                    peak_words = !peak;
-                    profile };
-                planned_io;
-                measured_io = !measured_io;
-                peak_in_core = !peak })
-  end
+                  { Factor.l = r.Driver.l;
+                    peak_words = r.Driver.peak;
+                    profile = r.Driver.profile
+                  };
+                planned_io = Tt_core.Io_schedule.io_volume tree io_plan;
+                measured_io = r.Driver.written;
+                peak_in_core = r.Driver.peak
+              })
+            (Driver.run a fronts (Driver.Spill out) ~schedule))
+
+let run a sym ~memory_words ~policy ~schedule =
+  spill a (raw_assembly sym) ~working_set:"multifrontal" (Driver.columns sym)
+    ~memory_words ~policy ~schedule
+
+let run_supernodal a sym amal ~memory_words ~policy ~schedule =
+  let fronts = Driver.supernodes amal (Supernodal.plan sym amal).Supernodal.rows in
+  spill a (Tt_etree.Assembly.of_amalgamation amal) ~working_set:"supernodal" fronts
+    ~memory_words ~policy ~schedule

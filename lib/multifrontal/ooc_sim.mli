@@ -3,9 +3,10 @@
     Plans the I/O with the {!Tt_core.Minio} heuristics on the raw
     assembly tree (the planner works in the out-tree orientation, so the
     bottom-up numeric schedule is reversed for planning) and then runs the
-    {e numeric} factorization within the memory budget, physically moving
-    evicted contribution blocks to a simulated secondary store and reading
-    them back at assembly time. The measured write volume equals the
+    {e numeric} factorization within the memory budget, moving evicted
+    contribution blocks to a simulated secondary store (their words
+    count as I/O, not as live memory) and reading them back just before
+    the parent's front is allocated. The measured write volume equals the
     planner's I/O volume by construction — asserted in the tests — because
     the raw assembly-tree edge weight [(µ-1)²] is exactly the word size of
     the contribution block. *)
@@ -33,8 +34,9 @@ val run :
   policy:Tt_core.Minio.policy ->
   schedule:int array ->
   (result, string) Stdlib.result
-(** Factor within [memory_words]; [Error] describes an infeasible budget
-    or an invalid schedule. *)
+(** Factor within [memory_words]. [Error] describes an invalid schedule
+    (checked before planning, with the messages of {!Factor.run}), an
+    infeasible budget or a non-positive pivot. *)
 
 val run_supernodal :
   Tt_sparse.Csr.t ->
@@ -48,7 +50,8 @@ val run_supernodal :
     computed on the amalgamated assembly tree (whose weights are the
     exact supernodal front/CB sizes) and executed with one front per
     supernode; [schedule] is a bottom-up order over supernode indices.
-    Planned and measured I/O coincide, as in {!run}. *)
+    Planned and measured I/O coincide, and errors are reported, as in
+    {!run}. *)
 
 val min_in_core_words : Tt_etree.Symbolic.t -> int
 (** The multifrontal working-set lower bound

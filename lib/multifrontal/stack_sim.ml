@@ -1,119 +1,31 @@
 type result = { factor : Factor.result; max_stack_blocks : int }
 
 let is_postorder_schedule (sym : Tt_etree.Symbolic.t) schedule =
-  (* bottom-up contiguity: when a column executes, everything since the
-     start of its subtree must belong to its subtree; equivalently each
-     node's position is one past the positions of all its descendants,
-     which occupy a contiguous slice *)
-  let n = Array.length sym.Tt_etree.Symbolic.parent in
-  if Array.length schedule <> n then false
-  else begin
-    let pos = Array.make n (-1) in
-    let ok = ref true in
-    Array.iteri
-      (fun step j -> if j >= 0 && j < n && pos.(j) = -1 then pos.(j) <- step else ok := false)
-      schedule;
-    if not !ok then false
-    else begin
-      (* subtree sizes *)
-      let size = Array.make n 1 in
-      for j = 0 to n - 1 do
-        let p = sym.Tt_etree.Symbolic.parent.(j) in
-        if p >= 0 then size.(p) <- size.(p) + size.(j)
-      done;
-      (* contiguity: pos.(j) = max pos over subtree(j), and the subtree
-         occupies [pos j - size j + 1, pos j] *)
-      let lo = Array.map (fun p -> p) pos in
-      (* compute min position of each subtree bottom-up *)
-      for j = 0 to n - 1 do
-        let p = sym.Tt_etree.Symbolic.parent.(j) in
-        if p >= 0 then lo.(p) <- min lo.(p) lo.(j)
-      done;
-      Array.for_all2
-        (fun l (s, p) -> p - l + 1 = s)
-        lo
-        (Array.init n (fun j -> (size.(j), pos.(j))))
+  (* a bottom-up schedule is a postorder when each subtree occupies the
+     contiguous slice of steps that ends at its root: [pos j - lo j + 1]
+     is its size, [lo j] the first step of the subtree *)
+  Driver.check (Driver.columns sym) schedule = Ok ()
+  &&
+  let parent = sym.Tt_etree.Symbolic.parent in
+  let n = Array.length parent in
+  let pos = Array.make n 0 in
+  Array.iteri (fun step j -> pos.(j) <- step) schedule;
+  let size = Array.make n 1 and lo = Array.copy pos in
+  (* an elimination tree numbers each child below its parent *)
+  for j = 0 to n - 1 do
+    let p = parent.(j) in
+    if p >= 0 then begin
+      size.(p) <- size.(p) + size.(j);
+      lo.(p) <- min lo.(p) lo.(j)
     end
-  end
+  done;
+  Seq.for_all (fun j -> pos.(j) - lo.(j) + 1 = size.(j)) (Seq.init n Fun.id)
 
-let run (a : Tt_sparse.Csr.t) (sym : Tt_etree.Symbolic.t) ~schedule =
-  let n = a.Tt_sparse.Csr.nrows in
-  if Array.length schedule <> n then Error "wrong schedule length"
-  else begin
-    let parent = sym.Tt_etree.Symbolic.parent in
-    let child_count = Array.make n 0 in
-    Array.iter (fun p -> if p >= 0 then child_count.(p) <- child_count.(p) + 1) parent;
-    (* the stack holds (column, contribution block) pairs *)
-    let stack : (int * Front.t) list ref = ref [] in
-    let depth = ref 0 in
-    let max_depth = ref 0 in
-    let live = ref 0 in
-    let peak = ref 0 in
-    let profile = Array.make n 0 in
-    let l_cols = Array.make n [||] in
-    let error = ref None in
-    let processed = Array.make n false in
-    (try
-       Array.iteri
-         (fun step j ->
-           if j < 0 || j >= n || processed.(j) then failwith "bad schedule entry";
-           processed.(j) <- true;
-           let structure = sym.Tt_etree.Symbolic.col_struct.(j) in
-           let front = Front.create structure in
-           live := !live + Front.words front;
-           if !live > !peak then peak := !live;
-           profile.(step) <- !live;
-           let m = Front.size front in
-           let local = Hashtbl.create (2 * m) in
-           Array.iteri (fun li g -> Hashtbl.replace local g li) structure;
-           Seq.iter
-             (fun (col, v) ->
-               if col >= j then begin
-                 let li = Hashtbl.find local col in
-                 Front.add front li 0 v;
-                 if li <> 0 then Front.add front 0 li v
-               end)
-             (Tt_sparse.Csr.row a j);
-           (* pop exactly the children: LIFO discipline *)
-           for _ = 1 to child_count.(j) do
-             match !stack with
-             | [] -> failwith "stack underflow"
-             | (c, cb) :: rest ->
-                 if parent.(c) <> j then
-                   failwith
-                     (Printf.sprintf
-                        "stack discipline violated at column %d: top block belongs \
-                         to column %d (schedule is not a postorder)"
-                        j c);
-                 Front.extend_add ~into:front cb;
-                 live := !live - Front.words cb;
-                 decr depth;
-                 stack := rest
-           done;
-           let l, cb = Front.eliminate_pivot front in
-           l_cols.(j) <- l;
-           live := !live - Front.words front;
-           if Front.size cb > 0 then begin
-             live := !live + Front.words cb;
-             if !live > !peak then peak := !live;
-             stack := (j, cb) :: !stack;
-             incr depth;
-             if !depth > !max_depth then max_depth := !depth
-           end)
-         schedule
-     with Failure msg -> error := Some msg);
-    match !error with
-    | Some msg -> Error msg
-    | None ->
-        let t = Tt_sparse.Triplet.create ~nrows:n ~ncols:n in
-        for j = 0 to n - 1 do
-          Array.iteri
-            (fun li g -> Tt_sparse.Triplet.add t g j l_cols.(j).(li))
-            sym.Tt_etree.Symbolic.col_struct.(j)
-        done;
-        Ok
-          { factor =
-              { Factor.l = Tt_sparse.Csr.of_triplet t; peak_words = !peak; profile };
-            max_stack_blocks = !max_depth
-          }
-  end
+let run a sym ~schedule =
+  Result.map
+    (fun (r : Driver.outcome) ->
+      { factor =
+          { Factor.l = r.Driver.l; peak_words = r.Driver.peak; profile = r.Driver.profile };
+        max_stack_blocks = r.Driver.max_blocks
+      })
+    (Driver.run a (Driver.columns sym) Driver.Stack ~schedule)

@@ -22,9 +22,10 @@ val run :
   Tt_etree.Symbolic.t ->
   schedule:int array ->
   (result, string) Stdlib.result
-(** Factor with a LIFO contribution-block stack. [Error] reports the
-    first stack-discipline violation (non-postorder schedule) or a
-    numerical failure; on success the memory accounting coincides with
+(** Factor with a LIFO contribution-block stack. [Error] reports an
+    invalid schedule (the messages of {!Factor.run}), the first
+    stack-discipline violation (a bottom-up schedule that is not a
+    postorder) or a numerical failure; on success the memory accounting coincides with
     {!Factor.run} on the same schedule (asserted in the tests). *)
 
 val is_postorder_schedule : Tt_etree.Symbolic.t -> int array -> bool

@@ -1,5 +1,3 @@
-module D = Tt_util.Dynarray_compat
-
 type plan = {
   amal : Tt_etree.Amalgamation.t;
   rows : int array array;
@@ -37,107 +35,11 @@ let front_words p g =
   let m = Array.length p.rows.(g) in
   m * m
 
-let default_schedule p =
-  let gcount = Array.length p.parent in
-  let children = Array.make gcount [] in
-  let roots = ref [] in
-  for g = gcount - 1 downto 0 do
-    match p.parent.(g) with
-    | -1 -> roots := g :: !roots
-    | q -> children.(q) <- g :: children.(q)
-  done;
-  let order = D.create () in
-  let rec visit g =
-    List.iter visit children.(g);
-    D.add_last order g
-  in
-  List.iter visit !roots;
-  D.to_array order
+let default_schedule p = Driver.postorder p.parent
 
-let run (a : Tt_sparse.Csr.t) (_sym : Tt_etree.Symbolic.t) p ~schedule =
-  let gcount = Array.length p.parent in
-  if Array.length schedule <> gcount then
-    invalid_arg "Supernodal.run: wrong schedule length";
-  let n = a.Tt_sparse.Csr.nrows in
-  let children = Array.make gcount [] in
-  for g = gcount - 1 downto 0 do
-    if p.parent.(g) >= 0 then children.(p.parent.(g)) <- g :: children.(p.parent.(g))
-  done;
-  let processed = Array.make gcount false in
-  let pending : Front.t option array = Array.make gcount None in
-  let live = ref 0 in
-  let peak = ref 0 in
-  let profile = Array.make gcount 0 in
-  let l_cols : (int * float) list array = Array.make n [] in
-  Array.iteri
-    (fun step g ->
-      if g < 0 || g >= gcount || processed.(g) then
-        invalid_arg "Supernodal.run: bad schedule";
-      List.iter
-        (fun c ->
-          if not processed.(c) then invalid_arg "Supernodal.run: child after parent")
-        children.(g);
-      let rows = p.rows.(g) in
-      let front = Front.create rows in
-      live := !live + Front.words front;
-      if !live > !peak then peak := !live;
-      profile.(step) <- !live;
-      (* assemble the original entries of every member column *)
-      let m = Array.length rows in
-      let local = Hashtbl.create (2 * m) in
-      Array.iteri (fun li gidx -> Hashtbl.replace local gidx li) rows;
-      List.iter
-        (fun col ->
-          let lcol = Hashtbl.find local col in
-          Seq.iter
-            (fun (r, v) ->
-              (* row [col] of the symmetric matrix gives column [col];
-                 keep entries at or below the diagonal that live in the
-                 front *)
-              if r >= col then
-                match Hashtbl.find_opt local r with
-                | Some lr ->
-                    Front.add front lr lcol v;
-                    if lr <> lcol then Front.add front lcol lr v
-                | None -> ())
-            (Tt_sparse.Csr.row a col))
-        p.amal.Tt_etree.Amalgamation.groups.(g).Tt_etree.Amalgamation.members;
-      (* extend-add the children contribution blocks *)
-      List.iter
-        (fun c ->
-          match pending.(c) with
-          | Some cb ->
-              Front.extend_add ~into:front cb;
-              live := !live - Front.words cb;
-              pending.(c) <- None
-          | None -> ())
-        children.(g);
-      (* eliminate the member pivots in place, lowest column first *)
-      let members =
-        List.sort compare p.amal.Tt_etree.Amalgamation.groups.(g).Tt_etree.Amalgamation.members
-      in
-      let eta = List.length members in
-      List.iteri
-        (fun k col ->
-          if rows.(k) <> col then invalid_arg "Supernodal.run: front misaligned")
-        members;
-      let cols, cb = Front.eliminate_pivots front eta in
-      List.iteri
-        (fun k col ->
-          let l = List.nth cols k in
-          l_cols.(col) <-
-            Array.to_list (Array.mapi (fun i v -> (rows.(k + i), v)) l))
-        members;
-      live := !live - Front.words front;
-      if Front.size cb > 0 then begin
-        live := !live + Front.words cb;
-        if !live > !peak then peak := !live;
-        pending.(g) <- Some cb
-      end;
-      processed.(g) <- true)
-    schedule;
-  let t = Tt_sparse.Triplet.create ~nrows:n ~ncols:n in
-  Array.iteri
-    (fun col entries -> List.iter (fun (r, v) -> Tt_sparse.Triplet.add t r col v) entries)
-    l_cols;
-  { Factor.l = Tt_sparse.Csr.of_triplet t; peak_words = !peak; profile }
+let run a (_sym : Tt_etree.Symbolic.t) p ~schedule =
+  let r =
+    Driver.run_exn "Supernodal.run" a (Driver.supernodes p.amal p.rows) Driver.Slots
+      ~schedule
+  in
+  { Factor.l = r.Driver.l; peak_words = r.Driver.peak; profile = r.Driver.profile }

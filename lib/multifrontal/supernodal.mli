@@ -41,5 +41,6 @@ val run : Tt_sparse.Csr.t -> Tt_etree.Symbolic.t -> plan -> schedule:int array -
 (** Factor the SPD matrix with one front per supernode, following the
     bottom-up [schedule] (supernode indices, children first). The
     returned profile has one entry per supernode step.
-    @raise Invalid_argument on an invalid schedule.
+    @raise Invalid_argument (["Supernodal.run: ..."], the messages of
+    {!Factor.run}) on an invalid schedule.
     @raise Failure if a pivot is non-positive. *)

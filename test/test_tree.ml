@@ -231,6 +231,23 @@ let test_deep_tree_is_stack_safe () =
   Alcotest.(check (array int)) "children-first order" (Array.init p (fun k -> p - 1 - k))
     (T.children_first_order t)
 
+(* [of_arrays] takes its arrays over and allocates only the CSR
+   children and a byte per node of cycle-check scratch: 2.125 words per
+   node at p = 1M (a copy of the offsets as fill cursor made it 3.125). *)
+let test_of_arrays_alloc () =
+  let p = 1_000_000 in
+  let rng = Tt_util.Rng.create 5 in
+  let parent = Array.init p (fun i -> if i = 0 then -1 else Tt_util.Rng.int rng i) in
+  let f = Array.make p 0 and n = Array.make p 0 in
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let t = T.of_arrays ~parent ~f ~n in
+  let bytes = Gc.allocated_bytes () -. before in
+  let words = bytes /. float_of_int (Sys.word_size / 8) /. float_of_int p in
+  Alcotest.(check int) "size" p (T.size t);
+  if words >= 2.5 then
+    Alcotest.failf "Tree.of_arrays allocated %.3f words per node (bound 2.5)" words
+
 let () =
   H.run "tree"
     [ ( "construction",
@@ -255,6 +272,7 @@ let () =
         [ prop_random_tree_valid;
           H.case "bounded degree" test_random_shape_degree;
           H.case "deep chain" test_deep_tree_is_stack_safe;
-          prop_make_of_arrays_agree
+          prop_make_of_arrays_agree;
+          H.case "of_arrays at 1M nodes under 2.5 words per node" test_of_arrays_alloc
         ] )
     ]

@@ -105,33 +105,85 @@ let test_heap_ops () =
   Alcotest.check_raises "pop empty" Not_found (fun () ->
       ignore (Tt_util.Int_heap.pop_min h))
 
-(* --------------------------------------------------------- disjoint set *)
+(* ---------------------------------------------------------- ordered set *)
 
-let prop_disjoint_set =
-  H.qcheck "union-find agrees with naive labels"
-    QCheck.(list_of_size (Gen.int_bound 60) (pair (int_bound 19) (int_bound 19)))
-    (fun unions ->
-      let n = 20 in
-      let s = Tt_util.Disjoint_set.create n in
-      let label = Array.init n (fun i -> i) in
-      let relabel a b =
-        let la = label.(a) and lb = label.(b) in
-        if la <> lb then
-          Array.iteri (fun i l -> if l = lb then label.(i) <- la) label
-      in
+(* [Tt_util.Ordered_set] is a tower of summary bitsets; its group is
+   named after that. Alcotest pads every result line to the longest
+   group name and cuts a test name that overruns 80 columns, so the
+   printed names of the other groups depend on that length: at 12
+   characters, the longest group name this suite has had, they stay
+   as they were printed before. *)
+
+module Os = Tt_util.Ordered_set
+
+(* Universes of one level (n <= 63 on 64-bit), two (n <= 63^2) and
+   three, each near a word boundary. *)
+let prop_ordered_set_model =
+  H.qcheck "agrees with a sorted list"
+    QCheck.(
+      pair
+        (oneofl [ 1; 63; 64; 200; 3969; 3970; 9000 ])
+        (list_of_size (Gen.int_bound 80) (pair bool (int_bound 8999))))
+    (fun (n, ops) ->
+      let s = Os.create n in
+      let model = Hashtbl.create 16 in
       List.iter
-        (fun (a, b) ->
-          ignore (Tt_util.Disjoint_set.union s a b);
-          relabel a b)
-        unions;
-      let ok = ref true in
-      for a = 0 to n - 1 do
-        for b = 0 to n - 1 do
-          if Tt_util.Disjoint_set.same s a b <> (label.(a) = label.(b)) then ok := false
-        done
-      done;
-      let classes = List.sort_uniq compare (Array.to_list label) in
-      !ok && Tt_util.Disjoint_set.count s = List.length classes)
+        (fun (add, x) ->
+          let x = x mod n in
+          if add then begin
+            Os.add s x;
+            Hashtbl.replace model x ()
+          end
+          else begin
+            Os.remove s x;
+            Hashtbl.remove model x
+          end)
+        ops;
+      let members = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) model []) in
+      let pred_of i = List.fold_left (fun acc x -> if x < i then Some x else acc) None members in
+      let succ_of i = List.find_opt (fun x -> x > i) members in
+      let probes =
+        (-1) :: n :: List.concat_map (fun x -> [ x - 1; x; x + 1 ]) members
+        @ List.map (fun (_, x) -> x mod n) ops
+      in
+      Os.to_desc_list s = List.rev members
+      && Os.cardinal s = List.length members
+      && Os.min_elt s = List.nth_opt members 0
+      && Os.max_elt s = List.nth_opt (List.rev members) 0
+      && List.for_all
+           (fun i ->
+             Os.mem s i = List.mem i members
+             && Os.pred s i = pred_of i
+             && Os.succ s i = succ_of i)
+           probes)
+
+let test_ordered_set_ops () =
+  Alcotest.check_raises "negative universe" (Invalid_argument "Ordered_set.create")
+    (fun () -> ignore (Os.create (-1)));
+  let s = Os.create 200 in
+  Alcotest.(check int) "capacity" 200 (Os.capacity s);
+  Alcotest.(check bool) "empty" true (Os.is_empty s);
+  Alcotest.(check (option int)) "no max" None (Os.max_elt s);
+  Alcotest.(check (option int)) "no succ" None (Os.succ s (-1));
+  List.iter (Os.add s) [ 0; 62; 63; 126; 199; 63 ];
+  Alcotest.(check int) "add is idempotent" 5 (Os.cardinal s);
+  Alcotest.(check (list int)) "word boundaries" [ 199; 126; 63; 62; 0 ] (Os.to_desc_list s);
+  Alcotest.(check (option int)) "pred across a word" (Some 62) (Os.pred s 63);
+  Alcotest.(check (option int)) "succ across a word" (Some 126) (Os.succ s 63);
+  Alcotest.(check (option int)) "pred above the universe" (Some 199) (Os.pred s 1000);
+  Alcotest.(check (option int)) "succ below the universe" (Some 0) (Os.succ s (-5));
+  Alcotest.(check (option int)) "nothing below 0" None (Os.pred s 0);
+  Alcotest.(check (option int)) "nothing above 199" None (Os.succ s 199);
+  Alcotest.check_raises "add out of range"
+    (Invalid_argument "Ordered_set.add: out of range") (fun () -> Os.add s 200);
+  Os.remove s 500;
+  Os.remove s (-3);
+  Alcotest.(check bool) "out-of-range mem" false (Os.mem s 200);
+  Os.remove s 199;
+  Alcotest.(check (option int)) "max after remove" (Some 126) (Os.max_elt s);
+  Os.clear s;
+  Alcotest.(check (list int)) "cleared" [] (Os.to_desc_list s);
+  Alcotest.(check int) "cleared cardinal" 0 (Os.cardinal s)
 
 (* ------------------------------------------------------------------ rng *)
 
@@ -176,46 +228,6 @@ let test_rng_split () =
   let va = List.init 10 (fun _ -> Tt_util.Rng.int a 1000) in
   let vb = List.init 10 (fun _ -> Tt_util.Rng.int b 1000) in
   Alcotest.(check bool) "independent streams differ" true (va <> vb)
-
-(* --------------------------------------------------------------- bitset *)
-
-let prop_bitset_model =
-  H.qcheck "bitset behaves like a set of ints"
-    QCheck.(list_of_size (Gen.int_bound 80) (pair bool (int_bound 63)))
-    (fun ops ->
-      let b = Tt_util.Bitset.create 64 in
-      let model = Hashtbl.create 16 in
-      List.iter
-        (fun (add, x) ->
-          if add then begin
-            Tt_util.Bitset.add b x;
-            Hashtbl.replace model x ()
-          end
-          else begin
-            Tt_util.Bitset.remove b x;
-            Hashtbl.remove model x
-          end)
-        ops;
-      let expected = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) model []) in
-      Tt_util.Bitset.to_list b = expected
-      && Tt_util.Bitset.cardinal b = List.length expected
-      && List.for_all (Tt_util.Bitset.mem b) expected)
-
-let test_bitset_ops () =
-  let b = Tt_util.Bitset.create 100 in
-  Tt_util.Bitset.add b 0;
-  Tt_util.Bitset.add b 63;
-  Tt_util.Bitset.add b 64;
-  Tt_util.Bitset.add b 99;
-  Alcotest.(check (list int)) "word boundaries" [ 0; 63; 64; 99 ] (Tt_util.Bitset.to_list b);
-  let c = Tt_util.Bitset.copy b in
-  Tt_util.Bitset.remove b 63;
-  Alcotest.(check bool) "copy independent" true (Tt_util.Bitset.mem c 63);
-  Alcotest.(check bool) "not equal" false (Tt_util.Bitset.equal b c);
-  Tt_util.Bitset.clear b;
-  Alcotest.(check int) "cleared" 0 (Tt_util.Bitset.cardinal b);
-  Alcotest.check_raises "out of range" (Invalid_argument "Bitset.add: out of range")
-    (fun () -> Tt_util.Bitset.add b 100)
 
 (* ----------------------------------------------------------------- rope *)
 
@@ -317,14 +329,13 @@ let () =
           prop_dynarray_push_pop
         ] );
       ("int_heap", [ H.case "ops" test_heap_ops; prop_heapsort; prop_heap_update ]);
-      ("disjoint_set", [ prop_disjoint_set ]);
+      ("bitset_tower", [ H.case "ops" test_ordered_set_ops; prop_ordered_set_model ]);
       ( "rng",
         [ H.case "determinism" test_rng_determinism;
           H.case "bounds" test_rng_bounds;
           H.case "shuffle" test_rng_shuffle;
           H.case "split" test_rng_split
         ] );
-      ("bitset", [ H.case "ops" test_bitset_ops; prop_bitset_model ]);
       ("rope", [ H.case "deep" test_rope_deep; prop_rope_model ]);
       ("statistics", [ H.case "basics" test_statistics; prop_quantile_monotone ]);
       ("timer", [ H.case "time" test_timer; H.case "wall clock" test_timer_wall_clock ]);
