@@ -71,14 +71,35 @@ let result_pairs reports =
 let results_digest reports = Job.digest_of_results (result_pairs reports)
 let value_digest reports = Job.value_digest_of_results (result_pairs reports)
 
-(* The content addresses of one tree: its canonical encoding, and the
-   id of its MinMem preprocessing ([Job.id_of_encoding] of the
-   equivalent [Min_memory Minmem] job), hashed on first use. *)
-type addresses = { encoding : string; pre_id : string Lazy.t }
+(* A worker's content addresses for the tree it last addressed: an id
+   buffer holding that tree's encoding, and the id of its MinMem
+   preprocessing (the id of the equivalent [Min_memory Minmem] job),
+   hashed on first use. *)
+type addresses = {
+  ids : Job.id_buffer;
+  mutable tree : Tt_core.Tree.t option;  (* the tree [ids] holds *)
+  mutable pre_id : string option;
+}
 
-let tree_addresses tree =
-  let encoding = Tt_core.Tree.to_string tree in
-  { encoding; pre_id = lazy (Job.id_of_encoding encoding (Job.Min_memory Job.Minmem)) }
+(* The jobs of one manifest line share their tree, so each run of jobs
+   on one tree encodes it, and hashes its preprocessing id, once. Keyed
+   by physical identity and local to one worker and batch, so no
+   encoding outlives [run_batch]. *)
+let address a tree =
+  match a.tree with
+  | Some t when t == tree -> ()
+  | _ ->
+      Job.load_tree a.ids tree;
+      a.tree <- Some tree;
+      a.pre_id <- None
+
+let pre_id a =
+  match a.pre_id with
+  | Some id -> id
+  | None ->
+      let id = Job.id_in a.ids (Job.Min_memory Job.Minmem) in
+      a.pre_id <- Some id;
+      id
 
 (* One job, through the cache, under its id [id]. [Min_io] and
    [Schedule] jobs route their MinMem preprocessing through the cache
@@ -137,10 +158,10 @@ let notify t (r : report) =
    and, while backoff delays remain, sleep and re-roll; the re-roll is
    keyed by the attempt number, so an injected crash does not doom the
    job forever. [addr] holds the content addresses of the job's tree
-   ({!tree_addresses}); the job's id is derived from its encoding once,
-   outside the retry loop. *)
+   ({!address}); the job's id is derived from them once, outside the
+   retry loop. *)
 let run_one t ~slot ~addr (job : Job.t) =
-  let id = Job.id_of_encoding addr.encoding job.Job.spec in
+  let id = Job.id_in addr.ids job.Job.spec in
   let resumed_result =
     match t.completed with
     | Some tbl -> Hashtbl.find_opt tbl id
@@ -155,7 +176,7 @@ let run_one t ~slot ~addr (job : Job.t) =
       notify t r;
       r
   | None ->
-      let pre_id = if Job.needs_minmem job then Some (Lazy.force addr.pre_id) else None in
+      let pre_id = if Job.needs_minmem job then Some (pre_id addr) else None in
       let t0 = Unix.gettimeofday () in
       let delays =
         if t.retry.Retry.retries = 0 then []
@@ -223,25 +244,13 @@ let run_batch t jobs =
   let hits0 = Cache.hits t.cache and misses0 = Cache.misses t.cache in
   let t0 = Unix.gettimeofday () in
   let worker slot =
-    (* A one-entry memo of the last tree this worker addressed: the
-       jobs of one manifest line share their tree, so each such run of
-       jobs encodes it, and hashes its preprocessing id, once. Keyed by
-       physical identity and local to this worker and batch, so no
-       encoding outlives [run_batch]. *)
-    let last = ref None in
-    let addresses tree =
-      match !last with
-      | Some (tree', addr) when tree' == tree -> addr
-      | _ ->
-          let addr = tree_addresses tree in
-          last := Some (tree, addr);
-          addr
-    in
+    let addr = { ids = Job.id_buffer (); tree = None; pre_id = None } in
     let rec loop () =
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
         let job = jobs.(i) in
-        let r = run_one t ~slot ~addr:(addresses job.Job.tree) job in
+        address addr job.Job.tree;
+        let r = run_one t ~slot ~addr job in
         reports.(i) <- Some r;
         busy.(slot) <- busy.(slot) +. r.wall;
         loop ()

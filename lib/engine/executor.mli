@@ -39,12 +39,13 @@
     ([Min_io], [Schedule]) fetch it through the cache under the id of
     the corresponding [Min_memory Minmem] job, so the six MinIO
     policies on one tree share a single MinMem run — and a later
-    explicit MinMem job on that tree is a hit, too. A worker serializes
-    a tree once for a run of consecutive jobs on it (a one-entry memo
-    keyed by the physical tree, dropped when the batch returns). From
-    that encoding it derives each job's id with {!Job.id_of_encoding},
-    once per job, and the tree's preprocessing id once per such run,
-    when its first job that needs it starts. *)
+    explicit MinMem job on that tree is a hit, too. A worker writes a
+    tree's encoding once for a run of consecutive jobs on it, into a
+    {!Job.id_buffer} it owns for the batch (keyed by the physical tree,
+    dropped when the batch returns). From that buffer it derives each
+    job's id with {!Job.id_in}, once per job, and the tree's
+    preprocessing id once per such run, when its first job that needs
+    it starts. *)
 
 type t
 

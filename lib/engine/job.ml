@@ -55,10 +55,44 @@ let make ?label tree spec =
 
 let tree_digest tree = Digest.to_hex (Digest.string (T.to_string tree))
 
-(* The one id formula. Callers that hold a tree's encoding already (the
-   executor encodes each tree once per worker) pass it in directly. *)
+(* The one id formula, MD5 of [encoding ^ "|" ^ spec]. The bytes are
+   laid out in a buffer whose first [prefix] bytes, the encoding and the
+   bar, stay put while each spec is written after them, so the ids of
+   many jobs on one tree cost one copy of its encoding. *)
+type id_buffer = { mutable bytes : Bytes.t; mutable prefix : int }
+
+let id_buffer () = { bytes = Bytes.empty; prefix = 0 }
+
+(* Room for [n] bytes, keeping the prefix. *)
+let reserve b n =
+  if Bytes.length b.bytes < n then begin
+    let bytes = Bytes.create (max n (2 * Bytes.length b.bytes)) in
+    Bytes.blit b.bytes 0 bytes 0 b.prefix;
+    b.bytes <- bytes
+  end
+
+let load_encoding b encoding =
+  let n = String.length encoding in
+  b.prefix <- 0;
+  (* a spec renders in under 64 bytes *)
+  reserve b (n + 65);
+  Bytes.blit_string encoding 0 b.bytes 0 n;
+  Bytes.set b.bytes n '|';
+  b.prefix <- n + 1
+
+let load_tree b tree = load_encoding b (T.to_string tree)
+
+let id_in b spec =
+  let s = spec_to_string spec in
+  let len = b.prefix + String.length s in
+  reserve b len;
+  Bytes.blit_string s 0 b.bytes b.prefix (String.length s);
+  Digest.to_hex (Digest.subbytes b.bytes 0 len)
+
 let id_of_encoding encoding spec =
-  Digest.to_hex (Digest.string (encoding ^ "|" ^ spec_to_string spec))
+  let b = id_buffer () in
+  load_encoding b encoding;
+  id_in b spec
 
 let id job = id_of_encoding (T.to_string job.tree) job.spec
 

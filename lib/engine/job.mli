@@ -95,8 +95,23 @@ val id_of_encoding : string -> spec -> string
     ({!Tt_core.Tree.to_string}): the hex MD5 of
     [encoding ^ "|" ^ spec_to_string spec]. This is the only id formula;
     it costs one MD5 over the encoding, so a caller that runs several
-    jobs on one tree encodes the tree once and passes the encoding to
-    each (the {!Executor} does). *)
+    jobs on one tree encodes the tree once, into an {!id_buffer} (the
+    {!Executor} does). *)
+
+type id_buffer
+(** A growable buffer for the ids of many jobs on one tree: it holds the
+    tree's encoding and the ["|"] once, and {!id_in} writes each spec
+    after them. Owned by one domain at a time. *)
+
+val id_buffer : unit -> id_buffer
+(** An empty buffer. *)
+
+val load_tree : id_buffer -> Tt_core.Tree.t -> unit
+(** Make the buffer hold [Tt_core.Tree.to_string tree ^ "|"]. *)
+
+val id_in : id_buffer -> spec -> string
+(** The id of the job that pairs the loaded tree with [spec]: equal to
+    {!id_of_encoding}, with no copy of the encoding. *)
 
 val id : t -> string
 (** Content address: hex digest of tree + spec (label excluded),

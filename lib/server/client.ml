@@ -93,13 +93,20 @@ let send t req =
     off := !off + Unix.write_substring t.fd line !off (len - !off)
   done
 
+(* One read buffer per domain, shared by every connection that domain
+   reads: a fresh 64 KB [Bytes] per read went straight to the major
+   heap, and a router opens a connection per forward leg, peer peek and
+   health probe. A domain reads one connection at a time, so one buffer
+   is enough. *)
+let read_buf = Domain.DLS.new_key (fun () -> Bytes.create 65536)
+
 (* Pull the first '\n'-terminated line out of [rbuf], reading more from
    the socket (bounded by the read deadline) as needed. Every failure
    mode — EOF, timeout, ECONNRESET and friends — comes back as [Error],
    never as an exception. *)
 let recv t =
   let deadline = Unix.gettimeofday () +. t.read_timeout_s in
-  let buf = Bytes.create 65536 in
+  let buf = Domain.DLS.get read_buf in
   let rec line () =
     match String.index_opt t.rbuf '\n' with
     | Some i ->
@@ -124,9 +131,18 @@ let recv t =
       | _ -> (
           match Unix.read t.fd buf 0 (Bytes.length buf) with
           | 0 -> Error "connection closed by server"
-          | n ->
-              t.rbuf <- t.rbuf ^ Bytes.sub_string buf 0 n;
-              line ()
+          | n -> (
+              let i = P.newline_index buf 0 n in
+              if t.rbuf = "" && i < n then begin
+                (* the common case, a whole reply in one read: copy the
+                   line and the rest out of [buf] once each *)
+                t.rbuf <- (if i + 1 = n then "" else Bytes.sub_string buf (i + 1) (n - i - 1));
+                P.decode_response (Bytes.sub_string buf 0 i)
+              end
+              else begin
+                t.rbuf <- t.rbuf ^ Bytes.sub_string buf 0 n;
+                line ()
+              end)
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill ()
           | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
           | exception Sys_error e -> Error e)

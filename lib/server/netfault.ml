@@ -261,19 +261,19 @@ let set_gate t g =
   wake t
 
 (* Blocking write of a slice; Unix_error means the peer is gone. *)
-let write_all fd s pos len =
+let write_all fd b pos len =
   let off = ref pos in
   let stop = pos + len in
   while !off < stop do
-    off := !off + Unix.write_substring fd s !off (stop - !off)
+    off := !off + Unix.write fd b !off (stop - !off)
   done
 
-(* Forward [data] in direction [dir] of [pair], applying each newly
-   reached window's decision. Returns [false] when the connection must
-   be dropped (injected drop/truncation, or the peer vanished). *)
-let forward t pair ~dir data =
+(* Forward the first [len] bytes of [data] in direction [dir] of [pair],
+   applying each newly reached window's decision. Returns [false] when
+   the connection must be dropped (injected drop/truncation, or the peer
+   vanished). *)
+let forward t pair ~dir data len =
   let st, dst = match dir with `Up -> (pair.up, pair.ufd) | `Down -> (pair.down, pair.cfd) in
-  let len = String.length data in
   let count f = locked t f in
   let rec go start =
     if start >= len then true
@@ -400,17 +400,19 @@ let drain_wake_pipe t =
   in
   go ()
 
-let read_chunk fd =
-  let buf = Bytes.create 65536 in
-  match Unix.read fd buf 0 65536 with
+(* Reads into [buf], the proxy loop's one read buffer, which [forward]
+   has written out before the next read. *)
+let read_chunk fd buf =
+  match Unix.read fd buf 0 (Bytes.length buf) with
   | 0 -> None
-  | n -> Some (Bytes.sub_string buf 0 n)
+  | n -> Some n
   | exception Unix.Unix_error _ -> None
 
 let run t =
   locked t (fun () ->
       if t.running || t.stopped then invalid_arg "Netfault.run: already used";
       t.running <- true);
+  let buf = Bytes.create 65536 in
   while not (Atomic.get t.stop) do
     (* Apply the gate on the proxy domain, before building the select
        set. Severed: cut every live pair now (both directions at once —
@@ -449,10 +451,9 @@ let run t =
               | None -> ()
               | Some p -> (
                   let dir = if fd = p.cfd then `Up else `Down in
-                  match read_chunk fd with
+                  match read_chunk fd buf with
                   | None -> close_pair t p
-                  | Some data ->
-                      if not (forward t p ~dir data) then close_pair t p))
+                  | Some n -> if not (forward t p ~dir buf n) then close_pair t p))
           ready
   done;
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());

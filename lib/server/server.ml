@@ -104,6 +104,7 @@ type t = {
   metrics : Metrics.t;
   queue : work Admission.t;
   replay : Replay.t;
+  entries : Tt_engine.Entry_memo.t;  (* parsed solve entries, by digest *)
   limiter : Overload.Limiter.t;
   admitted : int Atomic.t;  (* queued + executing, not yet replied *)
   mutable ema_service_s : float option;  (* guarded by [mu] *)
@@ -159,6 +160,7 @@ let create ?(config = default_config) ?cache ?(retry = Tt_engine.Retry.none)
     metrics = Metrics.create ();
     queue = Admission.create ~capacity:config.queue_capacity;
     replay = Replay.create ~capacity:(max 1 config.replay_capacity);
+    entries = Tt_engine.Entry_memo.create ();
     (* The AIMD window starts (and is capped) at queued + executing
        capacity, so an unloaded server behaves exactly like the static
        ring did; only loss signals (blown deadlines, wedges) shrink it
@@ -538,7 +540,8 @@ let handle_solve t conn ~id ~entry ~timeout_s ~idem ~priority ~received =
                 refuse P.Overloaded
                   (Printf.sprintf "concurrency limit (%d) reached" limit))
         | None -> (
-            match Tt_engine.Manifest.parse_wire entry with
+            (* A repeated entry's jobs come from the memo, unparsed. *)
+            match Tt_engine.Entry_memo.find t.entries entry with
             | Error e -> refuse P.Bad_request e
             | Ok [] -> refuse P.Bad_request "entry contains no jobs"
             | Ok jobs ->
@@ -630,23 +633,27 @@ let handle_line t conn line =
         handle_solve t conn ~id ~entry ~timeout_s ~idem ~priority ~received
   end
 
-let feed t conn chunk =
-  let data = if conn.pending = "" then chunk else conn.pending ^ chunk in
-  let len = String.length data in
+(* Frames the [len] bytes just read into [buf]: each complete line is
+   handled, and a partial tail waits in [pending] for the next read.
+   Lines are copied out of [buf] once, so the I/O loop can reuse it. *)
+let feed t conn buf len =
   let rec go start =
-    if start >= len then conn.pending <- ""
-    else
-      match String.index_from_opt data start '\n' with
-      | Some i ->
-          handle_line t conn (String.sub data start (i - start));
-          go (i + 1)
-      | None ->
-          conn.pending <- String.sub data start (len - start);
-          if String.length conn.pending > P.max_frame_bytes then begin
-            reply t conn None
-              (P.Refused { code = P.Bad_frame; msg = "frame exceeds 1 MiB" });
-            conn.eof <- true
-          end
+    let i = P.newline_index buf start len in
+    if i < len then begin
+      let piece = Bytes.sub_string buf start (i - start) in
+      let line = if conn.pending = "" then piece else conn.pending ^ piece in
+      conn.pending <- "";
+      handle_line t conn line;
+      go (i + 1)
+    end
+    else if start < len then begin
+      conn.pending <- conn.pending ^ Bytes.sub_string buf start (len - start);
+      if String.length conn.pending > P.max_frame_bytes then begin
+        reply t conn None
+          (P.Refused { code = P.Bad_frame; msg = "frame exceeds 1 MiB" });
+        conn.eof <- true
+      end
+    end
   in
   go 0
 
@@ -662,16 +669,16 @@ let drain_wake_pipe t =
   in
   go ()
 
-(* [None] = EOF or a dead socket; [Some ""] = spurious wakeup on a
-   non-blocking fd (not EOF!). *)
-let read_chunk fd =
-  let buf = Bytes.create 65536 in
-  match Unix.read fd buf 0 65536 with
+(* Reads into [buf], the I/O loop's one read buffer (at 64 KB a fresh
+   one per read went straight to the major heap). [None] = EOF or a dead
+   socket; [Some 0] = spurious wakeup on a non-blocking fd (not EOF!). *)
+let read_chunk fd buf =
+  match Unix.read fd buf 0 (Bytes.length buf) with
   | 0 -> None
-  | n -> Some (Bytes.sub_string buf 0 n)
+  | n -> Some n
   | exception
       Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-      Some ""
+      Some 0
   | exception Unix.Unix_error _ -> None
 
 let conn_out_pending c =
@@ -689,6 +696,7 @@ let run t =
     t.slots;
   let listen_open = ref true in
   let finished = ref false in
+  let rbuf = Bytes.create 65536 in
   while not !finished do
     let draining = Atomic.get t.stop in
     if draining && !listen_open then begin
@@ -800,12 +808,12 @@ let run t =
                 | None -> ()
                 | Some c when c.eof || c.dead -> ()
                 | Some c -> (
-                    match read_chunk fd with
+                    match read_chunk fd rbuf with
                     | None -> c.eof <- true
-                    | Some "" -> ()
-                    | Some chunk ->
+                    | Some 0 -> ()
+                    | Some n ->
                         c.last_active <- Unix.gettimeofday ();
-                        feed t c chunk))
+                        feed t c rbuf n))
             ready_r
     end
   done;

@@ -44,8 +44,8 @@ type t = {
   hedge : Forward.hedge_state;
   stop : bool Atomic.t;
   idem_seq : int Atomic.t;
-  (* entry -> routing key, bounded ({!Route_key.find}). *)
-  route_memo : Route_key.memo;
+  (* entry digest -> routing key, bounded ({!Tt_engine.Entry_memo}). *)
+  route_memo : Tt_engine.Entry_memo.t;
   (* key -> (epoch, failover sweep order). This one {e does} depend on
      the ring: every entry is stamped with the epoch that computed it
      and ignored — lazily replaced — after any reconfiguration. *)
@@ -90,7 +90,7 @@ let create ?(config = default_config) ~ring () =
         ~quantile:config.hedge_quantile ~seed:config.hedge_seed ();
     stop = Atomic.make false;
     idem_seq = Atomic.make 0;
-    route_memo = Route_key.create ();
+    route_memo = Tt_engine.Entry_memo.create ();
     sweep_mu = Mutex.create ();
     sweep_memo = Hashtbl.create 64;
     accept_domain = None;
@@ -277,7 +277,7 @@ let handle_line t fwd fd line =
                      msg = "deadline budget exhausted at router"
                    })
           | _ -> (
-              match Route_key.find t.route_memo entry with
+              match Tt_engine.Entry_memo.route_key t.route_memo entry with
               | Error msg ->
                   Metrics.reject t.metrics;
                   reply fd req_id (P.Refused { code = P.Bad_request; msg })

@@ -6,9 +6,9 @@
     load generator — points at a cluster by changing only the port.
 
     Per request:
-    - [solve]: the entry's {e first job id} (from
-      {!Tt_engine.Manifest.parse}, memoized per entry) is the routing
-      key; the request is forwarded along the key's failover sweep
+    - [solve]: the entry's {e first job id}
+      ({!Tt_engine.Entry_memo.route_key}, kept by entry digest in a
+      bounded LRU) is the routing key; the request is forwarded along the key's failover sweep
       ({!Forward.call}) against the {e current} ring, carrying the
       client's idempotency key or a router-generated one — chosen once
       per logical request, so every re-send of the sweep deduplicates.

@@ -6,7 +6,7 @@ type t = {
   fwd : Forward.t;
   tag : string;
   mutable seq : int;
-  memo : Route_key.memo;
+  memo : Tt_engine.Entry_memo.t;
   metrics : Metrics.t;
 }
 
@@ -17,7 +17,7 @@ let create ?connect_timeout_s ?read_timeout_s ?retry ?(tag = "sc") ?metrics
       Forward.create ?connect_timeout_s ?read_timeout_s ?retry ~metrics ring;
     tag;
     seq = 0;
-    memo = Route_key.create ();
+    memo = Tt_engine.Entry_memo.create ();
     metrics
   }
 
@@ -25,7 +25,7 @@ let metrics t = t.metrics
 let close t = Forward.close t.fwd
 
 let solve t ?timeout_s ?idem ?(priority = P.Interactive) entry =
-  match Route_key.find t.memo entry with
+  match Tt_engine.Entry_memo.route_key t.memo entry with
   | Error msg -> Error (Client.Refused (P.Bad_request, msg))
   | Ok key -> (
       let idem =

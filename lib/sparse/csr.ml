@@ -68,6 +68,23 @@ let of_triplet t =
     t;
   compress ~nrows:(Triplet.nrows t) ~ncols:(Triplet.ncols t) rows cols vals
 
+let of_rows ~nrows ~ncols ~row_ptr ~col_idx ~values =
+  let bad what = invalid_arg ("Csr.of_rows: " ^ what) in
+  if nrows < 0 || ncols < 0 then bad "negative dimension";
+  if Array.length row_ptr <> nrows + 1 || row_ptr.(0) <> 0 then bad "bad row_ptr";
+  let nnz = row_ptr.(nrows) in
+  if Array.length col_idx <> nnz || Array.length values <> nnz then bad "lengths disagree";
+  for i = 0 to nrows - 1 do
+    let lo = row_ptr.(i) and hi = row_ptr.(i + 1) in
+    if hi < lo then bad "bad row_ptr";
+    for k = lo to hi - 1 do
+      let j = col_idx.(k) in
+      if j < 0 || j >= ncols || (k > lo && j <= col_idx.(k - 1)) then
+        bad "columns not ascending within range"
+    done
+  done;
+  { nrows; ncols; row_ptr; col_idx; values }
+
 let of_dense d =
   let nrows = Array.length d in
   let ncols = if nrows = 0 then 0 else Array.length d.(0) in

@@ -17,6 +17,21 @@ type t = private {
 val of_triplet : Triplet.t -> t
 (** Compress a coordinate matrix; duplicates are summed, columns sorted. *)
 
+val of_rows :
+  nrows:int ->
+  ncols:int ->
+  row_ptr:int array ->
+  col_idx:int array ->
+  values:float array ->
+  t
+(** The matrix whose arrays these are, for a builder that writes sorted,
+    duplicate-free rows itself. It takes ownership: the caller must not
+    mutate them afterwards. Checking costs O(nrows + nnz) and no
+    allocation.
+    @raise Invalid_argument if the lengths disagree, [row_ptr] does not
+    rise from 0, or a row's columns are not strictly ascending within
+    [0, ncols). *)
+
 val of_dense : float array array -> t
 (** Build from a dense row-major array, dropping exact zeros. *)
 

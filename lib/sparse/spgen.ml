@@ -6,63 +6,73 @@ let finalize t =
   let a = Csr.of_triplet t in
   Csr.symmetrize_values a
 
-let grid_stencil ~k ~offsets =
-  let n = k * k in
-  let t = Triplet.create ~nrows:n ~ncols:n in
-  let id x y = (x * k) + y in
-  for x = 0 to k - 1 do
-    for y = 0 to k - 1 do
-      List.iter
-        (fun (dx, dy) ->
-          let x' = x + dx and y' = y + dy in
-          if x' >= 0 && x' < k && y' >= 0 && y' < k then
-            Triplet.add t (id x y) (id x' y') (-1.))
-        offsets
-    done
+(* The duplicate-free stencils write their sorted rows directly, with
+   the values [finalize] gives the same entries: [neighbours i f] calls
+   [f j] on each column [j <> i] of row [i], ascending, each with value
+   [v], and the diagonal, 1 plus the absolute off-diagonals summed in
+   column order, goes after the columns below [i]. A stencil that lists
+   both [(i, j)] and [(j, i)] has [v = -1] (the two halves of
+   [(A + A^T) / 2]); one that lists only [(i, j)] with [j < i] has
+   [v = -0.5]. *)
+let dominant ~n ~v neighbours =
+  let row_ptr = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    let c = ref 1 in
+    neighbours i (fun _ -> incr c);
+    row_ptr.(i + 1) <- row_ptr.(i) + !c
   done;
-  finalize t
-
-let grid2d k = grid_stencil ~k ~offsets:[ (1, 0); (-1, 0); (0, 1); (0, -1) ]
-
-let grid2d_rect kx ky =
-  let n = kx * ky in
-  let t = Triplet.create ~nrows:n ~ncols:n in
-  let id x y = (x * ky) + y in
-  for x = 0 to kx - 1 do
-    for y = 0 to ky - 1 do
-      List.iter
-        (fun (dx, dy) ->
-          let x' = x + dx and y' = y + dy in
-          if x' >= 0 && x' < kx && y' >= 0 && y' < ky then
-            Triplet.add t (id x y) (id x' y') (-1.))
-        [ (1, 0); (-1, 0); (0, 1); (0, -1) ]
-    done
+  let col_idx = Array.make row_ptr.(n) 0 and values = Array.make row_ptr.(n) 0. in
+  for i = 0 to n - 1 do
+    let pos = ref row_ptr.(i) and diag = ref (-1) and s = ref 1. in
+    neighbours i (fun j ->
+        if j > i && !diag < 0 then begin
+          diag := !pos;
+          incr pos
+        end;
+        col_idx.(!pos) <- j;
+        values.(!pos) <- v;
+        s := !s +. Float.abs v;
+        incr pos);
+    let d = if !diag < 0 then !pos else !diag in
+    col_idx.(d) <- i;
+    values.(d) <- !s
   done;
-  finalize t
+  Csr.of_rows ~nrows:n ~ncols:n ~row_ptr ~col_idx ~values
+
+(* A kx×ky grid numbered [x * ky + y]. Offsets sorted lexicographically
+   reach their in-grid neighbours in ascending order. A side below 1
+   gives no neighbours (and a negative square side a diagonal matrix). *)
+let grid_stencil ~kx ~ky ~offsets =
+  dominant ~n:(kx * ky) ~v:(-1.) (fun i f ->
+      if kx > 0 && ky > 0 then begin
+        let x = i / ky and y = i mod ky in
+        List.iter
+          (fun (dx, dy) ->
+            let x' = x + dx and y' = y + dy in
+            if x' >= 0 && x' < kx && y' >= 0 && y' < ky then f ((x' * ky) + y'))
+          offsets
+      end)
+
+let five_point = [ (-1, 0); (0, -1); (0, 1); (1, 0) ]
+let grid2d k = grid_stencil ~kx:k ~ky:k ~offsets:five_point
+let grid2d_rect kx ky = grid_stencil ~kx ~ky ~offsets:five_point
 
 let grid2d_9pt k =
-  grid_stencil ~k
-    ~offsets:
-      [ (1, 0); (-1, 0); (0, 1); (0, -1); (1, 1); (1, -1); (-1, 1); (-1, -1) ]
+  grid_stencil ~kx:k ~ky:k
+    ~offsets:[ (-1, -1); (-1, 0); (-1, 1); (0, -1); (0, 1); (1, -1); (1, 0); (1, 1) ]
 
 let grid3d k =
-  let n = k * k * k in
-  let t = Triplet.create ~nrows:n ~ncols:n in
-  let id x y z = (((x * k) + y) * k) + z in
-  let offsets = [ (1, 0, 0); (-1, 0, 0); (0, 1, 0); (0, -1, 0); (0, 0, 1); (0, 0, -1) ] in
-  for x = 0 to k - 1 do
-    for y = 0 to k - 1 do
-      for z = 0 to k - 1 do
+  let offsets = [ (-1, 0, 0); (0, -1, 0); (0, 0, -1); (0, 0, 1); (0, 1, 0); (1, 0, 0) ] in
+  dominant ~n:(k * k * k) ~v:(-1.) (fun i f ->
+      if k > 0 then begin
+        let x = i / (k * k) and y = i / k mod k and z = i mod k in
         List.iter
           (fun (dx, dy, dz) ->
             let x' = x + dx and y' = y + dy and z' = z + dz in
             if x' >= 0 && x' < k && y' >= 0 && y' < k && z' >= 0 && z' < k then
-              Triplet.add t (id x y z) (id x' y' z') (-1.))
+              f ((((x' * k) + y') * k) + z'))
           offsets
-      done
-    done
-  done;
-  finalize t
+      end)
 
 let banded ~rng ~n ~bandwidth ~fill =
   if bandwidth < 1 then invalid_arg "Spgen.banded: bandwidth < 1";
@@ -135,8 +145,6 @@ let power_law ~rng ~n ~edges_per_node =
   finalize t
 
 let tridiagonal n =
-  let t = Triplet.create ~nrows:n ~ncols:n in
-  for i = 1 to n - 1 do
-    Triplet.add t i (i - 1) (-1.)
-  done;
-  finalize t
+  dominant ~n ~v:(-0.5) (fun i f ->
+      if i > 0 then f (i - 1);
+      if i < n - 1 then f (i + 1))

@@ -755,6 +755,142 @@ let test_compute_passes_cancel () =
       | exception Cancel.Cancelled -> ())
     cases tokens
 
+(* ---------------------------------------------------------- entry memo *)
+
+module M = Tt_engine.Entry_memo
+
+let same_parse a b =
+  match (a, b) with
+  | Ok x, Ok y -> compare x y = 0 && List.map J.id x = List.map J.id y
+  | Error x, Error y -> String.equal x y
+  | _ -> false
+
+let fresh_key entry =
+  match Tt_engine.Manifest.parse_wire entry with
+  | Error e -> Error e
+  | Ok [] -> Error "entry resolves to no jobs"
+  | Ok (j :: _) -> Ok (J.id j)
+
+let literal ?(jobs = "minmem; liu") t = Printf.sprintf "tree \"%s\" :: %s" (T.to_string t) jobs
+
+(* Bad entries of every kind the parser refuses, a [file] source for a
+   path that exists among them, and an entry with no jobs. *)
+let bad_entries =
+  [ "gen nosuch size=4 :: minmem";
+    "gen grid2d size=-1 :: liu";
+    "gen grid2d size=4 amalgamation=0 :: liu";
+    "gen grid2d size=4 :: nosuchjob";
+    "gen grid2d size=4";
+    "tree \"3 -1:1:1\" :: liu";
+    "tree \"2 -1:1:1 0:-4:1\" :: minmem";
+    "file " ^ Sys.executable_name ^ " :: minmem";
+    "file /nonexistent/a.mtx ordering=rcm :: liu";
+    "gen grid2d size=4 :: pareto procs=0";
+    "# no jobs here"
+  ]
+
+(* The pool the property draws from: every loadgen mix, tree literals
+   and the bad entries. *)
+let memo_pool =
+  let mixes = List.concat_map (fun (_, es) -> Array.to_list es) Tt_server.Loadgen.mixes in
+  let trees =
+    List.map literal (H.tree_list ~seed:17 ~count:8 ~size_max:60 ~max_f:20 ~max_n:9)
+  in
+  Array.of_list (List.sort_uniq compare (mixes @ trees @ bad_entries))
+
+(* A run of lookups, with repeats, through [find] and [route_key] on one
+   memo: each answer equals a fresh parse of the entry. *)
+let prop_memo_equals_fresh_parse =
+  let pool = memo_pool in
+  H.qcheck ~count:40 "every lookup equals a fresh parse_wire"
+    QCheck.(list_of_size Gen.(int_range 1 30) (pair (int_bound (Array.length pool - 1)) bool))
+    (fun draws ->
+      let memo = M.create () in
+      List.for_all
+        (fun (k, by_key) ->
+          let entry = pool.(k) in
+          if by_key then M.route_key memo entry = fresh_key entry
+          else same_parse (M.find memo entry) (Tt_engine.Manifest.parse_wire entry))
+        (* each draw three times: first, second and later sightings *)
+        (List.concat_map (fun d -> [ d; d; d ]) draws))
+
+(* Full of route keys, a hit moves its entry to the front and a miss
+   evicts the least recently used: once full, each miss is one more
+   eviction. *)
+let test_memo_lru () =
+  let memo = M.create () in
+  let entry i = Printf.sprintf "tree \"2 -1:%d:0 0:1:1\" :: liu" i in
+  let key i = ignore (M.route_key memo (entry i)) in
+  for i = 0 to M.max_entries - 1 do
+    key i
+  done;
+  let evictions n = Alcotest.(check int) "evictions" n (M.evictions memo) in
+  evictions 0;
+  key 0;
+  key M.max_entries;
+  evictions 1 (* entry 1, the least recent *);
+  key 0;
+  evictions 1;
+  key 1;
+  evictions 2 (* entry 1 again, now evicting entry 2 *);
+  key 3;
+  evictions 2;
+  Alcotest.(check int) "at the entry cap" M.max_entries (M.length memo)
+
+(* A tree literal just under the 1 MiB frame. *)
+let big_literal seed =
+  let t = T.random ~rng:(Tt_util.Rng.create seed) ~size:76_000 ~max_f:999 ~max_n:99 in
+  let e = literal ~jobs:"minmem" t in
+  assert (String.length e < 1 lsl 20 && String.length e > 900_000);
+  e
+
+let test_memo_word_cap () =
+  let under_cap memo what =
+    if M.words memo > M.max_words then
+      Alcotest.failf "%s: %d words kept, cap %d" what (M.words memo) M.max_words
+  in
+  (* seen once: a digest each, no tree *)
+  let memo = M.create () in
+  for seed = 1 to 3 do
+    ignore (M.find memo (big_literal seed));
+    Alcotest.(check int) "digests only" (seed * M.entry_words) (M.words memo)
+  done;
+  (* distinct literals, each seen twice: parses kept until the word cap
+     evicts the oldest *)
+  let memo = M.create () in
+  for seed = 1 to 8 do
+    let e = big_literal seed in
+    ignore (M.find memo e);
+    ignore (M.find memo e);
+    under_cap memo (Printf.sprintf "literal %d" seed)
+  done;
+  if M.evictions memo = 0 then Alcotest.fail "eight parsed literals fit under the word cap";
+  (* one large literal again and again: kept once, charged its words *)
+  let memo = M.create () in
+  let e = big_literal 9 in
+  let words = Obj.reachable_words (Obj.repr (Tt_engine.Manifest.parse_wire e)) in
+  for _ = 1 to 6 do
+    ignore (M.find memo e);
+    under_cap memo "repeated literal"
+  done;
+  Alcotest.(check int) "one entry" 1 (M.length memo);
+  Alcotest.(check int) "charged its parse" (M.entry_words + words) (M.words memo)
+
+(* A first sighting keeps the digest alone; the second keeps the jobs,
+   and the third returns those very jobs. *)
+let test_memo_second_sighting () =
+  let memo = M.create () in
+  let e = "gen grid2d size=10 :: minmem; postorder" in
+  let first = M.find memo e in
+  Alcotest.(check int) "seen once: a digest" M.entry_words (M.words memo);
+  let second = M.find memo e in
+  if M.words memo <= M.entry_words then Alcotest.fail "second sighting kept nothing";
+  let third = M.find memo e in
+  Alcotest.(check bool) "first = second" true (same_parse first second);
+  match (second, third) with
+  | Ok a, Ok b -> Alcotest.(check bool) "the kept jobs" true (a == b)
+  | _ -> Alcotest.fail "grid2d did not parse"
+
 let () =
   H.run "engine"
     [ ( "job",
@@ -794,5 +930,11 @@ let () =
           H.case "memory keys saturate or refuse" test_manifest_memory_ranges;
           H.case "procs below 1 refused" test_manifest_procs_range;
           H.case "file that is not Matrix Market" test_manifest_file_not_matrix_market
+        ] );
+      ( "memo",
+        [ prop_memo_equals_fresh_parse;
+          H.case "least recently used entries go first" test_memo_lru;
+          H.case "word cap under 1 MiB literals" test_memo_word_cap;
+          H.case "jobs kept from the second sighting" test_memo_second_sighting
         ] )
     ]

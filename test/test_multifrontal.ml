@@ -16,6 +16,23 @@ let arb_spd =
   in
   QCheck.make ~print:(fun a -> Printf.sprintf "n=%d" a.S.Csr.nrows) gen
 
+(* Larger than [arb_spd] and in minimum-degree order, so that fronts
+   have several children and the budgets below the in-core peak force
+   evictions (in natural order a random matrix's tree is nearly a chain
+   whose peak is its working set). *)
+let arb_parity =
+  let gen =
+    QCheck.Gen.map
+      (fun seed ->
+        let rng = Tt_util.Rng.create seed in
+        let n = Tt_util.Rng.int_incl rng 1 60 in
+        let a = S.Csr.symmetrize_values (S.Spgen.random_sym ~rng ~n ~nnz_per_row:2.5) in
+        let graph = Tt_ordering.Graph_adj.of_pattern (S.Csr.symmetrize_pattern a) in
+        (S.Csr.permute_sym a (Tt_ordering.Min_degree.order graph), seed))
+      (QCheck.Gen.int_bound 1_000_000)
+  in
+  QCheck.make ~print:(fun (a, seed) -> Printf.sprintf "n=%d seed=%d" a.S.Csr.nrows seed) gen
+
 let symbolic_of a =
   let pattern = S.Csr.symmetrize_pattern a in
   let parent = Tt_etree.Elimination_tree.parents pattern in
@@ -748,29 +765,43 @@ let test_default_schedule_is_postorder () =
 
 (* -------------------------------------------------------------------- ooc *)
 
+(* On [arb_parity]'s minimum-degree-ordered matrices the budgets below
+   the in-core peak make the simulator evict (in [arb_spd]'s natural
+   order none of them ever did), and the case fails unless some draws
+   wrote words. *)
 let prop_ooc_planned_equals_measured =
-  H.qcheck ~count:60 "planned I/O = measured I/O; factor stays correct" arb_spd
-    (fun a ->
-      let sym = symbolic_of a in
-      let schedule = MF.Factor.default_schedule sym in
-      let full = MF.Factor.run a sym ~schedule in
-      let floor = MF.Ooc_sim.min_in_core_words sym in
-      List.for_all
-        (fun memory_words ->
-          match
-            MF.Ooc_sim.run a sym ~memory_words ~policy:Tt_core.Minio.First_fit ~schedule
-          with
-          | Error _ -> false
-          | Ok r ->
-              r.MF.Ooc_sim.planned_io = r.MF.Ooc_sim.measured_io
-              && r.MF.Ooc_sim.peak_in_core <= memory_words
-                 (* the in-core peak accounting never exceeds the budget *)
-              && MF.Factor.residual_norm a r.MF.Ooc_sim.factor.MF.Factor.l < 1e-8)
-        [ floor; (floor + full.MF.Factor.peak_words) / 2; full.MF.Factor.peak_words ])
+  let wrote = ref 0 in
+  let name, speed, run =
+    H.qcheck ~count:60 "planned I/O = measured I/O; factor stays correct" arb_parity
+      (fun (a, _) ->
+        let sym = symbolic_of a in
+        let schedule = MF.Factor.default_schedule sym in
+        let full = MF.Factor.run a sym ~schedule in
+        let floor = MF.Ooc_sim.min_in_core_words sym in
+        List.for_all
+          (fun memory_words ->
+            match
+              MF.Ooc_sim.run a sym ~memory_words ~policy:Tt_core.Minio.First_fit ~schedule
+            with
+            | Error _ -> false
+            | Ok r ->
+                if r.MF.Ooc_sim.measured_io > 0 then incr wrote;
+                r.MF.Ooc_sim.planned_io = r.MF.Ooc_sim.measured_io
+                && r.MF.Ooc_sim.peak_in_core <= memory_words
+                   (* the in-core peak accounting never exceeds the budget *)
+                && MF.Factor.residual_norm a r.MF.Ooc_sim.factor.MF.Factor.l < 1e-8)
+          [ floor; (floor + full.MF.Factor.peak_words) / 2; full.MF.Factor.peak_words ])
+  in
+  ( name,
+    speed,
+    fun () ->
+      wrote := 0;
+      run ();
+      if !wrote = 0 then Alcotest.fail "no draw wrote a word: the property held vacuously" )
 
 let prop_ooc_no_io_at_full_memory =
-  H.qcheck ~count:60 "no I/O when the budget covers the in-core peak" arb_spd
-    (fun a ->
+  H.qcheck ~count:60 "no I/O when the budget covers the in-core peak" arb_parity
+    (fun (a, _) ->
       let sym = symbolic_of a in
       let schedule = MF.Factor.default_schedule sym in
       let full = MF.Factor.run a sym ~schedule in
@@ -1147,23 +1178,6 @@ let supernodal_mismatches ~seed a =
         (schedules ~seed asm ~fronts postorder))
     [ 1; 2; 4; 16 ];
   List.rev !bad
-
-(* Larger than [arb_spd] and in minimum-degree order, so that fronts
-   have several children and the budgets below the in-core peak force
-   evictions (in natural order a random matrix's tree is nearly a chain
-   whose peak is its working set). *)
-let arb_parity =
-  let gen =
-    QCheck.Gen.map
-      (fun seed ->
-        let rng = Tt_util.Rng.create seed in
-        let n = Tt_util.Rng.int_incl rng 1 60 in
-        let a = S.Csr.symmetrize_values (S.Spgen.random_sym ~rng ~n ~nnz_per_row:2.5) in
-        let graph = Tt_ordering.Graph_adj.of_pattern (S.Csr.symmetrize_pattern a) in
-        (S.Csr.permute_sym a (Tt_ordering.Min_degree.order graph), seed))
-      (QCheck.Gen.int_bound 1_000_000)
-  in
-  QCheck.make ~print:(fun (a, seed) -> Printf.sprintf "n=%d seed=%d" a.S.Csr.nrows seed) gen
 
 let prop_columns_match_reference =
   H.qcheck ~count:40 "per-column runs equal the reference loops" arb_parity

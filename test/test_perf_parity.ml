@@ -2748,6 +2748,112 @@ let test_min_degree_alloc_bound () =
   Alcotest.(check int) "a permutation" 3000 (Array.length perm);
   if bytes >= 16e6 then
     Alcotest.failf "Min_degree.order allocated %.1f MB (bound 16 MB)" (bytes /. 1e6)
+(* --- Spgen stencils: the Triplet builders the sorted rows replaced ----- *)
+
+(* Verbatim copies of [Spgen]'s duplicate-free stencils as they were when
+   every generated matrix went through a growing [Triplet], a copy,
+   [compress] and [symmetrize_values]. *)
+module Ref_spgen = struct
+  open Tt_sparse
+
+  let finalize t =
+    let a = Csr.of_triplet t in
+    Csr.symmetrize_values a
+
+  let grid_stencil ~k ~offsets =
+    let n = k * k in
+    let t = Triplet.create ~nrows:n ~ncols:n in
+    let id x y = (x * k) + y in
+    for x = 0 to k - 1 do
+      for y = 0 to k - 1 do
+        List.iter
+          (fun (dx, dy) ->
+            let x' = x + dx and y' = y + dy in
+            if x' >= 0 && x' < k && y' >= 0 && y' < k then
+              Triplet.add t (id x y) (id x' y') (-1.))
+          offsets
+      done
+    done;
+    finalize t
+
+  let grid2d k = grid_stencil ~k ~offsets:[ (1, 0); (-1, 0); (0, 1); (0, -1) ]
+
+  let grid2d_rect kx ky =
+    let n = kx * ky in
+    let t = Triplet.create ~nrows:n ~ncols:n in
+    let id x y = (x * ky) + y in
+    for x = 0 to kx - 1 do
+      for y = 0 to ky - 1 do
+        List.iter
+          (fun (dx, dy) ->
+            let x' = x + dx and y' = y + dy in
+            if x' >= 0 && x' < kx && y' >= 0 && y' < ky then
+              Triplet.add t (id x y) (id x' y') (-1.))
+          [ (1, 0); (-1, 0); (0, 1); (0, -1) ]
+      done
+    done;
+    finalize t
+
+  let grid2d_9pt k =
+    grid_stencil ~k
+      ~offsets:
+        [ (1, 0); (-1, 0); (0, 1); (0, -1); (1, 1); (1, -1); (-1, 1); (-1, -1) ]
+
+  let grid3d k =
+    let n = k * k * k in
+    let t = Triplet.create ~nrows:n ~ncols:n in
+    let id x y z = (((x * k) + y) * k) + z in
+    let offsets = [ (1, 0, 0); (-1, 0, 0); (0, 1, 0); (0, -1, 0); (0, 0, 1); (0, 0, -1) ] in
+    for x = 0 to k - 1 do
+      for y = 0 to k - 1 do
+        for z = 0 to k - 1 do
+          List.iter
+            (fun (dx, dy, dz) ->
+              let x' = x + dx and y' = y + dy and z' = z + dz in
+              if x' >= 0 && x' < k && y' >= 0 && y' < k && z' >= 0 && z' < k then
+                Triplet.add t (id x y z) (id x' y' z') (-1.))
+            offsets
+        done
+      done
+    done;
+    finalize t
+
+  let tridiagonal n =
+    let t = Triplet.create ~nrows:n ~ncols:n in
+    for i = 1 to n - 1 do
+      Triplet.add t i (i - 1) (-1.)
+    done;
+    finalize t
+end
+
+let spgen_mismatch name a b =
+  if not (same_csr a b) then Alcotest.failf "%s: not the Triplet build, bit for bit" name
+
+(* every side the manifest accepts up to 30 (3D: 12), the negative
+   square sides that give a diagonal matrix, and long thin grids *)
+let test_spgen_stencils () =
+  let module G = Tt_sparse.Spgen in
+  for k = -3 to 30 do
+    spgen_mismatch (Printf.sprintf "grid2d %d" k) (G.grid2d k) (Ref_spgen.grid2d k);
+    spgen_mismatch (Printf.sprintf "grid9 %d" k) (G.grid2d_9pt k) (Ref_spgen.grid2d_9pt k)
+  done;
+  for k = 0 to 12 do
+    spgen_mismatch (Printf.sprintf "grid3d %d" k) (G.grid3d k) (Ref_spgen.grid3d k)
+  done;
+  for n = 0 to 300 do
+    spgen_mismatch (Printf.sprintf "tridiagonal %d" n) (G.tridiagonal n) (Ref_spgen.tridiagonal n)
+  done;
+  List.iter
+    (fun (kx, ky) ->
+      spgen_mismatch (Printf.sprintf "rect %dx%d" kx ky) (G.grid2d_rect kx ky)
+        (Ref_spgen.grid2d_rect kx ky))
+    [ (0, 0); (0, 7); (7, 0); (1, 1); (1, 40); (40, 1); (2, 3); (5, 40); (40, 5); (-2, -3) ]
+
+let prop_spgen_rect =
+  H.qcheck ~count:200 "grid2d_rect equals the Triplet build, bit for bit"
+    QCheck.(pair (int_bound 40) (int_bound 40))
+    (fun (kx, ky) -> same_csr (Tt_sparse.Spgen.grid2d_rect kx ky) (Ref_spgen.grid2d_rect kx ky))
+
 (* --- huge tier: the per-node-array code the flat arrays replaced -------- *)
 
 (* Verbatim copies of [Rng], [Postorder_opt.run], [Minmem_approx] and
@@ -3350,6 +3456,10 @@ let () =
           prop_csr_builders;
           prop_symmetrize_values;
           H.case "gen random size=3000 allocates under 16 MB" test_min_degree_alloc_bound
+        ] );
+      ( "spgen",
+        [ H.case "stencils equal the Triplet builds, bit for bit" test_spgen_stencils;
+          prop_spgen_rect
         ] );
       ( "huge",
         [ H.case "Huge families, p = 50k-200k" test_huge_families;

@@ -414,12 +414,13 @@ let test_router_misc_and_restart () =
 
 (* ------------------------------------------------------- input bounds *)
 
-(* The route-key memo holds at most [max_route_memo] entries; past the
-   cap, entries are computed unmemoized, and every key — memoized or
-   not — is still the content address of the entry's first job. *)
+(* The router's route keys come from a bounded LRU memo that holds at
+   most [max_entries] entries; past the cap it evicts, and every key,
+   kept or recomputed, is still the content address of the entry's
+   first job. *)
 let test_route_memo_bounded () =
-  let module RK = Tt_shard.Route_key in
-  let memo = RK.create () in
+  let module M = Tt_engine.Entry_memo in
+  let memo = M.create () in
   let entry i = Printf.sprintf "tree \"2 -1:%d:0 0:1:%d\" :: liu; minmem" i (i mod 7) in
   let first_job_id i =
     J.id
@@ -427,20 +428,20 @@ let test_route_memo_bounded () =
          (Tt_core.Tree.make ~parent:[| -1; 0 |] ~f:[| i; 1 |] ~n:[| 0; i mod 7 |])
          (J.Min_memory J.Liu))
   in
-  let total = RK.max_route_memo + 500 in
+  let total = M.max_entries + 500 in
   let check i =
-    match RK.find memo (entry i) with
+    match M.route_key memo (entry i) with
     | Ok key -> if key <> first_job_id i then Alcotest.failf "entry %d: wrong route key" i
     | Error e -> Alcotest.failf "entry %d: %s" i e
   in
   for i = 0 to total - 1 do
     check i
   done;
-  Alcotest.(check int) "memo capped" RK.max_route_memo (RK.length memo);
+  Alcotest.(check int) "memo capped" M.max_entries (M.length memo);
   check 0;
   check (total - 1);
   Alcotest.(check bool) "bad entry refused" true
-    (Result.is_error (RK.find memo "gen nosuch size=4 :: minmem"))
+    (Result.is_error (M.route_key memo "gen nosuch size=4 :: minmem"))
 
 (* Send [bytes] bytes with no newline, then read replies until the peer
    closes. A peer that refuses the frame closes mid-send, so a write
@@ -516,7 +517,7 @@ let test_file_source_refused () =
             | Error e -> Alcotest.failf "%s: %s" who e)
       in
       (* the router refuses it itself, before forwarding to a shard *)
-      (match Tt_shard.Route_key.find (Tt_shard.Route_key.create ()) entry with
+      (match Tt_engine.Entry_memo.route_key (Tt_engine.Entry_memo.create ()) entry with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "the router's route key accepted a file source");
       let srv = Srv.create () in
@@ -603,6 +604,46 @@ let test_domain_cap () =
       stopped := true;
       Cl.stop c)
 
+(* ---------------------------------------------------------- allocation *)
+
+(* Major-heap words per request of [requests] repeated solves of
+   [entry] through [port], counted from just before [start] to just
+   after [stop] returns, so the domains that stop joins are counted. *)
+let major_words_per_request ~requests ~entry ~start ~port ~stop =
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let x = start () in
+  C.with_connection ~port:(port x) (fun conn ->
+      for i = 1 to requests do
+        match C.solve conn entry with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "solve %d: %s" i e
+      done);
+  stop x;
+  ((Gc.quick_stat ()).Gc.major_words -. before) /. float_of_int requests
+
+(* A repeated entry is parsed twice, then answered from the entry memo,
+   and every socket read lands in a reused buffer. The bound sits far
+   below one parse of this entry per request (about 17k major-heap
+   words) or one fresh 64 KB read buffer per request (8k words). *)
+let test_major_words_per_request () =
+  let entry = "gen grid2d size=16 :: minmem; postorder" in
+  let requests = 300 and bound = 4_000. in
+  let check who words =
+    if words > bound then
+      Alcotest.failf "%s: %.0f major-heap words per request (bound %.0f)" who words bound
+  in
+  check "server"
+    (major_words_per_request ~requests ~entry
+       ~start:(fun () ->
+         let srv = Srv.create () in
+         Srv.start srv;
+         srv)
+       ~port:Srv.port ~stop:Srv.shutdown);
+  check "3-shard cluster"
+    (major_words_per_request ~requests ~entry
+       ~start:(fun () -> Cl.start ~shards:3 ~workers:1 ())
+       ~port:Cl.router_port ~stop:Cl.stop)
+
 let () =
   H.run "tt_shard"
     [ ( "ring",
@@ -629,5 +670,7 @@ let () =
           H.case "2 MiB frame cap on server and router" test_frame_cap;
           H.case "domain cap refuses, then recovers" test_domain_cap;
           H.case "file sources refused by server and router" test_file_source_refused
-        ] )
+        ] );
+      ( "allocation",
+        [ H.case "major-heap words per repeated request" test_major_words_per_request ] )
     ]
