@@ -7,17 +7,12 @@ let default_read_timeout_s = 30.
 
 type t = {
   fd : Unix.file_descr;
-  mutable rbuf : string;  (* bytes read but not yet consumed as lines *)
+  reader : Line_reader.t;
+  replies : string Queue.t;  (* framed but not yet returned by [recv] *)
   mutable next_id : int;
   read_timeout_s : float;
   mutable is_closed : bool;
 }
-
-let resolve host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (
-    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    with Not_found -> failwith ("cannot resolve host " ^ host))
 
 (* Bounded connect: non-blocking [connect], wait for writability, then
    read the socket error back. A dead-but-routable endpoint otherwise
@@ -55,7 +50,7 @@ let connect ?(host = "127.0.0.1") ?(read_timeout_s = default_read_timeout_s)
   | _ -> ());
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
-     let addr = Unix.ADDR_INET (resolve host, port) in
+     let addr = Unix.ADDR_INET (Reactor.resolve host, port) in
      match connect_timeout_s with
      | None -> Unix.connect fd addr
      | Some s -> connect_bounded fd addr s
@@ -66,7 +61,13 @@ let connect ?(host = "127.0.0.1") ?(read_timeout_s = default_read_timeout_s)
      proxy): Nagle batching against delayed ACKs adds tens of
      milliseconds per hop to every newline-framed exchange. *)
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-  { fd; rbuf = ""; next_id = 0; read_timeout_s; is_closed = false }
+  { fd;
+    reader = Line_reader.create ~limit:max_int;
+    replies = Queue.create ();
+    next_id = 0;
+    read_timeout_s;
+    is_closed = false
+  }
 
 let fd t = t.fd
 
@@ -100,19 +101,16 @@ let send t req =
    is enough. *)
 let read_buf = Domain.DLS.new_key (fun () -> Bytes.create 65536)
 
-(* Pull the first '\n'-terminated line out of [rbuf], reading more from
-   the socket (bounded by the read deadline) as needed. Every failure
-   mode — EOF, timeout, ECONNRESET and friends — comes back as [Error],
-   never as an exception. *)
+(* The next reply line, reading more from the socket (bounded by the
+   read deadline) as needed. Every failure mode — EOF, timeout,
+   ECONNRESET and friends — comes back as [Error], never as an
+   exception. *)
 let recv t =
   let deadline = Unix.gettimeofday () +. t.read_timeout_s in
   let buf = Domain.DLS.get read_buf in
   let rec line () =
-    match String.index_opt t.rbuf '\n' with
-    | Some i ->
-        let raw = String.sub t.rbuf 0 i in
-        t.rbuf <- String.sub t.rbuf (i + 1) (String.length t.rbuf - i - 1);
-        P.decode_response raw
+    match Queue.take_opt t.replies with
+    | Some raw -> P.decode_response raw
     | None -> fill ()
   and fill () =
     let remaining = deadline -. Unix.gettimeofday () in
@@ -132,17 +130,9 @@ let recv t =
           match Unix.read t.fd buf 0 (Bytes.length buf) with
           | 0 -> Error "connection closed by server"
           | n -> (
-              let i = P.newline_index buf 0 n in
-              if t.rbuf = "" && i < n then begin
-                (* the common case, a whole reply in one read: copy the
-                   line and the rest out of [buf] once each *)
-                t.rbuf <- (if i + 1 = n then "" else Bytes.sub_string buf (i + 1) (n - i - 1));
-                P.decode_response (Bytes.sub_string buf 0 i)
-              end
-              else begin
-                t.rbuf <- t.rbuf ^ Bytes.sub_string buf 0 n;
-                line ()
-              end)
+              (* replies are unbounded: the reader's limit is [max_int] *)
+              match Line_reader.feed t.reader buf n (fun l -> Queue.push l t.replies) with
+              | Ok () | Error Line_reader.Too_long -> line ())
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill ()
           | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
           | exception Sys_error e -> Error e)

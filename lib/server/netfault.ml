@@ -152,21 +152,17 @@ type pair = {
   ufd : Unix.file_descr;  (* upstream side *)
   up : dir_state;
   down : dir_state;
+  mutable dropped : bool;  (* closed at the next tick *)
 }
 
 type t = {
   faults : faults;
   upstream_host : string;
   upstream_port : int;
-  listen_fd : Unix.file_descr;
-  bound_port : int;
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  stop : bool Atomic.t;
+  reactor : Reactor.t;
   mu : Mutex.t;
-  cond : Condition.t;
   mutable gate_state : gate;
-  mutable pairs : pair list;
+  pairs : (Unix.file_descr, pair) Hashtbl.t;  (* both ends; the proxy domain's *)
   mutable next_cid : int;
   mutable s_connections : int;
   mutable s_drops : int;
@@ -175,52 +171,21 @@ type t = {
   mutable s_splits : int;
   mutable s_bytes : int;
   mutable s_severed : int;
-  mutable running : bool;
-  mutable stopped : bool;
-  mutable runner : unit Domain.t option;
 }
 
 let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-let resolve host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (
-    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    with Not_found -> failwith ("cannot resolve host " ^ host))
-
 let create ?(faults = none) ?(host = "127.0.0.1") ?(port = 0)
     ?(upstream_host = "127.0.0.1") ~upstream_port () =
-  if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-  (try
-     Unix.bind listen_fd (Unix.ADDR_INET (resolve host, port));
-     Unix.listen listen_fd 64
-   with e ->
-     Unix.close listen_fd;
-     raise e);
-  let bound_port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> port
-  in
-  let wake_r, wake_w = Unix.pipe () in
-  Unix.set_nonblock wake_r;
-  Unix.set_nonblock wake_w;
   { faults;
     upstream_host;
     upstream_port;
-    listen_fd;
-    bound_port;
-    wake_r;
-    wake_w;
-    stop = Atomic.make false;
+    reactor = Reactor.create ~host ~port;
     mu = Mutex.create ();
-    cond = Condition.create ();
     gate_state = Gate_open;
-    pairs = [];
+    pairs = Hashtbl.create 16;
     next_cid = 0;
     s_connections = 0;
     s_drops = 0;
@@ -228,13 +193,10 @@ let create ?(faults = none) ?(host = "127.0.0.1") ?(port = 0)
     s_stalls = 0;
     s_splits = 0;
     s_bytes = 0;
-    s_severed = 0;
-    running = false;
-    stopped = false;
-    runner = None
+    s_severed = 0
   }
 
-let port t = t.bound_port
+let port t = Reactor.port t.reactor
 
 let stats t =
   locked t (fun () ->
@@ -247,18 +209,14 @@ let stats t =
         severed = t.s_severed
       })
 
-let wake t =
-  try ignore (Unix.write_substring t.wake_w "x" 0 1)
-  with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EBADF), _, _) -> ()
-
 let gate t = locked t (fun () -> t.gate_state)
 
-(* Takes effect at the proxy loop's next tick ({!wake} makes that
-   immediate): fd lifecycle stays on the proxy domain, so a concurrent
+(* Takes effect at the proxy loop's next tick (the reactor's wake makes
+   that immediate): fd lifecycle stays on the proxy domain, so a concurrent
    [set_gate] can never close an fd the loop is selecting on. *)
 let set_gate t g =
   locked t (fun () -> t.gate_state <- g);
-  wake t
+  Reactor.wake t.reactor
 
 (* Blocking write of a slice; Unix_error means the peer is gone. *)
 let write_all fd b pos len =
@@ -347,147 +305,77 @@ let forward t pair ~dir data len =
   go 0
 
 let close_pair t pair =
-  (try Unix.close pair.cfd with Unix.Unix_error _ -> ());
-  (try Unix.close pair.ufd with Unix.Unix_error _ -> ());
-  locked t (fun () ->
-      t.pairs <- List.filter (fun p -> p.cid <> pair.cid) t.pairs)
+  List.iter
+    (fun fd ->
+      Hashtbl.remove t.pairs fd;
+      try Unix.close fd with Unix.Unix_error _ -> ())
+    [ pair.cfd; pair.ufd ]
 
-let accept_one t =
-  match Unix.accept t.listen_fd with
-  | exception Unix.Unix_error _ -> ()
-  | cfd, _ when gate t = Gate_severed ->
-      (* Partitioned: the client's connect completes (the listener's
-         backlog accepted it) but the conversation dies instantly —
-         its first read sees EOF, which is what a transport-level
-         partition looks like to the breaker. *)
-      (try Unix.close cfd with Unix.Unix_error _ -> ());
-      locked t (fun () -> t.s_severed <- t.s_severed + 1)
-  | cfd, _ -> (
-      let ufd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      match
-        Unix.connect ufd
-          (Unix.ADDR_INET (resolve t.upstream_host, t.upstream_port))
-      with
-      | () ->
-          (try
-             Unix.setsockopt cfd Unix.TCP_NODELAY true;
-             Unix.setsockopt ufd Unix.TCP_NODELAY true
-           with Unix.Unix_error _ -> ());
-          let pair =
-            { cid = t.next_cid;
-              cfd;
-              ufd;
-              up = { off = 0; decided = 0 };
-              down = { off = 0; decided = 0 }
-            }
-          in
-          t.next_cid <- t.next_cid + 1;
-          locked t (fun () ->
-              t.pairs <- pair :: t.pairs;
-              t.s_connections <- t.s_connections + 1)
-      | exception Unix.Unix_error _ ->
-          (* Upstream unreachable: the client sees an immediate drop. *)
-          (try Unix.close ufd with Unix.Unix_error _ -> ());
-          (try Unix.close cfd with Unix.Unix_error _ -> ()))
+(* The start of each proxy turn. Apply the gate before building the
+   select set. Severed: cut every live pair now (both directions at
+   once — a symmetric partition) and stop servicing data. Stalled: keep
+   pairs alive but stop selecting on them, so in-flight bytes park in
+   kernel buffers and flow again the moment the gate reopens. Pairs a
+   fault dropped close here too, and every pair once the proxy stops. *)
+let tick t () =
+  let stopping = Reactor.stopping t.reactor and g = gate t in
+  let cut = stopping || g = Gate_severed in
+  Hashtbl.fold
+    (fun fd p doomed -> if fd = p.cfd && (cut || p.dropped) then p :: doomed else doomed)
+    t.pairs []
+  |> List.iter (fun p ->
+         if not (p.dropped || stopping) then
+           locked t (fun () -> t.s_severed <- t.s_severed + 1);
+         close_pair t p);
+  if stopping then None
+  else if g = Gate_open then Some (Hashtbl.fold (fun fd _ fds -> fd :: fds) t.pairs [], [])
+  else Some ([], [])
 
-let drain_wake_pipe t =
-  let buf = Bytes.create 256 in
-  let rec go () =
-    match Unix.read t.wake_r buf 0 256 with
-    | 256 -> go ()
-    | _ -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  in
-  go ()
+let accept t cfd =
+  if gate t = Gate_severed then begin
+    (* Partitioned: the client's connect completes (the listener's
+       backlog accepted it) but the conversation dies instantly — its
+       first read sees EOF, which is what a transport-level partition
+       looks like to the breaker. *)
+    (try Unix.close cfd with Unix.Unix_error _ -> ());
+    locked t (fun () -> t.s_severed <- t.s_severed + 1)
+  end
+  else
+    let ufd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    match
+      Unix.connect ufd (Unix.ADDR_INET (Reactor.resolve t.upstream_host, t.upstream_port))
+    with
+    | () ->
+        (try Unix.setsockopt ufd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+        let pair =
+          { cid = t.next_cid;
+            cfd;
+            ufd;
+            up = { off = 0; decided = 0 };
+            down = { off = 0; decided = 0 };
+            dropped = false
+          }
+        in
+        t.next_cid <- t.next_cid + 1;
+        Hashtbl.replace t.pairs cfd pair;
+        Hashtbl.replace t.pairs ufd pair;
+        locked t (fun () -> t.s_connections <- t.s_connections + 1)
+    | exception Unix.Unix_error _ ->
+        (* Upstream unreachable: the client sees an immediate drop. *)
+        (try Unix.close ufd with Unix.Unix_error _ -> ());
+        (try Unix.close cfd with Unix.Unix_error _ -> ())
 
-(* Reads into [buf], the proxy loop's one read buffer, which [forward]
-   has written out before the next read. *)
-let read_chunk fd buf =
-  match Unix.read fd buf 0 (Bytes.length buf) with
-  | 0 -> None
-  | n -> Some n
-  | exception Unix.Unix_error _ -> None
+(* [data] is the reactor's read buffer, which [forward] has written out
+   before the next read. *)
+let read t fd data n =
+  match Hashtbl.find_opt t.pairs fd with
+  | Some p when not p.dropped ->
+      let dir = if fd = p.cfd then `Up else `Down in
+      if n = 0 || not (forward t p ~dir data n) then p.dropped <- true
+  | _ -> ()
 
-let run t =
-  locked t (fun () ->
-      if t.running || t.stopped then invalid_arg "Netfault.run: already used";
-      t.running <- true);
-  let buf = Bytes.create 65536 in
-  while not (Atomic.get t.stop) do
-    (* Apply the gate on the proxy domain, before building the select
-       set. Severed: cut every live pair now (both directions at once —
-       a symmetric partition) and stop servicing data. Stalled: keep
-       pairs alive but stop selecting on them, so in-flight bytes park
-       in kernel buffers and flow again the moment the gate reopens. *)
-    let g = gate t in
-    if g = Gate_severed then begin
-      let doomed = locked t (fun () -> t.pairs) in
-      List.iter
-        (fun p ->
-          close_pair t p;
-          locked t (fun () -> t.s_severed <- t.s_severed + 1))
-        doomed
-    end;
-    let pairs = locked t (fun () -> t.pairs) in
-    let read_fds =
-      match g with
-      | Gate_open ->
-          t.wake_r :: t.listen_fd
-          :: List.concat_map (fun p -> [ p.cfd; p.ufd ]) pairs
-      | Gate_stalled | Gate_severed -> [ t.wake_r; t.listen_fd ]
-    in
-    match Unix.select read_fds [] [] 0.5 with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | ready, _, _ ->
-        List.iter
-          (fun fd ->
-            if Atomic.get t.stop then ()
-            else if fd = t.wake_r then drain_wake_pipe t
-            else if fd = t.listen_fd then accept_one t
-            else
-              match
-                List.find_opt (fun p -> p.cfd = fd || p.ufd = fd) pairs
-              with
-              | None -> ()
-              | Some p -> (
-                  let dir = if fd = p.cfd then `Up else `Down in
-                  match read_chunk fd buf with
-                  | None -> close_pair t p
-                  | Some n -> if not (forward t p ~dir buf n) then close_pair t p))
-          ready
-  done;
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  List.iter (fun p -> close_pair t p) (locked t (fun () -> t.pairs));
-  (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-  (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
-  locked t (fun () ->
-      t.stopped <- true;
-      Condition.broadcast t.cond)
-
-let start t =
-  let d = Domain.spawn (fun () -> run t) in
-  locked t (fun () -> t.runner <- Some d)
-
-let request_stop t =
-  Atomic.set t.stop true;
-  wake t
-
-let shutdown t =
-  Atomic.set t.stop true;
-  wake t;
-  let joinable =
-    locked t (fun () ->
-        if t.running || t.runner <> None then begin
-          while not t.stopped do
-            Condition.wait t.cond t.mu
-          done;
-          let d = t.runner in
-          t.runner <- None;
-          d
-        end
-        else begin
-          t.stopped <- true;
-          None
-        end)
-  in
-  Option.iter Domain.join joinable
+let handler t = { Reactor.tick = tick t; accept = accept t; read = read t; write = ignore }
+let run t = Reactor.run t.reactor (handler t)
+let start t = Reactor.start t.reactor (handler t)
+let request_stop t = Reactor.request_stop t.reactor
+let shutdown t = Reactor.shutdown t.reactor

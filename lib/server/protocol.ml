@@ -4,10 +4,6 @@ module Job = Tt_engine.Job
 let version = 1
 let max_frame_bytes = 1 lsl 20
 
-let rec newline_index buf start stop =
-  if start >= stop || Bytes.unsafe_get buf start = '\n' then start
-  else newline_index buf (start + 1) stop
-
 (* ------------------------------------------------------------- errors *)
 
 type error_code =

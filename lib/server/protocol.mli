@@ -48,12 +48,6 @@ val version : int
 val max_frame_bytes : int
 (** Upper bound on one frame's length, terminator excluded (1 MiB). *)
 
-val newline_index : Bytes.t -> int -> int -> int
-(** [newline_index buf start stop] is the position of the first ['\n']
-    in [buf] at or after [start] and before [stop], or [stop]: a read
-    loop that reuses [buf] frames lines without scanning past the bytes
-    it just read. *)
-
 (* ------------------------------------------------------------- errors *)
 
 type error_code =

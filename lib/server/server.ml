@@ -34,7 +34,7 @@ let default_config =
     batch_headroom = 0.75
   }
 
-(* One accepted connection. The I/O domain owns the read side ([pending]
+(* One accepted connection. The I/O domain owns the read side ([reader]
    is only touched there); replies may come from any domain and are
    serialized by [wmu], which also guards the write buffer
    ([outq]/[out_off]/[out_len]). The socket is non-blocking: writers
@@ -54,7 +54,7 @@ type conn = {
   outq : string Queue.t;
   mutable out_off : int;  (* bytes of [Queue.peek outq] already written *)
   mutable out_len : int;  (* total unwritten bytes across [outq] *)
-  mutable pending : string;
+  reader : Line_reader.t;
   mutable inflight : int;
   mutable eof : bool;
   mutable dead : bool;
@@ -109,48 +109,17 @@ type t = {
   admitted : int Atomic.t;  (* queued + executing, not yet replied *)
   mutable ema_service_s : float option;  (* guarded by [mu] *)
   admit_seq : int Atomic.t;
-  listen_fd : Unix.file_descr;
-  bound_port : int;
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
-  stop : bool Atomic.t;
+  reactor : Reactor.t;
   started : float;
   mu : Mutex.t;
-  cond : Condition.t;
-  slots : slot array;
+  slots : slot array;  (* a slot with no domain yet is staffed by [supervise] *)
   mutable zombies : unit Domain.t list;  (* retired wedged workers *)
-  mutable conns : conn list;
-  mutable running : bool;
-  mutable stopped : bool;
-  mutable runner : unit Domain.t option;  (* set by [start] *)
+  conns : (Unix.file_descr, conn) Hashtbl.t;  (* the I/O domain's *)
 }
-
-let resolve host =
-  try Unix.inet_addr_of_string host
-  with Failure _ -> (
-    try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-    with Not_found -> failwith ("cannot resolve host " ^ host))
 
 let create ?(config = default_config) ?cache ?(retry = Tt_engine.Retry.none)
     ?telemetry ?job_timeout () =
-  if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-  let addr = Unix.ADDR_INET (resolve config.host, config.port) in
-  (try
-     Unix.bind listen_fd addr;
-     Unix.listen listen_fd 64
-   with e ->
-     Unix.close listen_fd;
-     raise e);
-  let bound_port =
-    match Unix.getsockname listen_fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> config.port
-  in
-  let wake_r, wake_w = Unix.pipe () in
-  Unix.set_nonblock wake_r;
-  Unix.set_nonblock wake_w;
+  let reactor = Reactor.create ~host:config.host ~port:config.port in
   let config = { config with workers = max 1 config.workers } in
   { config;
     cache = (match cache with Some c -> c | None -> Tt_engine.Cache.create ());
@@ -172,38 +141,25 @@ let create ?(config = default_config) ?cache ?(retry = Tt_engine.Retry.none)
     admitted = Atomic.make 0;
     ema_service_s = None;
     admit_seq = Atomic.make 0;
-    listen_fd;
-    bound_port;
-    wake_r;
-    wake_w;
-    stop = Atomic.make false;
+    reactor;
     started = Unix.gettimeofday ();
     mu = Mutex.create ();
-    cond = Condition.create ();
     slots = Array.init config.workers (fun _ -> fresh_slot ());
     zombies = [];
-    conns = [];
-    running = false;
-    stopped = false;
-    runner = None
+    conns = Hashtbl.create 64
   }
 
-let port t = t.bound_port
+let port t = Reactor.port t.reactor
 let metrics t = t.metrics
 
 let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-let stopped t = locked t (fun () -> t.stopped)
-
-let wake t =
-  try ignore (Unix.write_substring t.wake_w "x" 0 1)
-  with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EBADF), _, _) -> ()
-
-let request_shutdown t =
-  Atomic.set t.stop true;
-  wake t
+let stopped t = Reactor.stopped t.reactor
+let wake t = Reactor.wake t.reactor
+let request_shutdown t = Reactor.request_stop t.reactor
+let draining t = Reactor.stopping t.reactor
 
 let stats_json t =
   let astats = Admission.stats t.queue in
@@ -220,7 +176,7 @@ let stats_json t =
             ("queue_capacity", Json.Int (Admission.capacity t.queue));
             ("queue_depth", Json.Int (Admission.length t.queue));
             ("admission_limit", Json.Int (Overload.Limiter.limit t.limiter));
-            ("draining", Json.Bool (Atomic.get t.stop));
+            ("draining", Json.Bool (draining t));
             ("uptime_s", Json.Float (Unix.gettimeofday () -. t.started))
           ] );
       ( "admission",
@@ -244,7 +200,7 @@ let stats_json t =
 let health_json t =
   Json.Obj
     [ ("role", Json.String "server");
-      ("draining", Json.Bool (Atomic.get t.stop));
+      ("draining", Json.Bool (draining t));
       ("queue_depth", Json.Int (Admission.length t.queue));
       ("uptime_s", Json.Float (Unix.gettimeofday () -. t.started))
     ]
@@ -436,24 +392,29 @@ let worker_body t slot =
       Atomic.set slot.crashed true;
       wake t
 
-(* Called from the I/O loop each tick: respawn crashed workers, retire
-   wedged ones. A {e wedged} worker is one whose current request blew
-   through its deadline plus [wedge_grace_s] without replying — the
-   supervisor answers [Internal] on its behalf (the CAS suppresses the
-   worker's own reply if it ever finishes), abandons the old domain to
-   the zombie list, and staffs a fresh slot so capacity is restored.
-   Respawning keeps running during drain: queued work still needs
-   workers to drain it. *)
+(* Called from the I/O loop each tick: staff empty slots, respawn
+   crashed workers, retire wedged ones. A {e wedged} worker is one
+   whose current request blew through its deadline plus
+   [wedge_grace_s] without replying — the supervisor answers [Internal]
+   on its behalf (the CAS suppresses the worker's own reply if it ever
+   finishes), abandons the old domain to the zombie list, and staffs a
+   fresh slot so capacity is restored. Respawning keeps running during
+   drain: queued work still needs workers to drain it. *)
 let supervise t =
   let now = Unix.gettimeofday () in
+  let replace i =
+    let fresh = fresh_slot () in
+    t.slots.(i) <- fresh;
+    fresh.dom <- Some (Domain.spawn (fun () -> worker_body t fresh));
+    Metrics.worker_restart t.metrics
+  in
   Array.iteri
     (fun i slot ->
-      if Atomic.get slot.crashed then begin
+      if Option.is_none slot.dom then
+        slot.dom <- Some (Domain.spawn (fun () -> worker_body t slot))
+      else if Atomic.get slot.crashed then begin
         Option.iter Domain.join slot.dom;
-        let fresh = fresh_slot () in
-        t.slots.(i) <- fresh;
-        fresh.dom <- Some (Domain.spawn (fun () -> worker_body t fresh));
-        Metrics.worker_restart t.metrics
+        replace i
       end
       else
         match Atomic.get slot.current with
@@ -464,13 +425,8 @@ let supervise t =
               (P.Refused
                  { code = P.Internal; msg = "worker wedged; replaced" });
             Atomic.set slot.abandon true;
-            (match slot.dom with
-            | Some d -> t.zombies <- d :: t.zombies
-            | None -> ());
-            let fresh = fresh_slot () in
-            t.slots.(i) <- fresh;
-            fresh.dom <- Some (Domain.spawn (fun () -> worker_body t fresh));
-            Metrics.worker_restart t.metrics
+            Option.iter (fun d -> t.zombies <- d :: t.zombies) slot.dom;
+            replace i
         | _ -> ())
     t.slots
 
@@ -482,7 +438,7 @@ let handle_solve t conn ~id ~entry ~timeout_s ~idem ~priority ~received =
       ~latency_s:(Unix.gettimeofday () -. received);
     reply t conn (Some id) (P.Refused { code; msg })
   in
-  if Atomic.get t.stop then refuse P.Shutting_down "server is draining"
+  if draining t then refuse P.Shutting_down "server is draining"
   else
     (* Idempotent replay: a retry of an already-completed solve is
        answered from the cache — no admission, no execution. *)
@@ -600,12 +556,7 @@ let handle_solve t conn ~id ~entry ~timeout_s ~idem ~priority ~received =
                 end))
 
 let handle_line t conn line =
-  let line =
-    let n = String.length line in
-    if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
-  in
-  if line = "" then ()
-  else begin
+  if line <> "" then begin
     let received = Unix.gettimeofday () in
     match P.decode_request line with
     | Error (id, code, msg) -> reply t conn id (P.Refused { code; msg })
@@ -633,53 +584,17 @@ let handle_line t conn line =
         handle_solve t conn ~id ~entry ~timeout_s ~idem ~priority ~received
   end
 
-(* Frames the [len] bytes just read into [buf]: each complete line is
-   handled, and a partial tail waits in [pending] for the next read.
-   Lines are copied out of [buf] once, so the I/O loop can reuse it. *)
+(* Frames the [len] bytes just read into [buf], the I/O loop's one read
+   buffer: each complete line is handled, a partial tail waits in the
+   connection's reader. *)
 let feed t conn buf len =
-  let rec go start =
-    let i = P.newline_index buf start len in
-    if i < len then begin
-      let piece = Bytes.sub_string buf start (i - start) in
-      let line = if conn.pending = "" then piece else conn.pending ^ piece in
-      conn.pending <- "";
-      handle_line t conn line;
-      go (i + 1)
-    end
-    else if start < len then begin
-      conn.pending <- conn.pending ^ Bytes.sub_string buf start (len - start);
-      if String.length conn.pending > P.max_frame_bytes then begin
-        reply t conn None
-          (P.Refused { code = P.Bad_frame; msg = "frame exceeds 1 MiB" });
-        conn.eof <- true
-      end
-    end
-  in
-  go 0
+  match Line_reader.feed conn.reader buf len (handle_line t conn) with
+  | Ok () -> ()
+  | Error Line_reader.Too_long ->
+      reply t conn None (P.Refused { code = P.Bad_frame; msg = "frame exceeds 1 MiB" });
+      conn.eof <- true
 
 (* ---------------------------------------------------------- I/O loop *)
-
-let drain_wake_pipe t =
-  let buf = Bytes.create 256 in
-  let rec go () =
-    match Unix.read t.wake_r buf 0 256 with
-    | 256 -> go ()
-    | _ -> ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  in
-  go ()
-
-(* Reads into [buf], the I/O loop's one read buffer (at 64 KB a fresh
-   one per read went straight to the major heap). [None] = EOF or a dead
-   socket; [Some 0] = spurious wakeup on a non-blocking fd (not EOF!). *)
-let read_chunk fd buf =
-  match Unix.read fd buf 0 (Bytes.length buf) with
-  | 0 -> None
-  | n -> Some n
-  | exception
-      Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-      Some 0
-  | exception Unix.Unix_error _ -> None
 
 let conn_out_pending c =
   Mutex.lock c.wmu;
@@ -687,163 +602,91 @@ let conn_out_pending c =
   Mutex.unlock c.wmu;
   n
 
-let run t =
-  locked t (fun () ->
-      if t.running || t.stopped then invalid_arg "Server.run: already used";
-      t.running <- true);
-  Array.iter
-    (fun slot -> slot.dom <- Some (Domain.spawn (fun () -> worker_body t slot)))
-    t.slots;
-  let listen_open = ref true in
-  let finished = ref false in
-  let rbuf = Bytes.create 65536 in
-  while not !finished do
-    let draining = Atomic.get t.stop in
-    if draining && !listen_open then begin
-      Unix.close t.listen_fd;
-      listen_open := false
-    end;
-    supervise t;
-    (* Evict connections idle past the timeout (nothing in flight,
-       nothing buffered, no bytes either way for idle_timeout_s), then
-       reap connections that are done: dead, or read side closed with
-       no admitted request still owed a reply and no unflushed output.
-       While draining, idle connections are done by definition. *)
-    let now = Unix.gettimeofday () in
-    let reapable, live =
-      locked t (fun () ->
-          if t.config.idle_timeout_s > 0. then
-            List.iter
-              (fun c ->
-                if
-                  (not c.dead) && (not c.eof) && c.inflight = 0
-                  && conn_out_pending c = 0
-                  && now -. c.last_active > t.config.idle_timeout_s
-                then begin
-                  c.dead <- true;
-                  Metrics.idle_eviction t.metrics
-                end)
-              t.conns;
-          let r, l =
-            List.partition
-              (fun c ->
-                c.inflight = 0
-                && (c.dead || ((c.eof || draining) && conn_out_pending c = 0)))
-              t.conns
-          in
-          t.conns <- l;
-          (r, l))
-    in
-    List.iter
-      (fun c ->
-        (try Unix.close c.fd with Unix.Unix_error _ -> ());
-        Metrics.connection_closed t.metrics)
-      reapable;
-    let inflight_total =
-      locked t (fun () -> List.fold_left (fun a c -> a + c.inflight) 0 t.conns)
-    in
-    if draining && live = [] && inflight_total = 0 && Admission.length t.queue = 0
-    then begin
-      (* Queue closed only now: everything admitted has been replied
-         to, so workers drain their Nones and exit. Zombies (retired
-         wedged workers) already had their requests answered; joining
-         them just waits out their bounded sleeps. *)
-      Admission.close t.queue;
-      Array.iter (fun slot -> Option.iter Domain.join slot.dom) t.slots;
-      List.iter Domain.join (locked t (fun () -> t.zombies));
-      finished := true
-    end
-    else begin
-      let read_fds =
-        (t.wake_r :: (if !listen_open then [ t.listen_fd ] else []))
-        @ List.filter_map
-            (fun c -> if c.eof || c.dead then None else Some c.fd)
-            live
-      in
-      let write_fds =
-        List.filter_map
-          (fun c -> if conn_out_pending c > 0 then Some c.fd else None)
-          live
-      in
-      match Unix.select read_fds write_fds [] 0.5 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | ready_r, ready_w, _ ->
-          List.iter
-            (fun fd ->
-              match List.find_opt (fun c -> c.fd = fd) live with
-              | None -> ()
-              | Some c ->
-                  Mutex.lock c.wmu;
-                  try_flush_locked c;
-                  Mutex.unlock c.wmu)
-            ready_w;
-          List.iter
-            (fun fd ->
-              if fd = t.wake_r then drain_wake_pipe t
-              else if !listen_open && fd = t.listen_fd then begin
-                match Unix.accept t.listen_fd with
-                | exception Unix.Unix_error _ -> ()
-                | cfd, _ ->
-                    Unix.set_nonblock cfd;
-                    (try Unix.setsockopt cfd Unix.TCP_NODELAY true
-                     with Unix.Unix_error _ -> ());
-                    let c =
-                      { fd = cfd;
-                        wmu = Mutex.create ();
-                        outq = Queue.create ();
-                        out_off = 0;
-                        out_len = 0;
-                        pending = "";
-                        inflight = 0;
-                        eof = false;
-                        dead = false;
-                        last_active = Unix.gettimeofday ()
-                      }
-                    in
-                    locked t (fun () -> t.conns <- c :: t.conns);
-                    Metrics.connection_opened t.metrics
-              end
-              else
-                match List.find_opt (fun c -> c.fd = fd) live with
-                | None -> ()
-                | Some c when c.eof || c.dead -> ()
-                | Some c -> (
-                    match read_chunk fd rbuf with
-                    | None -> c.eof <- true
-                    | Some 0 -> ()
-                    | Some n ->
-                        c.last_active <- Unix.gettimeofday ();
-                        feed t c rbuf n))
-            ready_r
-    end
-  done;
-  (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-  (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
-  locked t (fun () ->
-      t.stopped <- true;
-      Condition.broadcast t.cond)
-
-let start t =
-  (* The listener is already bound and accepting (backlog) since
-     [create]; the background domain just runs the loop. *)
-  let d = Domain.spawn (fun () -> run t) in
-  locked t (fun () -> t.runner <- Some d)
-
-let shutdown t =
-  request_shutdown t;
-  let joinable =
+(* The start of each reactor turn: supervise the workers, evict
+   connections idle past the timeout (nothing in flight, nothing
+   buffered, no bytes either way for idle_timeout_s), then reap
+   connections that are done: dead, or read side closed with no
+   admitted request still owed a reply and no unflushed output. While
+   draining, idle connections are done by definition, and the loop ends
+   once none is left. *)
+let tick t () =
+  let draining = draining t in
+  supervise t;
+  let now = Unix.gettimeofday () in
+  let reapable, reads, writes =
     locked t (fun () ->
-        if t.running || t.runner <> None then begin
-          while not t.stopped do
-            Condition.wait t.cond t.mu
-          done;
-          let d = t.runner in
-          t.runner <- None;
-          d
-        end
-        else begin
-          t.stopped <- true;
-          None
-        end)
+        Hashtbl.fold
+          (fun fd c (reap, reads, writes) ->
+            let pending = conn_out_pending c in
+            if
+              t.config.idle_timeout_s > 0. && (not c.dead) && (not c.eof)
+              && c.inflight = 0 && pending = 0
+              && now -. c.last_active > t.config.idle_timeout_s
+            then begin
+              c.dead <- true;
+              Metrics.idle_eviction t.metrics
+            end;
+            if c.inflight = 0 && (c.dead || ((c.eof || draining) && pending = 0)) then
+              (c :: reap, reads, writes)
+            else
+              ( reap,
+                (if c.eof || c.dead then reads else fd :: reads),
+                if pending > 0 then fd :: writes else writes ))
+          t.conns ([], [], []))
   in
-  Option.iter Domain.join joinable
+  List.iter
+    (fun c ->
+      Hashtbl.remove t.conns c.fd;
+      (try Unix.close c.fd with Unix.Unix_error _ -> ());
+      Metrics.connection_closed t.metrics)
+    reapable;
+  if draining && Hashtbl.length t.conns = 0 && Admission.length t.queue = 0 then begin
+    (* Queue closed only now: everything admitted has been replied
+       to, so workers drain their Nones and exit. Zombies (retired
+       wedged workers) already had their requests answered; joining
+       them just waits out their bounded sleeps. *)
+    Admission.close t.queue;
+    Array.iter (fun slot -> Option.iter Domain.join slot.dom) t.slots;
+    List.iter Domain.join (locked t (fun () -> t.zombies));
+    None
+  end
+  else Some (reads, writes)
+
+let accept t fd =
+  Unix.set_nonblock fd;
+  Hashtbl.replace t.conns fd
+    { fd;
+      wmu = Mutex.create ();
+      outq = Queue.create ();
+      out_off = 0;
+      out_len = 0;
+      reader = Line_reader.create ~limit:P.max_frame_bytes;
+      inflight = 0;
+      eof = false;
+      dead = false;
+      last_active = Unix.gettimeofday ()
+    };
+  Metrics.connection_opened t.metrics
+
+let read t fd buf n =
+  match Hashtbl.find_opt t.conns fd with
+  | Some c when not (c.eof || c.dead) ->
+      if n = 0 then c.eof <- true
+      else begin
+        c.last_active <- Unix.gettimeofday ();
+        feed t c buf n
+      end
+  | _ -> ()
+
+let write t fd =
+  Option.iter
+    (fun c ->
+      Mutex.lock c.wmu;
+      try_flush_locked c;
+      Mutex.unlock c.wmu)
+    (Hashtbl.find_opt t.conns fd)
+
+let handler t = { Reactor.tick = tick t; accept = accept t; read = read t; write = write t }
+let run t = Reactor.run t.reactor (handler t)
+let start t = Reactor.start t.reactor (handler t)
+let shutdown t = Reactor.shutdown t.reactor

@@ -4,12 +4,12 @@
     Architecture (stdlib [Unix] only — no Lwt/Eio):
 
     - one {e I/O domain} (the caller of {!run}) owns the listening
-      socket and every connection's read side, multiplexed with
-      [Unix.select]; it parses frames, answers [ping]/[stats]
-      instantly, and admits [solve] work into a bounded
-      {!Admission} queue — or rejects it with [overloaded] when the
-      queue (or the per-connection in-flight cap) is full, so offered
-      load can never grow the resident set;
+      socket and every connection's read side, multiplexed by a
+      {!Reactor}; it frames ({!Line_reader}) and parses requests,
+      answers [ping]/[stats] instantly, and admits [solve] work into a
+      bounded {!Admission} queue — or rejects it with [overloaded] when
+      the queue (or the per-connection in-flight cap) is full, so
+      offered load can never grow the resident set;
     - [workers] {e worker domains} pop admitted requests and run their
       jobs through a per-request {!Tt_engine.Executor} sharing one
       {!Tt_engine.Cache} / {!Tt_engine.Retry} stack, under a

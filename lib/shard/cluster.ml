@@ -40,7 +40,6 @@ type t = {
   restart_delay_s : float;
   on_event : event -> unit;
   stop : bool Atomic.t;
-  mutable watchdog : unit Domain.t option;
   mutable supervisor : unit Domain.t option;
 }
 
@@ -252,7 +251,6 @@ let start ?(shards = 3) ?(workers = 2) ?vnodes ?(peering = true)
       restart_delay_s;
       on_event;
       stop = Atomic.make false;
-      watchdog = None;
       supervisor = None
     }
   in
@@ -261,30 +259,10 @@ let start ?(shards = 3) ?(workers = 2) ?vnodes ?(peering = true)
   | Some (idx, threshold) ->
       if idx < 0 || idx >= shards then
         invalid_arg "Cluster.start: kill_after shard out of range";
-      (* Deterministic mid-run kill: trip on the router's forward
-         count, not on wall time, so "killed after ~N requests" holds
-         at any load rate. *)
-      let d =
-        Domain.spawn (fun () ->
-            let rec watch () =
-              if not (Atomic.get t.stop) then
-                if
-                  (Metrics.snapshot (Router.metrics router)).Metrics
-                    .forwards_total >= threshold
-                then
-                  Option.iter
-                    (fun server ->
-                      t.shards.(idx).server <- None;
-                      Server.shutdown server)
-                    t.shards.(idx).server
-                else begin
-                  Unix.sleepf 0.02;
-                  watch ()
-                end
-            in
-            watch ())
-      in
-      t.watchdog <- Some d);
+      (* Deterministic mid-run kill: the router's [threshold]-th forward
+         drains the shard before it is sent, so every later forward
+         meets the kill at any load rate. *)
+      Metrics.at_forward (Router.metrics router) threshold (fun () -> kill_shard t idx));
   if supervise then start_supervisor t;
   t
 
@@ -324,7 +302,7 @@ let current_ring t =
 
 (* Swap in a new ring everywhere that holds one: the peer hooks' ref
    first (they are read per cache miss), then the router (which bumps
-   the epoch, invalidating every memoized sweep order). *)
+   the epoch; its next sweeps plan on the new ring). *)
 let install_ring t ring' =
   t.ring_ref := Some ring';
   Router.reconfigure t.router ring'
@@ -388,8 +366,6 @@ let prometheus t = Metrics.to_prometheus (snapshot t)
 
 let stop t =
   Atomic.set t.stop true;
-  Option.iter Domain.join t.watchdog;
-  t.watchdog <- None;
   Option.iter Domain.join t.supervisor;
   t.supervisor <- None;
   Router.shutdown t.router;

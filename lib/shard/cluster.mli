@@ -18,8 +18,8 @@
     rely on).
 
     {b Membership.} {!join} and {!leave} reconfigure the ring live —
-    every change bumps the router's ring epoch, invalidating its
-    memoized sweep orders. A joined shard warms its cache from each
+    every change bumps the router's ring epoch, and every later sweep
+    routes on the new ring. A joined shard warms its cache from each
     key's pre-join owner via {!Peer.fetch}'s [warm_from_successor].
 
     {b Partitions.} With [~proxied:true] every shard sits behind a
@@ -62,10 +62,11 @@ val start :
     for breakers to open and failover to engage. [on_event] observes
     supervision and membership transitions (called from the acting
     domain; must not block). [server_config] seeds every shard's
-    config (host/port/workers overridden). [kill_after:(i, n)] spawns
-    a watchdog that gracefully shuts shard [i] down once the router
-    has forwarded [n] ops — a deterministic mid-run kill for failover
-    tests, counted in forwards rather than wall time.
+    config (host/port/workers overridden). [kill_after:(i, n)]
+    gracefully shuts shard [i] down ({!kill_shard}) at the router's
+    [n]-th forwarded op, on the forwarding domain and before that op is
+    sent — a deterministic mid-run kill for failover tests, counted in
+    forwards rather than wall time.
     @raise Invalid_argument on [shards < 1], [restart_delay_s < 0], or
     an out-of-range [kill_after] index. *)
 
@@ -157,5 +158,5 @@ val prometheus : t -> string
     [tt_shard_*] exposition. *)
 
 val stop : t -> unit
-(** Watchdog, supervisor, router, then every live shard — graceful
+(** Supervisor, router, then every live shard — graceful
     throughout. *)

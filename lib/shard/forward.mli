@@ -80,7 +80,7 @@ val create :
     [hedge] (default none): enables hedged solves — see {!call}.
 
     [route] (default [Ring.successors ring]) supplies the sweep order
-    per key. The router passes its live epoch-memoized planner here,
+    per key. The router passes its live-ring planner here,
     so a pool created before a [join]/[leave] still routes against the
     {e current} ring; [route] is re-consulted on every sweep. *)
 

@@ -10,6 +10,8 @@ let breaker_state_to_int = function
 type t = {
   mu : Mutex.t;
   forwards : (string, int) Hashtbl.t;  (* shard name -> forwarded ops *)
+  mutable forwards_total : int;
+  mutable at_forward : (int * (unit -> unit)) option;  (* see [at_forward] *)
   mutable failovers : int;
   mutable rejects : int;
   mutable unrouted : int;
@@ -28,6 +30,8 @@ type t = {
 let create () =
   { mu = Mutex.create ();
     forwards = Hashtbl.create 8;
+    forwards_total = 0;
+    at_forward = None;
     failovers = 0;
     rejects = 0;
     unrouted = 0;
@@ -47,10 +51,28 @@ let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
+(* The hook runs outside the lock, on the domain that counts the n-th
+   forward, before that forward is sent. *)
 let forward t ~shard =
   locked t (fun () ->
       Hashtbl.replace t.forwards shard
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.forwards shard)))
+        (1 + Option.value ~default:0 (Hashtbl.find_opt t.forwards shard));
+      t.forwards_total <- t.forwards_total + 1;
+      match t.at_forward with
+      | Some (n, f) when t.forwards_total >= n ->
+          t.at_forward <- None;
+          Some f
+      | _ -> None)
+  |> Option.iter (fun f -> f ())
+
+let at_forward t n f =
+  locked t (fun () ->
+      if t.forwards_total >= n then Some f
+      else begin
+        t.at_forward <- Some (n, f);
+        None
+      end)
+  |> Option.iter (fun f -> f ())
 
 let failover t = locked t (fun () -> t.failovers <- t.failovers + 1)
 let reject t = locked t (fun () -> t.rejects <- t.rejects + 1)
@@ -111,10 +133,9 @@ let snapshot t =
       let sorted tbl =
         List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
       in
-      let forwards = sorted t.forwards in
       let restarts = sorted t.restarts in
-      { forwards;
-        forwards_total = List.fold_left (fun a (_, v) -> a + v) 0 forwards;
+      { forwards = sorted t.forwards;
+        forwards_total = t.forwards_total;
         failovers = t.failovers;
         rejects = t.rejects;
         unrouted = t.unrouted;

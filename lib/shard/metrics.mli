@@ -18,6 +18,12 @@ val forward : t -> shard:string -> unit
 (** An op was handed to [shard] (counted per attempt: a solve that
     fails over counts once per shard tried). *)
 
+val at_forward : t -> int -> (unit -> unit) -> unit
+(** [at_forward t n f] runs [f] once, on the domain that counts the
+    [n]-th {!forward}, before that op is handed over — or at once when
+    [n] forwards were already counted. One hook at a time: a later call
+    replaces a pending one. *)
+
 val failover : t -> unit
 (** The preferred shard failed and the sweep moved to a successor. *)
 

@@ -180,27 +180,22 @@ let retry_policy seed =
     seed
   }
 
-(* Per-entry reference digests from a pristine 1-shard cluster: the
-   oracle both for the final convergence check and for calling out any
-   individual reply the chaotic run got wrong. *)
 let reference_digests ~workers entries =
   let t = Cluster.start ~shards:1 ~workers ~peering:false () in
   Fun.protect
     ~finally:(fun () -> Cluster.stop t)
     (fun () ->
       Client.with_connection ~port:(Cluster.router_port t) (fun c ->
-          let tbl = Hashtbl.create 16 in
+          let tbl = Hashtbl.create 64 in
           let all =
-            Array.to_list entries
-            |> List.concat_map (fun entry ->
-                   match Client.solve c ~idem:("ref-" ^ entry) entry with
-                   | Ok reports ->
-                       Hashtbl.replace tbl entry (P.value_digest reports);
-                       reports
-                   | Error e ->
-                       failwith
-                         (Printf.sprintf "nemesis reference solve %S: %s"
-                            entry e))
+            List.concat_map
+              (fun entry ->
+                match Client.solve c ~idem:("ref-" ^ entry) entry with
+                | Ok reports ->
+                    Hashtbl.replace tbl entry (P.value_digest reports);
+                    reports
+                | Error e -> failwith (Printf.sprintf "reference solve %S: %s" entry e))
+              entries
           in
           (tbl, P.value_digest all)))
 
@@ -260,7 +255,7 @@ let run cfg =
   if cfg.requests < 1 then invalid_arg "Nemesis.run: requests < 1";
   let entries = Loadgen.default_entries in
   let clean_tbl, clean_digest =
-    reference_digests ~workers:cfg.workers entries
+    reference_digests ~workers:cfg.workers (Array.to_list entries)
   in
   let events = ref [] in
   let events_mu = Mutex.create () in

@@ -93,6 +93,14 @@ type report = {
   recovered : bool;
 }
 
+val reference_digests :
+  workers:int -> string list -> (string, string) Hashtbl.t * string
+(** The clean-cluster oracle: solve each entry once on a pristine
+    1-shard cluster with [workers] workers and no peering. Returns each
+    entry's {!Tt_server.Protocol.value_digest} and the value digest of
+    all their reports together.
+    @raise Failure when an entry cannot be solved. *)
+
 val run : config -> report
 (** Build the reference digests on a pristine single-shard cluster,
     then boot a [~proxied ~supervise] cluster, drive {!plan} against

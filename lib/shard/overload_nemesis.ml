@@ -149,32 +149,6 @@ let solver cfg o ~port ~deadline ~read_timeout_s ~tag ~conn =
     sv_close = (fun () -> Client.close_session s)
   }
 
-(* Per-entry reference digests from a pristine 1-shard cluster — the
-   oracle for the "completed subset matches the clean run" check and
-   for the run-invariant full-set digest the gate diffs. *)
-let reference_digests ~workers entries =
-  let t = Cluster.start ~shards:1 ~workers ~peering:false () in
-  Fun.protect
-    ~finally:(fun () -> Cluster.stop t)
-    (fun () ->
-      Client.with_connection ~port:(Cluster.router_port t)
-        ~read_timeout_s:30. (fun c ->
-          let tbl = Hashtbl.create 64 in
-          let all =
-            List.concat_map
-              (fun entry ->
-                match Client.solve c ~idem:("oref-" ^ entry) entry with
-                | Ok reports ->
-                    Hashtbl.replace tbl entry (P.value_digest reports);
-                    reports
-                | Error e ->
-                    failwith
-                      (Printf.sprintf "overload reference solve %S: %s" entry
-                         e))
-              entries
-          in
-          (tbl, P.value_digest all)))
-
 (* ------------------------------------------------------------- report *)
 
 type class_report = { cr_issued : int; cr_ok : int; cr_shed : int }
@@ -308,7 +282,7 @@ let run cfg =
             (Hashtbl.fold (fun e () acc -> e :: acc) o.o_entries [])
         in
         let ref_tbl, reference_digest =
-          reference_digests ~workers:cfg.workers entries
+          Nemesis.reference_digests ~workers:cfg.workers entries
         in
         let contradicted =
           Hashtbl.fold

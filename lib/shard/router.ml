@@ -1,4 +1,6 @@
 module P = Tt_server.Protocol
+module Reactor = Tt_server.Reactor
+module Line_reader = Tt_server.Line_reader
 module Retry = Tt_engine.Retry
 module Json = Tt_engine.Telemetry.Json
 
@@ -32,55 +34,35 @@ let default_config =
     hedge_quantile = 0.95
   }
 
+(* A client connection's domain; the accept loop joins it, and closes
+   the connection, once [finished] is set. *)
+type conn = { dom : unit Domain.t; finished : bool Atomic.t }
+
 type t = {
   cfg : config;
   mutable ring : Ring.t;
   mutable epoch : int;
   ring_mu : Mutex.t;
-  lfd : Unix.file_descr;
-  bound_port : int;
+  reactor : Reactor.t;
   metrics : Metrics.t;
   health : Health.t;
   hedge : Forward.hedge_state;
-  stop : bool Atomic.t;
   idem_seq : int Atomic.t;
   (* entry digest -> routing key, bounded ({!Tt_engine.Entry_memo}). *)
   route_memo : Tt_engine.Entry_memo.t;
-  (* key -> (epoch, failover sweep order). This one {e does} depend on
-     the ring: every entry is stamped with the epoch that computed it
-     and ignored — lazily replaced — after any reconfiguration. *)
-  sweep_mu : Mutex.t;
-  sweep_memo : (string, int * Ring.node list) Hashtbl.t;
-  mutable accept_domain : unit Domain.t option;
   mutable probe_domain : unit Domain.t option;
   conns_mu : Mutex.t;
-  mutable conns : unit Domain.t list;
+  conns : (Unix.file_descr, conn) Hashtbl.t;  (* live client connections *)
 }
 
-let max_sweep_memo = 4096
-
 let create ?(config = default_config) ~ring () =
-  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt lfd Unix.SO_REUSEADDR true;
-     Unix.bind lfd
-       (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port));
-     Unix.listen lfd 64
-   with e ->
-     Unix.close lfd;
-     raise e);
-  let bound_port =
-    match Unix.getsockname lfd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> config.port
-  in
+  let reactor = Reactor.create ~host:config.host ~port:config.port in
   let metrics = Metrics.create () in
   { cfg = config;
     ring;
     epoch = 0;
     ring_mu = Mutex.create ();
-    lfd;
-    bound_port;
+    reactor;
     metrics;
     health =
       Health.create ~threshold:config.breaker_threshold
@@ -88,18 +70,14 @@ let create ?(config = default_config) ~ring () =
     hedge =
       Forward.create_hedge ~ratio:config.hedge_ratio
         ~quantile:config.hedge_quantile ~seed:config.hedge_seed ();
-    stop = Atomic.make false;
     idem_seq = Atomic.make 0;
     route_memo = Tt_engine.Entry_memo.create ();
-    sweep_mu = Mutex.create ();
-    sweep_memo = Hashtbl.create 64;
-    accept_domain = None;
     probe_domain = None;
     conns_mu = Mutex.create ();
-    conns = []
+    conns = Hashtbl.create 16
   }
 
-let port t = t.bound_port
+let port t = Reactor.port t.reactor
 let metrics t = t.metrics
 let health t = t.health
 
@@ -129,32 +107,12 @@ let reconfigure t ring' =
 (* ------------------------------------------------------------- routing *)
 
 (* The failover sweep order for [key] against the {e current} ring —
-   the [route] planner every per-connection {!Forward} pool shares.
-   Epoch-checked: an entry memoized before a reconfiguration is stale
-   and recomputed, so no request routes on a ring that no longer
-   exists. *)
-let plan t key =
-  let current_ring, current_epoch = ring_with_epoch t in
-  let memoized =
-    locked t.sweep_mu (fun () ->
-        match Hashtbl.find_opt t.sweep_memo key with
-        | Some (e, order) when e = current_epoch -> Some order
-        | Some _ | None -> None)
-  in
-  match memoized with
-  | Some order -> order
-  | None ->
-      let order = Ring.successors current_ring key in
-      locked t.sweep_mu (fun () ->
-          if Hashtbl.mem t.sweep_memo key then
-            (* Stale-epoch entry: replace in place (no growth). *)
-            Hashtbl.replace t.sweep_memo key (current_epoch, order)
-          else if Hashtbl.length t.sweep_memo < max_sweep_memo then
-            Hashtbl.replace t.sweep_memo key (current_epoch, order));
-      order
+   the [route] planner every per-connection {!Forward} pool shares, so
+   no request routes on a ring that no longer exists. *)
+let plan t key = Ring.successors (ring t) key
 
 let fresh_idem t =
-  Printf.sprintf "rt%d-%d-%d" (Unix.getpid ()) t.bound_port
+  Printf.sprintf "rt%d-%d-%d" (Unix.getpid ()) (port t)
     (Atomic.fetch_and_add t.idem_seq 1)
 
 let health_json t =
@@ -194,7 +152,7 @@ let probe_once t ~tick =
   let nodes = Ring.nodes (ring t) in
   List.iter
     (fun (node : Ring.node) ->
-      if (not (Atomic.get t.stop)) && Health.allow t.health node.Ring.name
+      if (not (Reactor.stopping t.reactor)) && Health.allow t.health node.Ring.name
       then begin
         let key = Printf.sprintf "probe-%d-%d" t.cfg.probe_seed tick in
         let timeout = t.cfg.connect_timeout_s in
@@ -213,13 +171,13 @@ let probe_once t ~tick =
 
 let probe_loop t =
   let tick = ref 0 in
-  while not (Atomic.get t.stop) do
+  while not (Reactor.stopping t.reactor) do
     probe_once t ~tick:!tick;
     incr tick;
     (* Sleep in small slices so shutdown is never held up by a long
        probe interval. *)
     let remaining = ref t.cfg.probe_interval_s in
-    while !remaining > 0. && not (Atomic.get t.stop) do
+    while !remaining > 0. && not (Reactor.stopping t.reactor) do
       let slice = Float.min 0.05 !remaining in
       Unix.sleepf slice;
       remaining := !remaining -. slice
@@ -253,7 +211,7 @@ let handle_line t fwd fd line =
       | P.Health -> reply fd req_id (P.Health_reply (health_json t))
       | P.Shutdown ->
           let ok = reply fd req_id P.Draining in
-          Atomic.set t.stop true;
+          Reactor.request_stop t.reactor;
           ok
       | P.Peek { key } -> (
           match Forward.call fwd ~key op with
@@ -303,112 +261,94 @@ let serve_conn t fd =
       ~health:t.health ~hedge:t.hedge ~route:(plan t) ~metrics:t.metrics
       (ring t)
   in
-  let rbuf = ref "" in
+  (* Not the domain's {!Tt_server.Client} read buffer: forwarding the
+     lines of one read reads shard replies into that one. *)
   let buf = Bytes.create 65536 in
+  let reader = Line_reader.create ~limit:P.max_frame_bytes in
   let alive = ref true in
-  let rec drain_lines () =
-    if !alive then
-      match String.index_opt !rbuf '\n' with
-      | None -> ()
-      | Some i ->
-          let line = String.sub !rbuf 0 i in
-          rbuf := String.sub !rbuf (i + 1) (String.length !rbuf - i - 1);
-          let line =
-            (* tolerate CRLF like the server does *)
-            if line <> "" && line.[String.length line - 1] = '\r' then
-              String.sub line 0 (String.length line - 1)
-            else line
-          in
-          if line <> "" then alive := handle_line t fwd fd line;
-          drain_lines ()
-  in
-  (* The server's frame cap: a partial line past it is refused with a
-     typed [bad_frame] and the connection closed, so a client that
-     never sends a newline cannot grow the router without bound. *)
-  let check_frame_cap () =
-    if !alive && String.length !rbuf > P.max_frame_bytes then begin
-      Metrics.reject t.metrics;
-      ignore
-        (reply fd None (P.Refused { code = P.Bad_frame; msg = "frame exceeds 1 MiB" }));
-      alive := false
-    end
-  in
+  let on_line line = if !alive && line <> "" then alive := handle_line t fwd fd line in
   Fun.protect
-    ~finally:(fun () ->
-      Forward.close fwd;
-      try Unix.close fd with Unix.Unix_error _ -> ())
+    ~finally:(fun () -> Forward.close fwd)
     (fun () ->
-      while !alive && not (Atomic.get t.stop) do
+      while !alive && not (Reactor.stopping t.reactor) do
         match Unix.select [ fd ] [] [] 0.25 with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
         | [], _, _ -> ()
         | _ -> (
             match Unix.read fd buf 0 (Bytes.length buf) with
             | 0 -> alive := false
-            | n ->
-                rbuf := !rbuf ^ Bytes.sub_string buf 0 n;
-                drain_lines ();
-                check_frame_cap ()
+            | n -> (
+                match Line_reader.feed reader buf n on_line with
+                | Ok () -> ()
+                | Error Line_reader.Too_long ->
+                    (* The server's frame cap, so a client that never
+                       sends a newline cannot grow the router without
+                       bound. *)
+                    if !alive then begin
+                      Metrics.reject t.metrics;
+                      ignore
+                        (reply fd None
+                           (P.Refused { code = P.Bad_frame; msg = "frame exceeds 1 MiB" }));
+                      alive := false
+                    end)
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
             | exception (Unix.Unix_error _ | Sys_error _) -> alive := false)
       done)
 
-let accept_loop t =
-  while not (Atomic.get t.stop) do
-    match Unix.select [ t.lfd ] [] [] 0.25 with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (Unix.EBADF, _, _) -> Atomic.set t.stop true
-    | [], _, _ -> ()
-    | _ -> (
-        match Unix.accept t.lfd with
-        | fd, _ ->
-            (try Unix.setsockopt fd Unix.TCP_NODELAY true
-             with Unix.Unix_error _ -> ());
-            (match Domain.spawn (fun () -> serve_conn t fd) with
-            | d ->
-                Mutex.lock t.conns_mu;
-                t.conns <- d :: t.conns;
-                Mutex.unlock t.conns_mu
-            | exception Failure _ ->
-                (* OCaml 5 caps a process at 128 domains. Past the cap,
-                   refuse this client with one typed frame and keep
-                   accepting: the slots free up as connections close. *)
-                Metrics.reject t.metrics;
-                ignore
-                  (reply fd None
-                     (P.Refused
-                        { code = P.Overloaded; msg = "router at its connection limit" }));
-                (try Unix.close fd with Unix.Unix_error _ -> ()))
-        | exception
-            Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-          ->
-            ()
-        | exception Unix.Unix_error _ -> Atomic.set t.stop true)
-  done
+let accept t fd =
+  let finished = Atomic.make false in
+  let body () =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set finished true;
+        Reactor.wake t.reactor)
+      (fun () -> serve_conn t fd)
+  in
+  match Domain.spawn body with
+  | dom -> locked t.conns_mu (fun () -> Hashtbl.replace t.conns fd { dom; finished })
+  | exception Failure _ ->
+      (* OCaml 5 caps a process at 128 domains. Past the cap, refuse
+         this client with one typed frame and keep accepting: the slots
+         free up as connections close. *)
+      Metrics.reject t.metrics;
+      ignore
+        (reply fd None
+           (P.Refused { code = P.Overloaded; msg = "router at its connection limit" }));
+      (try Unix.close fd with Unix.Unix_error _ -> ())
+
+(* Join the domains of ended connections (all of them once the router
+   stops: each sees the stop within its 0.25 s poll) and close their
+   sockets, so [conns] holds live connections only. *)
+let tick t () =
+  let stopping = Reactor.stopping t.reactor in
+  let ended =
+    locked t.conns_mu (fun () ->
+        Hashtbl.fold
+          (fun fd c ended -> if stopping || Atomic.get c.finished then (fd, c) :: ended else ended)
+          t.conns [])
+  in
+  List.iter
+    (fun (fd, c) ->
+      (* A connection an exception ended must not end the accept loop. *)
+      (try Domain.join c.dom
+       with e -> Printf.eprintf "router: connection failed: %s\n%!" (Printexc.to_string e));
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      locked t.conns_mu (fun () -> Hashtbl.remove t.conns fd))
+    ended;
+  if stopping then None else Some ([], [])
+
+let connections t = locked t.conns_mu (fun () -> Hashtbl.length t.conns)
 
 let start t =
-  match t.accept_domain with
-  | Some _ -> invalid_arg "Router.start: already started"
-  | None ->
-      t.accept_domain <- Some (Domain.spawn (fun () -> accept_loop t));
-      if t.cfg.probe_interval_s > 0. then
-        t.probe_domain <- Some (Domain.spawn (fun () -> probe_loop t))
+  Reactor.start t.reactor
+    { Reactor.tick = tick t; accept = accept t; read = (fun _ _ _ -> ()); write = ignore };
+  if t.cfg.probe_interval_s > 0. then
+    t.probe_domain <- Some (Domain.spawn (fun () -> probe_loop t))
 
-let request_shutdown t = Atomic.set t.stop true
-let stopped t = Atomic.get t.stop
+let request_shutdown t = Reactor.request_stop t.reactor
+let stopped t = Reactor.stopping t.reactor
 
 let shutdown t =
-  request_shutdown t;
-  Option.iter Domain.join t.accept_domain;
-  t.accept_domain <- None;
+  Reactor.shutdown t.reactor;
   Option.iter Domain.join t.probe_domain;
-  t.probe_domain <- None;
-  (try Unix.close t.lfd with Unix.Unix_error _ -> ());
-  let conns =
-    Mutex.lock t.conns_mu;
-    let c = t.conns in
-    t.conns <- [];
-    Mutex.unlock t.conns_mu;
-    c
-  in
-  List.iter Domain.join conns
+  t.probe_domain <- None

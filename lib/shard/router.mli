@@ -34,19 +34,18 @@
     notices death and recovery within a few probe intervals.
 
     {b Live membership.} {!reconfigure} swaps the ring atomically and
-    bumps the {e ring epoch}. Per-key failover sweep orders are
-    memoized ({!plan}) stamped with the epoch that computed them, so
-    every memo entry from before the change is stale-checked away —
-    no request routes on a ring that no longer exists. Per-connection
-    {!Forward} pools re-consult {!plan} on every sweep, so even
-    long-lived client connections follow joins and leaves.
+    bumps the {e ring epoch}. Every sweep takes its order from the
+    current ring ({!plan}), so no request routes on a ring that no
+    longer exists, and even long-lived client connections follow joins
+    and leaves.
 
-    Concurrency: one accept domain, one prober domain, one domain per
-    client connection, each connection with a private {!Forward} pool
-    sharing the router's breakers and planner. Requests on one
-    connection are handled in order (no pipelining across a failover
-    sweep); concurrency comes from multiple connections, matching how
-    the load generator drives it. *)
+    Concurrency: one accept loop (a {!Tt_server.Reactor}), one prober
+    domain, and one domain per client connection, each connection with
+    a private {!Forward} pool sharing the router's breakers and
+    planner. The accept loop joins a connection's domain once the
+    connection ends. Requests on one connection are handled in order
+    (no pipelining across a failover sweep); concurrency comes from
+    multiple connections, matching how the load generator drives it. *)
 
 type config = {
   host : string;  (** Bind address (default ["127.0.0.1"]). *)
@@ -112,11 +111,9 @@ val reconfigure : t -> Ring.t -> unit
     owns draining and cache warming — this only switches routing. *)
 
 val plan : t -> string -> Ring.node list
-(** The failover sweep order for a key against the current ring,
-    memoized per key and stamped with the ring epoch (stale entries
-    recomputed on first use after {!reconfigure}). This is the
-    [route] planner every per-connection forward pool shares; exposed
-    for tests. *)
+(** The failover sweep order for a key against the current ring
+    ({!Ring.successors}). This is the [route] planner every
+    per-connection forward pool shares; exposed for tests. *)
 
 val stats_json : t -> Tt_engine.Telemetry.Json.t
 (** The [stats] reply payload: a ["router"] section (shard count,
@@ -133,6 +130,10 @@ val start : t -> unit
     accepted when OCaml's per-process domain cap is reached gets one
     typed [overloaded] refusal and is closed, and accepting goes on.
     @raise Invalid_argument when already started. *)
+
+val connections : t -> int
+(** Client connections whose domain the accept loop has not joined
+    yet: the live ones, plus any that ended since its last turn. *)
 
 val request_shutdown : t -> unit
 (** Ask the router to stop; returns immediately. Idempotent, safe

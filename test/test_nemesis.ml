@@ -114,11 +114,11 @@ let test_unavailable_round_trip () =
   | Some P.Unavailable -> ()
   | _ -> Alcotest.fail "unavailable does not parse back"
 
-(* ------------------------------------------------- ring epoch + memo *)
+(* ---------------------------------------------------------- ring epoch *)
 
-(* Regression for the routing memo: a memoized sweep order must not
-   survive a ring reconfiguration. *)
-let test_router_memo_epoch_invalidation () =
+(* A sweep order planned before a ring reconfiguration must not
+   survive it. *)
+let test_router_plan_follows_ring () =
   let mk name port = { Sh.Ring.name; host = "127.0.0.1"; port } in
   let a = mk "a" 6101 and b = mk "b" 6102 and c = mk "c" 6103 in
   let router = Sh.Router.create ~ring:(Sh.Ring.create [ a; b; c ]) () in
@@ -129,10 +129,9 @@ let test_router_memo_epoch_invalidation () =
       let before = Sh.Router.plan router key in
       Alcotest.(check int) "epoch starts at 0" 0 (Sh.Router.epoch router);
       Alcotest.(check int) "full sweep order" 3 (List.length before);
-      (* Memo hit: same plan object again. *)
-      Alcotest.(check bool) "memo is stable within an epoch" true
-        (Sh.Router.plan router key == before);
-      (* Drop whichever node owns the key; the memoized order must not
+      Alcotest.(check bool) "same plan within an epoch" true
+        (Sh.Router.plan router key = before);
+      (* Drop whichever node owns the key; the earlier order must not
          resurface it. *)
       let owner = List.hd before in
       let survivors = List.filter (fun n -> n != owner) [ a; b; c ] in
@@ -349,9 +348,7 @@ let () =
           H.case "unavailable code" test_unavailable_round_trip
         ] );
       ( "router",
-        [ H.case "memo invalidated on epoch change"
-            test_router_memo_epoch_invalidation
-        ] );
+        [ H.case "plan follows the current ring" test_router_plan_follows_ring ] );
       ("supervisor", [ H.case "restart with telemetry" test_supervised_restart ]);
       ("membership", [ H.case "live join and leave" test_live_join_and_leave ]);
       ( "schedule",

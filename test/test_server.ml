@@ -4,6 +4,7 @@
    overload rejection, deadlines and graceful drain. *)
 
 module P = Tt_server.Protocol
+module LR = Tt_server.Line_reader
 module Adm = Tt_server.Admission
 module M = Tt_server.Metrics
 module Srv = Tt_server.Server
@@ -158,6 +159,103 @@ let test_digests () =
         (P.sequence_digest sample_reports)
         (P.sequence_digest got)
   | _ -> Alcotest.fail "round trip failed"
+
+(* -------------------------------------------------------- line reader *)
+
+(* The property tests' read size: frames span up to four reads. *)
+let read_size = 16
+
+(* Feed [stream] to a fresh reader in reads cut to the sizes [cuts]
+   (cyclically), through one reused buffer whose unused tail is filled
+   with newlines, so a reader that looked past a read's bytes would
+   invent lines. [Error (before, after, lines)] when the read that
+   spans [before, after) of the stream is refused. *)
+let feed_in_reads ~limit stream cuts =
+  let r = LR.create ~limit and buf = Bytes.create read_size in
+  let cuts = Array.of_list cuts and lines = ref [] in
+  let rec go pos k =
+    if pos >= String.length stream then Ok (List.rev !lines)
+    else begin
+      let n = min cuts.(k mod Array.length cuts) (String.length stream - pos) in
+      Bytes.blit_string stream pos buf 0 n;
+      Bytes.fill buf n (read_size - n) '\n';
+      match LR.feed r buf n (fun l -> lines := l :: !lines) with
+      | Ok () -> go (pos + n) (k + 1)
+      | Error LR.Too_long -> Error (pos, pos + n, List.rev !lines)
+    end
+  in
+  go 0 0
+
+let trim_cr l =
+  let n = String.length l in
+  if n > 0 && l.[n - 1] = '\r' then String.sub l 0 (n - 1) else l
+
+let arb_frames ~max_len =
+  let open QCheck.Gen in
+  let frame = string_size ~gen:(oneofl [ 'a'; 'z'; '{'; '"'; ' '; '\r' ]) (0 -- max_len) in
+  QCheck.make
+    ~print:(fun (frames, cuts) ->
+      Printf.sprintf "%S cut every %s" (String.concat "\n" frames)
+        (String.concat "," (List.map string_of_int cuts)))
+    (pair (list_size (0 -- 12) frame) (list_size (1 -- 40) (1 -- read_size)))
+
+(* Frames joined by newlines, the last one left unfinished, give every
+   line but the last that [String.split_on_char] gives, CR-trimmed,
+   however the reads cut them. *)
+let prop_lines_like_split (frames, cuts) =
+  let stream = String.concat "\n" frames in
+  let expected =
+    match List.rev (String.split_on_char '\n' stream) with
+    | _unfinished :: lines -> List.rev_map trim_cr lines
+    | [] -> []
+  in
+  feed_in_reads ~limit:max_int stream cuts = Ok expected
+
+(* Complete frames within the cap, then an unfinished frame past it: the
+   complete lines come out, and the one refusal comes with the read
+   that first takes the unfinished frame past the cap. *)
+let prop_one_too_long ((frames, cuts), extra) =
+  let limit = read_size in
+  let head = String.concat "" (List.map (fun f -> f ^ "\n") frames) in
+  let tail_start = String.length head in
+  match feed_in_reads ~limit (head ^ String.make (limit + extra) 'x') cuts with
+  | Ok _ -> false
+  | Error (before, after, lines) ->
+      before - tail_start <= limit
+      && after - tail_start > limit
+      && lines = List.map trim_cr frames
+
+(* A 1 MiB frame read in 64 KB pieces is kept in one growing buffer and
+   copied out once: under 4x its bytes allocated, where the string
+   concatenation it replaced ([pending ^ chunk] per read) takes more
+   than 8x. *)
+let test_line_reader_allocation () =
+  let frame = P.max_frame_bytes and read = 65536 in
+  let buf = Bytes.make read 'x' in
+  let allocated f =
+    let before = Gc.allocated_bytes () in
+    f ();
+    (Gc.allocated_bytes () -. before) /. float_of_int frame
+  in
+  let r = LR.create ~limit:P.max_frame_bytes and got = ref (-1) in
+  let reader =
+    allocated (fun () ->
+        for _ = 1 to frame / read do
+          if LR.feed r buf read ignore <> Ok () then Alcotest.fail "refused within the cap"
+        done;
+        Bytes.set buf 0 '\n';
+        ignore (LR.feed r buf 1 (fun l -> got := String.length l)))
+  in
+  Alcotest.(check int) "the frame comes out whole" frame !got;
+  if reader > 4. then Alcotest.failf "reader allocated %.2fx the frame" reader;
+  let concat =
+    allocated (fun () ->
+        let pending = ref "" in
+        for _ = 1 to frame / read do
+          pending := !pending ^ Bytes.sub_string buf 0 read
+        done)
+  in
+  if concat <= 8. then Alcotest.failf "concatenation allocated only %.2fx" concat
 
 (* ---------------------------------------------------------- admission *)
 
@@ -918,6 +1016,14 @@ let () =
           H.case "request decode errors" test_request_decode_errors;
           H.case "response round trip" test_response_round_trip;
           H.case "digests" test_digests
+        ] );
+      ( "line reader",
+        [ H.qcheck "lines as split_on_char gives them" (arb_frames ~max_len:(3 * read_size))
+            prop_lines_like_split;
+          H.qcheck "one Too_long past the cap"
+            (QCheck.pair (arb_frames ~max_len:read_size) (QCheck.int_range 1 (2 * read_size)))
+            prop_one_too_long;
+          H.case "a 1 MiB frame allocates under 4x" test_line_reader_allocation
         ] );
       ( "admission",
         [ H.case "fifo" test_admission_fifo;

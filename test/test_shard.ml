@@ -443,10 +443,23 @@ let test_route_memo_bounded () =
   Alcotest.(check bool) "bad entry refused" true
     (Result.is_error (M.route_key memo "gen nosuch size=4 :: minmem"))
 
-(* Send [bytes] bytes with no newline, then read replies until the peer
-   closes. A peer that refuses the frame closes mid-send, so a write
-   error ends the send. *)
-let send_unterminated ~port bytes =
+(* The reply lines [fd] carries until the peer closes it. *)
+let read_lines fd =
+  let got = Buffer.create 256 and b = Bytes.create 4096 in
+  let rec recv () =
+    match Unix.read fd b 0 (Bytes.length b) with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes got b 0 n;
+        recv ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  recv ();
+  String.split_on_char '\n' (Buffer.contents got) |> List.filter (( <> ) "")
+
+(* Connect to [port], [send] on the socket, half-close it, and read the
+   replies until the peer closes. *)
+let exchange ~port send =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Fun.protect
@@ -455,6 +468,14 @@ let send_unterminated ~port bytes =
       Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
       Unix.setsockopt_float fd Unix.SO_SNDTIMEO 10.;
       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      send fd;
+      (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+      read_lines fd)
+
+(* Send [bytes] bytes with no newline. A peer that refuses the frame
+   closes mid-send, so a write error ends the send. *)
+let send_unterminated ~port bytes =
+  exchange ~port (fun fd ->
       let chunk = Bytes.make 65536 'x' in
       let rec send left =
         if left > 0 then
@@ -462,19 +483,7 @@ let send_unterminated ~port bytes =
           | n -> send (left - n)
           | exception Unix.Unix_error _ -> ()
       in
-      send bytes;
-      (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
-      let got = Buffer.create 256 and b = Bytes.create 4096 in
-      let rec recv () =
-        match Unix.read fd b 0 (Bytes.length b) with
-        | 0 -> ()
-        | n ->
-            Buffer.add_subbytes got b 0 n;
-            recv ()
-        | exception Unix.Unix_error _ -> ()
-      in
-      recv ();
-      String.split_on_char '\n' (Buffer.contents got) |> List.filter (( <> ) ""))
+      send bytes)
 
 (* 2 MiB without a newline gets exactly one typed [bad_frame] refusal
    from a shard server and from the router alike. *)
@@ -492,6 +501,44 @@ let test_frame_cap () =
               | _ -> Alcotest.failf "%s: expected bad_frame, got %s" who line)
           | lines -> Alcotest.failf "%s: %d replies, expected one" who (List.length lines))
         [ ("server", Cl.shard_port c 0); ("router", Cl.router_port c) ])
+
+(* A request written 5 bytes at a time, 2 ms apart, through the router
+   is framed once and answered exactly once, like the server's own
+   [partial frame reassembly]. *)
+let test_router_partial_frame () =
+  let c = Cl.start ~shards:1 ~workers:1 () in
+  Fun.protect
+    ~finally:(fun () -> Cl.stop c)
+    (fun () ->
+      let line =
+        P.encode_request
+          { P.id = "frag";
+            op =
+              P.Solve
+                { entry = "gen grid2d size=8 :: minmem";
+                  timeout_s = None;
+                  idem = None;
+                  priority = P.Interactive
+                }
+          }
+        ^ "\n"
+      in
+      let dribble fd =
+        let rec go i =
+          if i < String.length line then begin
+            let n = Unix.write_substring fd line i (min 5 (String.length line - i)) in
+            Unix.sleepf 0.002;
+            go (i + n)
+          end
+        in
+        go 0
+      in
+      match exchange ~port:(Cl.router_port c) dribble with
+      | [ reply ] -> (
+          match P.decode_response reply with
+          | Ok { P.req_id = Some "frag"; body = P.Results _ } -> ()
+          | _ -> Alcotest.failf "unexpected reply %s" reply)
+      | lines -> Alcotest.failf "%d replies, expected one" (List.length lines))
 
 (* A [file] source names a path on the serving host. Neither a server
    nor the router opens it: both refuse the entry as [bad_request], even
@@ -544,20 +591,7 @@ let test_domain_cap () =
   in
   let clients = 135 in
   let fds = List.init clients (fun _ -> connect ()) in
-  let read_lines fd =
-    let got = Buffer.create 256 and b = Bytes.create 4096 in
-    let rec recv () =
-      match Unix.read fd b 0 (Bytes.length b) with
-      | 0 -> ()
-      | n ->
-          Buffer.add_subbytes got b 0 n;
-          recv ()
-      | exception Unix.Unix_error _ -> ()
-    in
-    recv ();
-    close fd;
-    String.split_on_char '\n' (Buffer.contents got) |> List.filter (( <> ) "")
-  in
+  let read_lines fd = Fun.protect ~finally:(fun () -> close fd) (fun () -> read_lines fd) in
   (* A refused client is sent one line and closed; a served one hears
      nothing while it stays idle. Collect until a second passes quietly. *)
   let rec collect idle refused =
@@ -603,6 +637,33 @@ let test_domain_cap () =
       solve ();
       stopped := true;
       Cl.stop c)
+
+(* The accept loop joins a connection's domain once the connection
+   ends: after 300 sequential connect, ping and close cycles the router
+   holds at most one connection domain. The wait covers the last
+   connections' domains, which may still be seeing their EOF. *)
+let test_router_joins_connections () =
+  let module Rt = Tt_shard.Router in
+  let router =
+    Rt.create ~config:{ Rt.default_config with probe_interval_s = 0. }
+      ~ring:(R.create (mk_nodes 1)) ()
+  in
+  Rt.start router;
+  Fun.protect
+    ~finally:(fun () -> Rt.shutdown router)
+    (fun () ->
+      for i = 1 to 300 do
+        C.with_connection ~port:(Rt.port router) (fun conn ->
+            match C.call conn P.Ping with
+            | Ok P.Pong -> ()
+            | _ -> Alcotest.failf "ping %d" i)
+      done;
+      let deadline = Unix.gettimeofday () +. 5. in
+      while Rt.connections router > 1 && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.01
+      done;
+      Alcotest.(check bool) "at most one connection domain held" true
+        (Rt.connections router <= 1))
 
 (* ---------------------------------------------------------- allocation *)
 
@@ -668,6 +729,8 @@ let () =
       ( "input bounds",
         [ H.case "route memo bounded" test_route_memo_bounded;
           H.case "2 MiB frame cap on server and router" test_frame_cap;
+          H.case "partial frame reassembly through the router" test_router_partial_frame;
+          H.case "router joins ended connections" test_router_joins_connections;
           H.case "domain cap refuses, then recovers" test_domain_cap;
           H.case "file sources refused by server and router" test_file_source_refused
         ] );
