@@ -997,12 +997,15 @@ let serve_section () =
     | Some _, Some _ -> "MISMATCH vs clean run"
     | _ -> "(missing)");
   Srv.shutdown server;
-  let m = Tt_server.Metrics.snapshot (Srv.metrics server) in
+  let module Json = Tt_engine.Telemetry.Json in
+  let m = Tt_server.Metrics.(to_json (snapshot (Srv.metrics server))) in
+  let field path = List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some m) path in
+  let int path = match field path with Some (Json.Int i) -> i | _ -> 0 in
+  let secs path = match field path with Some (Json.Float f) -> f | _ -> nan in
   Printf.printf
     "server side: %d solves, %d jobs (%d cache hits), window p50 %.4fs p99 %.4fs\n"
-    m.Tt_server.Metrics.requests_solve m.Tt_server.Metrics.jobs
-    m.Tt_server.Metrics.job_cache_hits m.Tt_server.Metrics.latency.Tt_server.Metrics.p50_s
-    m.Tt_server.Metrics.latency.Tt_server.Metrics.p99_s
+    (int [ "requests"; "solve" ]) (int [ "jobs"; "total" ]) (int [ "jobs"; "cache_hits" ])
+    (secs [ "latency"; "p50_s" ]) (secs [ "latency"; "p99_s" ])
 
 (* -------------------------------------------------------------- cluster *)
 

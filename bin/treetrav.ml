@@ -521,8 +521,7 @@ let serve host port workers queue deadline timeout cache_dir max_entries
             exit 2)
   in
   let config =
-    { Srv.default_config with
-      Srv.host;
+    { Srv.host;
       port;
       workers;
       queue_capacity = queue;

@@ -1,12 +1,12 @@
-(** Server-side counters and latency percentiles.
+(** Server-side counters and latency percentiles, declared once in a
+    {!Registry}.
 
-    All mutators are domain-safe (one mutex) and cheap enough for the
-    per-request hot path. Latencies land in a fixed ring holding the
-    most recent [latency_window] solve latencies — a long-lived server
-    keeps constant memory, and the percentiles describe {e recent}
-    behaviour, which is what an operator watches. Percentiles come from
-    {!Tt_util.Statistics.quantile} over a snapshot of the ring; counts
-    and sums cover the whole lifetime.
+    All mutators are domain-safe (each takes the registry's one mutex
+    once) and cheap enough for the per-request hot path. Latencies land
+    in a fixed ring holding the most recent 4096 solve latencies — a
+    long-lived server keeps constant memory, and the percentiles
+    describe {e recent} behaviour, which is what an operator watches.
+    Counts and sums cover the whole lifetime.
 
     Two dump formats: {!to_prometheus} (text exposition, one
     [tt_server_*] family per counter) and {!to_json} (the [stats.
@@ -15,9 +15,7 @@
 
 type t
 
-val create : ?latency_window:int -> unit -> t
-(** [latency_window] defaults to 4096 samples.
-    @raise Invalid_argument when [latency_window < 1]. *)
+val create : unit -> t
 
 (* ----------------------------------------------------------- mutators *)
 
@@ -70,48 +68,17 @@ val set_admission : t -> queue_depth:int -> admitted:int -> limit:int -> unit
 
 (* ----------------------------------------------------------- snapshot *)
 
-type latency_summary = {
-  count : int;  (** Lifetime solve completions. *)
-  window : int;  (** Samples the percentiles are computed over. *)
-  mean_s : float;  (** Lifetime mean; [nan] when count = 0. *)
-  p50_s : float;
-  p90_s : float;
-  p95_s : float;
-  p99_s : float;  (** Window percentiles; [nan] when empty. *)
-  max_s : float;  (** Lifetime maximum; 0 when count = 0. *)
-}
-
-type snapshot = {
-  connections_opened : int;
-  connections_active : int;
-  requests_solve : int;
-  requests_stats : int;
-  requests_ping : int;
-  requests_shutdown : int;
-  requests_peek : int;
-  requests_health : int;
-  responses_ok : int;
-  errors : (string * int) list;  (** By code, sorted by code. *)
-  jobs : int;
-  job_errors : int;
-  job_cache_hits : int;
-  job_wall_s : float;
-  worker_restarts : int;
-  idle_evictions : int;
-  replay_hits : int;
-  write_overflows : int;
-  sheds : ((string * string) * int) list;
-      (** By (reason, priority), sorted. *)
-  deadline_exceeded : int;
-  admission_queue_depth : int;  (** Gauge: last reported depth. *)
-  admission_admitted : int;  (** Gauge: admitted but not yet replied. *)
-  admission_limit : int;  (** Gauge: current AIMD limit. *)
-  latency : latency_summary;
-}
+type snapshot
+(** Every value, copied under the lock. *)
 
 val snapshot : t -> snapshot
 
 val to_json : snapshot -> Tt_engine.Telemetry.Json.t
+(** Objects [connections] (opened, active), [requests] (by op),
+    [responses] (ok, errors by code), [jobs], [resilience], [overload]
+    (sheds keyed ["reason/priority"], deadline_exceeded and the
+    admission gauges) and [latency] (count, window, mean and the window
+    percentiles in seconds, [null] when undefined). *)
 
 val to_prometheus : snapshot -> string
 (** Prometheus text exposition ([# TYPE] comments included); quantile

@@ -12,11 +12,9 @@ type config = {
   max_deadline_s : float;
   idle_timeout_s : float;
   max_inflight : int;
-  max_write_buf : int;
   replay_capacity : int;
   wedge_grace_s : float;
   worker_faults : Fault.t option;
-  batch_headroom : float;
 }
 
 let default_config =
@@ -27,12 +25,19 @@ let default_config =
     max_deadline_s = 30.;
     idle_timeout_s = 300.;
     max_inflight = 32;
-    max_write_buf = 8 * 1024 * 1024;
     replay_capacity = 1024;
     wedge_grace_s = 5.;
-    worker_faults = None;
-    batch_headroom = 0.75
+    worker_faults = None
   }
+
+(* Per-connection write-buffer cap: a connection whose reader lets this
+   many bytes pile up is dropped, counted as [write_overflows]. *)
+let max_write_buf = 8 * 1024 * 1024
+
+(* Brownout threshold: a batch solve is shed once in-flight admitted
+   work reaches this fraction of the AIMD limit, which reserves the top
+   quarter of the window for interactive traffic. *)
+let batch_headroom = 0.75
 
 (* One accepted connection. The I/O domain owns the read side ([reader]
    is only touched there); replies may come from any domain and are
@@ -246,7 +251,7 @@ let conn_send t conn line =
         Queue.push line conn.outq;
         conn.out_len <- conn.out_len + String.length line;
         try_flush_locked conn;
-        if conn.out_len > t.config.max_write_buf then begin
+        if conn.out_len > max_write_buf then begin
           (* The reader stopped reading and let [max_write_buf] pile
              up: cut it loose rather than hold the memory. *)
           conn_kill_locked conn;
@@ -476,7 +481,7 @@ let handle_solve t conn ~id ~entry ~timeout_s ~idem ~priority ~received =
         match
           Overload.shed_decision ~limit
             ~admitted:(Atomic.get t.admitted)
-            ~batch_headroom:t.config.batch_headroom ~est_wait_s
+            ~batch_headroom ~est_wait_s
             ~remaining_s:(Some budget) ~priority
         with
         | Some reason -> (

@@ -21,8 +21,11 @@
       non-blocking sockets — workers append and flush
       opportunistically, the I/O domain drains the rest on
       writability — so a slow or stalled reader can never block a
-      worker, only grow (and eventually overflow) its own write
-      buffer.
+      worker, only grow its own write buffer, up to 8 MiB: past it
+      the connection is dropped and counted as [write_overflows];
+    - a [priority=batch] solve is shed [overloaded] once in-flight
+      admitted work reaches 0.75 of the AIMD limit, which reserves the
+      rest of the window for interactive traffic ({!Overload}).
 
     {b Supervision.} The I/O domain doubles as the worker supervisor:
     a worker domain that dies (an escaped exception — e.g. an injected
@@ -64,10 +67,6 @@ type config = {
       (** Per-connection cap on admitted-but-unreplied solves (default
           32); past it, solves are refused [overloaded] — one
           pipelining client cannot monopolize the queue. *)
-  max_write_buf : int;
-      (** Per-connection write-buffer cap in bytes (default 8 MiB). A
-          connection whose reader lets this much pile up is dropped
-          (counted as [write_overflows]) rather than held in memory. *)
   replay_capacity : int;
       (** Bound on the idempotency {!Replay} cache (default 1024,
           clamped to ≥ 1; FIFO eviction). *)
@@ -81,11 +80,6 @@ type config = {
           supervision), [Delay] sleeps (exercising wedge detection
           when it outlasts deadline + grace). Seeded and keyed by
           admission sequence, so runs replay deterministically. *)
-  batch_headroom : float;
-      (** Brownout threshold (default 0.75): a [priority=batch] solve
-          is shed [overloaded] once in-flight admitted work reaches
-          this fraction of the AIMD limit, reserving the rest of the
-          window for interactive traffic. *)
 }
 
 val default_config : config

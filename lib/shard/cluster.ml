@@ -271,16 +271,12 @@ let stopped t = Router.stopped t.router
 let request_stop t = Router.request_shutdown t.router
 let ring t = Router.ring t.router
 let ring_epoch t = Router.epoch t.router
-let router_metrics t = Router.metrics t.router
+let health t = Router.health t.router
 let size t = Array.length t.shards
 
 let shard_port t i = t.shards.(i).port
 let shard_alive t i = t.shards.(i).server <> None
 let shard_in_ring t i = not t.shards.(i).removed
-let peer_metrics t i = t.shards.(i).peer_metrics
-
-let shard_server_metrics t i =
-  Option.map (fun s -> Tt_server.Server.metrics s) t.shards.(i).server
 
 (* ------------------------------------------------------ partitions *)
 
@@ -352,15 +348,10 @@ let leave t i =
 (* Router counters plus every shard's peer counters in one snapshot —
    the cluster-wide [tt_shard_*] exposition. *)
 let snapshot t =
-  let r = Metrics.snapshot (Router.metrics t.router) in
-  let hits, misses =
-    Array.fold_left
-      (fun (h, m) s ->
-        let p = Metrics.snapshot s.peer_metrics in
-        (h + p.Metrics.peer_hits, m + p.Metrics.peer_misses))
-      (0, 0) t.shards
-  in
-  { r with Metrics.peer_hits = hits; peer_misses = misses }
+  Array.fold_left
+    (fun snap s -> Metrics.add_peers snap s.peer_metrics)
+    (Metrics.snapshot (Router.metrics t.router))
+    t.shards
 
 let prometheus t = Metrics.to_prometheus (snapshot t)
 

@@ -145,9 +145,8 @@ val partition : t -> int -> unit
 val heal : t -> int -> unit
 (** [set_partition t i Gate_open]. *)
 
-val router_metrics : t -> Metrics.t
-val peer_metrics : t -> int -> Metrics.t
-val shard_server_metrics : t -> int -> Tt_server.Metrics.t option
+val health : t -> Health.t
+(** The router's breakers. *)
 
 val snapshot : t -> Metrics.snapshot
 (** Router counters, with [peer_hits]/[peer_misses] summed across

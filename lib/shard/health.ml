@@ -85,7 +85,7 @@ let open_locked t shard b =
   b.open_until <- t.now () +. delay;
   b.trial_taken <- false;
   b.opens <- b.opens + 1;
-  Metrics.breaker_transition t.metrics ~shard Breaker_open
+  Metrics.breaker t.metrics ~shard Breaker_open
 
 let allow t shard =
   locked t (fun () ->
@@ -106,7 +106,7 @@ let allow t shard =
           else begin
             b.st <- Breaker_half_open;
             b.trial_taken <- true;
-            Metrics.breaker_transition t.metrics ~shard Breaker_half_open;
+            Metrics.breaker t.metrics ~shard Breaker_half_open;
             true
           end)
 
@@ -123,7 +123,7 @@ let success t shard =
           b.next_delays <- [];
           b.last_delay <- 0.;
           b.closes <- b.closes + 1;
-          Metrics.breaker_transition t.metrics ~shard Breaker_closed)
+          Metrics.breaker t.metrics ~shard Breaker_closed)
 
 let failure t shard =
   locked t (fun () ->

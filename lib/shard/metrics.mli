@@ -1,8 +1,9 @@
 (** Shard-tier counters — one instance per router (forward/failover
     side) or per shard (peer side); a {!Cluster} holds both kinds.
+    Each metric is declared once in a {!Tt_server.Registry}.
 
-    All operations are thread-safe; {!snapshot} is consistent (taken
-    under the same lock the counters use). *)
+    All operations are thread-safe, each taking the registry's lock
+    once; {!snapshot} is consistent (taken under that same lock). *)
 
 type t
 
@@ -41,11 +42,11 @@ val peer_miss : t -> unit
     {!Peer} fetch hook ({e outgoing} peeks; the receiving side counts
     the same event under its server metrics' [op="peek"]). *)
 
-val breaker_transition : t -> shard:string -> breaker_state -> unit
-(** Record [shard]'s breaker entering a state: updates the per-shard
-    state gauge and counts any non-open→open transition (including a
-    failed half-open trial re-opening) as an open, any non-closed→
-    closed as a close. Idempotent for repeated same-state calls. *)
+val breaker : t -> shard:string -> breaker_state -> unit
+(** [shard]'s breaker entered a state: sets its state gauge, and
+    counts an entry into open as an open and into closed as a close.
+    {!Health} calls it at each transition, where it counts its own
+    opens and closes. *)
 
 val breaker_forget : t -> shard:string -> unit
 (** Drop [shard]'s breaker-state gauge (the shard left the ring). *)
@@ -68,26 +69,26 @@ val deadline_reject : t -> unit
 val set_ring_epoch : t -> int -> unit
 (** Current ring epoch (bumped by every join/leave reconfiguration). *)
 
-type snapshot = {
-  forwards : (string * int) list;  (** per shard name, sorted *)
+type snapshot = private {
   forwards_total : int;
   failovers : int;
-  rejects : int;
   unrouted : int;
   peer_hits : int;
   peer_misses : int;
   breaker_opens : int;
   breaker_closes : int;
-  breaker_states : (string * breaker_state) list;  (** sorted by shard *)
-  restarts : (string * int) list;  (** per shard name, sorted *)
   restarts_total : int;
+  downtime_s : float;
   hedges : (string * int) list;  (** per outcome, sorted *)
   deadline_rejects : int;
-  downtime_s : float;
-  ring_epoch : int;
+  values : Tt_server.Registry.snapshot;  (** what the dumps render *)
 }
 
 val snapshot : t -> snapshot
+
+val add_peers : snapshot -> t -> snapshot
+(** [add_peers s p] is [s] with [p]'s peer hits and misses added. *)
+
 val to_json : snapshot -> Tt_engine.Telemetry.Json.t
 
 val to_prometheus : snapshot -> string

@@ -225,7 +225,6 @@ let apply_fault t = function
   | Leave i -> Cluster.leave t i
 
 let all_recovered t =
-  let snap = Cluster.snapshot t in
   let shards_up =
     List.for_all
       (fun i -> (not (Cluster.shard_in_ring t i)) || Cluster.shard_alive t i)
@@ -233,8 +232,8 @@ let all_recovered t =
   in
   let breakers_closed =
     List.for_all
-      (fun (_, st) -> st = Metrics.Breaker_closed)
-      snap.Metrics.breaker_states
+      (fun v -> v.Health.view_state = Health.Breaker_closed)
+      (Health.views (Cluster.health t))
   in
   shards_up && breakers_closed
 
@@ -365,7 +364,7 @@ let run cfg =
         restarts = snap.Metrics.restarts_total;
         breaker_opens = snap.Metrics.breaker_opens;
         breaker_closes = snap.Metrics.breaker_closes;
-        ring_epoch = snap.Metrics.ring_epoch;
+        ring_epoch = Cluster.ring_epoch t;
         recovered
       })
 

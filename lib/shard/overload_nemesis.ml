@@ -34,7 +34,7 @@ let default_config =
     cal_requests = 48;
     cal_connections = 3;
     requests = 200;
-    connections = 6;
+    connections = 12;
     batch_share = 0.3;
     deadline_s = 1.0;
     overdrive = 4.0;

@@ -46,10 +46,13 @@ type config = {
   cal_connections : int;  (** Calibration concurrency (default 3). *)
   requests : int;  (** Overload-phase volume (default 200). *)
   connections : int;
-      (** Overload concurrency (default 6) — must exceed the
-          cluster-wide admission window for shedding to engage, while
-          staying small enough that domain scheduling on a single-core
-          box does not dominate the dynamics. *)
+      (** Overload concurrency (default 12) — must exceed the
+          cluster-wide admission window for shedding to engage. Each
+          connection has one request in flight, and with one shard
+          stalled the two live shards admit 4 at once (queue 1 plus 1
+          worker each), so 12 connections triple that window; at 6, a
+          2-vCPU host absorbed nearly all the offered load and often
+          shed no batch request. *)
   batch_share : float;  (** Fraction sent [priority=batch] (default 0.3). *)
   deadline_s : float;  (** Per-request budget (default 1.0). *)
   overdrive : float;

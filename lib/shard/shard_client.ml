@@ -7,7 +7,6 @@ type t = {
   tag : string;
   mutable seq : int;
   memo : Tt_engine.Entry_memo.t;
-  metrics : Metrics.t;
 }
 
 let create ?connect_timeout_s ?read_timeout_s ?retry ?(tag = "sc") ?metrics
@@ -17,11 +16,9 @@ let create ?connect_timeout_s ?read_timeout_s ?retry ?(tag = "sc") ?metrics
       Forward.create ?connect_timeout_s ?read_timeout_s ?retry ~metrics ring;
     tag;
     seq = 0;
-    memo = Tt_engine.Entry_memo.create ();
-    metrics
+    memo = Tt_engine.Entry_memo.create ()
   }
 
-let metrics t = t.metrics
 let close t = Forward.close t.fwd
 
 let solve t ?timeout_s ?idem ?(priority = P.Interactive) entry =

@@ -40,7 +40,6 @@ val peek : t -> string -> Tt_engine.Job.outcome option
 (** Best-effort cache peek for a job id at its owner (with failover);
     [None] on miss or any error. *)
 
-val metrics : t -> Metrics.t
 val close : t -> unit
 
 val loadgen_solver :

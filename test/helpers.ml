@@ -100,6 +100,22 @@ let contains haystack needle =
   let rec go i = i + m <= n && (String.sub haystack i m = needle || go (i + 1)) in
   m = 0 || go 0
 
+(* --- JSON dumps ----------------------------------------------------------- *)
+
+(* The value at [path] in a nested JSON object, such as a metrics
+   module's [to_json]. *)
+let json_at j path =
+  List.fold_left (fun j k -> Option.bind j (Tt_engine.Telemetry.Json.member k)) (Some j) path
+
+let json_int j path =
+  match json_at j path with
+  | Some (Tt_engine.Telemetry.Json.Int i) -> i
+  | _ -> Alcotest.failf "no integer at %s" (String.concat "." path)
+
+let json_float j path =
+  match json_at j path with
+  | Some (Tt_engine.Telemetry.Json.Float f) -> f
+  | _ -> Alcotest.failf "no float at %s" (String.concat "." path)
 
 (* --- Prometheus exposition conformance ----------------------------------- *)
 

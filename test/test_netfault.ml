@@ -152,8 +152,8 @@ let wait_until ?(timeout_s = 5.) pred =
    client's EOF, which can come after the client's run returns: poll. *)
 let no_leaked_connections srv =
   wait_until (fun () ->
-      (Tt_server.Metrics.snapshot (Srv.metrics srv)).Tt_server.Metrics
-        .connections_active = 0)
+      let m = Tt_server.Metrics.(to_json (snapshot (Srv.metrics srv))) in
+      H.json_int m [ "connections"; "active" ] = 0)
 
 (* The headline invariant: a seeded load run through an injecting
    proxy, with retries and idempotency keys, converges to the same

@@ -13,6 +13,7 @@ module L = Tt_server.Loadgen
 module E = Tt_engine.Executor
 module J = Tt_engine.Job
 module H = Helpers
+module Json = Tt_engine.Telemetry.Json
 
 let all_error_codes =
   [ P.Bad_frame; P.Bad_request; P.Unsupported_version; P.Overloaded;
@@ -297,6 +298,8 @@ let test_admission_close () =
 
 (* ------------------------------------------------------------ metrics *)
 
+let dump m = M.to_json (M.snapshot m)
+
 let test_metrics_counters () =
   let m = M.create () in
   M.connection_opened m;
@@ -311,34 +314,36 @@ let test_metrics_counters () =
   M.response_error m ~code:"overloaded";
   M.job m ~cache_hit:true ~error:false ~wall_s:0.5;
   M.job m ~cache_hit:false ~error:true ~wall_s:0.25;
-  let s = M.snapshot m in
-  Alcotest.(check int) "opened" 2 s.M.connections_opened;
-  Alcotest.(check int) "active" 1 s.M.connections_active;
-  Alcotest.(check int) "solve" 2 s.M.requests_solve;
-  Alcotest.(check int) "ping" 1 s.M.requests_ping;
-  Alcotest.(check int) "stats" 1 s.M.requests_stats;
-  Alcotest.(check int) "ok" 1 s.M.responses_ok;
+  let s = dump m in
+  Alcotest.(check int) "opened" 2 (H.json_int s [ "connections"; "opened" ]);
+  Alcotest.(check int) "active" 1 (H.json_int s [ "connections"; "active" ]);
+  Alcotest.(check int) "solve" 2 (H.json_int s [ "requests"; "solve" ]);
+  Alcotest.(check int) "ping" 1 (H.json_int s [ "requests"; "ping" ]);
+  Alcotest.(check int) "stats" 1 (H.json_int s [ "requests"; "stats" ]);
+  Alcotest.(check int) "ok" 1 (H.json_int s [ "responses"; "ok" ]);
   Alcotest.(check bool) "errors by code" true
-    (s.M.errors = [ ("overloaded", 2) ]);
-  Alcotest.(check int) "jobs" 2 s.M.jobs;
-  Alcotest.(check int) "job errors" 1 s.M.job_errors;
-  Alcotest.(check int) "cache hits" 1 s.M.job_cache_hits;
-  Alcotest.(check (float 1e-9)) "job wall" 0.75 s.M.job_wall_s
+    (H.json_at s [ "responses"; "errors" ] = Some (Json.Obj [ ("overloaded", Json.Int 2) ]));
+  Alcotest.(check int) "jobs" 2 (H.json_int s [ "jobs"; "total" ]);
+  Alcotest.(check int) "job errors" 1 (H.json_int s [ "jobs"; "errors" ]);
+  Alcotest.(check int) "cache hits" 1 (H.json_int s [ "jobs"; "cache_hits" ]);
+  Alcotest.(check (float 1e-9)) "job wall" 0.75 (H.json_float s [ "jobs"; "wall_s" ])
 
+(* More samples than the 4096-sample window: the lifetime figures
+   count them all, the percentiles only the most recent 4096. *)
 let test_metrics_latency () =
-  let m = M.create ~latency_window:64 () in
-  for i = 1 to 100 do
-    M.observe_solve m ~latency_s:(float_of_int i /. 100.)
+  let m = M.create () in
+  for i = 1 to 5000 do
+    M.observe_solve m ~latency_s:(float_of_int i /. 1000.)
   done;
-  let s = M.snapshot m in
-  Alcotest.(check int) "lifetime count" 100 s.M.latency.M.count;
-  Alcotest.(check int) "window is the ring size" 64 s.M.latency.M.window;
-  Alcotest.(check (float 1e-9)) "lifetime max" 1.0 s.M.latency.M.max_s;
-  Alcotest.(check (float 1e-9)) "lifetime mean" 0.505 s.M.latency.M.mean_s;
+  let s = dump m in
+  let lat k = H.json_float s [ "latency"; k ] in
+  Alcotest.(check int) "lifetime count" 5000 (H.json_int s [ "latency"; "count" ]);
+  Alcotest.(check int) "window is the ring size" 4096 (H.json_int s [ "latency"; "window" ]);
+  Alcotest.(check (float 1e-9)) "lifetime max" 5.0 (lat "max_s");
+  Alcotest.(check (float 1e-9)) "lifetime mean" 2.5005 (lat "mean_s");
+  Alcotest.(check (float 1e-9)) "median of the latest 4096" 2.9525 (lat "p50_s");
   Alcotest.(check bool) "percentiles ordered" true
-    (s.M.latency.M.p50_s <= s.M.latency.M.p95_s
-    && s.M.latency.M.p95_s <= s.M.latency.M.p99_s
-    && s.M.latency.M.p99_s <= s.M.latency.M.max_s)
+    (lat "p50_s" <= lat "p95_s" && lat "p95_s" <= lat "p99_s" && lat "p99_s" <= lat "max_s")
 
 let test_metrics_prometheus () =
   let m = M.create () in
@@ -501,12 +506,15 @@ let test_concurrent_loadgen () =
       (* Server-side metrics agree with the client's observations:
          same request count, and the server's request latency (receipt
          to reply) cannot exceed what the client measured end-to-end. *)
-      let m = M.snapshot (Srv.metrics srv) in
-      Alcotest.(check int) "server counted every solve" 120 m.M.requests_solve;
-      Alcotest.(check int) "server replied ok to every solve" 120 m.M.responses_ok;
-      Alcotest.(check int) "server observed every latency" 120 m.M.latency.M.count;
+      let m = dump (Srv.metrics srv) in
+      Alcotest.(check int) "server counted every solve" 120
+        (H.json_int m [ "requests"; "solve" ]);
+      Alcotest.(check int) "server replied ok to every solve" 120
+        (H.json_int m [ "responses"; "ok" ]);
+      Alcotest.(check int) "server observed every latency" 120
+        (H.json_int m [ "latency"; "count" ]);
       Alcotest.(check bool) "server p50 <= client p50" true
-        (m.M.latency.M.p50_s <= s.L.p50_s +. 0.005))
+        (H.json_float m [ "latency"; "p50_s" ] <= s.L.p50_s +. 0.005))
 
 let test_loadgen_transport_breakdown () =
   (* A vacated port: every request dies at connect, and the summary
@@ -743,9 +751,9 @@ let test_partial_frame_reassembly () =
           | _ ->
               Alcotest.(check int) "no extra bytes" 0
                 (Unix.read fd buf 0 (Bytes.length buf)));
-          let m = M.snapshot (Srv.metrics srv) in
-          Alcotest.(check int) "decoded exactly one solve" 1 m.M.requests_solve;
-          Alcotest.(check int) "replied exactly once" 1 m.M.responses_ok))
+          let m = dump (Srv.metrics srv) in
+          Alcotest.(check int) "decoded exactly one solve" 1 (H.json_int m [ "requests"; "solve" ]);
+          Alcotest.(check int) "replied exactly once" 1 (H.json_int m [ "responses"; "ok" ])))
 
 let test_idle_eviction () =
   let config = { Srv.default_config with Srv.idle_timeout_s = 0.2 } in
@@ -759,14 +767,14 @@ let test_idle_eviction () =
           (match C.recv c with
           | Error _ -> ()  (* EOF once evicted *)
           | Ok _ -> Alcotest.fail "unsolicited reply from idle server");
-          let m = M.snapshot (Srv.metrics srv) in
+          let m = dump (Srv.metrics srv) in
           Alcotest.(check bool) "eviction counted" true
-            (m.M.idle_evictions >= 1);
+            (H.json_int m [ "resilience"; "idle_evictions" ] >= 1);
           (* The EOF the client just saw races the server's gauge
              decrement by a few microseconds — poll briefly. *)
           let deadline = Unix.gettimeofday () +. 2. in
           let rec active () =
-            let n = (M.snapshot (Srv.metrics srv)).M.connections_active in
+            let n = H.json_int (dump (Srv.metrics srv)) [ "connections"; "active" ] in
             if n > 0 && Unix.gettimeofday () < deadline then begin
               Unix.sleepf 0.01;
               active ()
@@ -862,11 +870,11 @@ let test_replay_dedup () =
               Alcotest.(check string) "same results under a new key"
                 (P.sequence_digest first) (P.sequence_digest r)
           | Error e -> Alcotest.failf "fresh-key solve: %s" e);
-          let m = M.snapshot (Srv.metrics srv) in
-          Alcotest.(check int) "one replay hit" 1 m.M.replay_hits;
+          let m = dump (Srv.metrics srv) in
+          Alcotest.(check int) "one replay hit" 1 (H.json_int m [ "resilience"; "replay_hits" ]);
           (* The replayed request never reached the engine: only two
              executions' worth of jobs ran. *)
-          Alcotest.(check int) "replay skipped the engine" 4 m.M.jobs))
+          Alcotest.(check int) "replay skipped the engine" 4 (H.json_int m [ "jobs"; "total" ])))
 
 let test_worker_crash_supervision () =
   (* Every admitted request rolls a 30% chance of killing its worker
@@ -903,11 +911,11 @@ let test_worker_crash_supervision () =
                 Alcotest.failf "request %d lost to faults: %s" i
                   (C.failure_to_string f)
           done);
-      let m = M.snapshot (Srv.metrics srv) in
+      let m = dump (Srv.metrics srv) in
       Alcotest.(check bool) "at least one worker restart" true
-        (m.M.worker_restarts >= 1);
+        (H.json_int m [ "resilience"; "worker_restarts" ] >= 1);
       Alcotest.(check bool) "crashes were answered with internal" true
-        (List.mem_assoc "internal" m.M.errors))
+        (H.json_at m [ "responses"; "errors"; "internal" ] <> None))
 
 let test_worker_wedge_supervision () =
   (* Injected delays up to 1.5s against a 0.2s deadline and 0.15s
@@ -950,9 +958,9 @@ let test_worker_wedge_supervision () =
               Alcotest.(check bool) ("outcome " ^ k) true
                 (List.mem k [ "ok"; "deadline_exceeded"; "internal" ]))
             outcomes);
-      let m = M.snapshot (Srv.metrics srv) in
+      let m = dump (Srv.metrics srv) in
       Alcotest.(check bool) "wedged worker replaced" true
-        (m.M.worker_restarts >= 1))
+        (H.json_int m [ "resilience"; "worker_restarts" ] >= 1))
 
 let test_client_read_timeout () =
   (* A listener that accepts (via backlog) but never replies: the

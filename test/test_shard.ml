@@ -227,7 +227,8 @@ let test_shard_metrics () =
   let s = SM.snapshot m in
   Alcotest.(check int) "forwards total" 3 s.SM.forwards_total;
   Alcotest.(check bool) "per-shard forwards" true
-    (s.SM.forwards = [ ("s0", 2); ("s1", 1) ]);
+    (H.json_at (SM.to_json s) [ "forwards" ]
+    = Some (Tt_engine.Telemetry.Json.(Obj [ ("s0", Int 2); ("s1", Int 1) ])));
   Alcotest.(check int) "failovers" 1 s.SM.failovers;
   let text = SM.to_prometheus s in
   List.iter
@@ -340,7 +341,12 @@ let test_cluster_cache_peering () =
                     r.P.cache_hit));
       let snap = Cl.snapshot c in
       Alcotest.(check bool) "at least one peer hit" true
-        (snap.SM.peer_hits >= 1))
+        (snap.SM.peer_hits >= 1);
+      (* The exposition carries the shards' peer counters, which only
+         the snapshot's merge puts next to the router's own. *)
+      let line = Printf.sprintf "tt_shard_peer_hits_total %d" snap.SM.peer_hits in
+      Alcotest.(check bool) ("prometheus has " ^ line) true
+        (List.mem line (String.split_on_char '\n' (Cl.prometheus c))))
 
 (* The shard-aware client routes directly on the ring (no router hop)
    and agrees with the routed path on results. *)
